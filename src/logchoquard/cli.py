@@ -4,10 +4,9 @@ Subcommands: check-assumptions, verify-embedding, moser-scan, solve,
 kernel-bench.  Exit codes: 0 success, 2 validation error, 3
 admissibility/geometry failure, 4 budget exhausted.
 
-``--threads 1`` (the default) guarantees bit-reproducible reports; the
-implementation is serial throughout, so higher values change nothing.
-Wall-clock timings appear only in kernel-bench reports, which keeps the
-other reports bit-identical across reruns.
+The implementation is serial throughout, so a fixed ``--seed`` gives
+bit-reproducible reports.  Wall-clock timings appear only in kernel-bench
+reports, which keeps the other reports bit-identical across reruns.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import energy, families, grids, kernel, reports, solver, spaces
 from . import nonlinearity as nl
-from .config import RunConfig, load_config
+from .config import DEFAULTS, RunConfig, load_config
 from .errors import (GeometryFailureError, LogChoquardError, ValidationError)
 
 EXIT_OK = 0
@@ -39,9 +38,8 @@ def _resolved_config(cfg: RunConfig) -> dict:
                          "c_amplitude": cfg.spec.c_profile.amplitude},
         "potential": {"floor": cfg.potential.floor,
                       "amplitude": cfg.potential.amplitude},
-        "solver": dict(cfg.solver),
+        "solver": {key: getattr(cfg.solver, key) for key in DEFAULTS["solver"]},
         "seed": cfg.seed,
-        "threads": cfg.threads,
     }
 
 
@@ -187,20 +185,7 @@ def cmd_moser_scan(cfg: RunConfig):
 
 
 def cmd_solve(cfg: RunConfig):
-    sc = solver.SolverConfig(
-        spec=cfg.spec, potential=cfg.potential,
-        grid_kind=cfg.solver["grid_kind"],
-        domain_radius=cfg.solver["domain_radius"],
-        resolution=cfg.solver["resolution"],
-        path_nodes=cfg.solver["path_nodes"],
-        descent_step=cfg.solver["descent_step"],
-        max_iterations=cfg.solver["max_iterations"],
-        residual_tolerance=cfg.solver["residual_tolerance"],
-        seed=cfg.seed,
-        rho_sphere=cfg.solver["rho_sphere"],
-        witness_radius=cfg.solver["witness_radius"],
-    )
-    result = solver.solve_mountain_pass(sc)
+    result = solver.solve_mountain_pass(cfg.solver)
     diag = solver.ps_diagnostics(result.field_trace, cfg.spec, cfg.potential,
                                  level=result.level)
     field_path = (cfg.output_path or "solution") + ".field"
@@ -291,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="configuration file")
         p.add_argument("--output", default=None, help="report output path")
         p.add_argument("--format", default="json", choices=("json", "csv"))
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -300,8 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, output_path=args.output,
-                          output_format=args.format, seed=args.seed,
-                          threads=args.threads)
+                          output_format=args.format, seed=args.seed)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -9,11 +9,12 @@ table below.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import nonlinearity as nl
-from .errors import ValidationError
+from .errors import InvalidParameterError, ValidationError
+from .solver import SolverConfig
 from .spaces import PeriodicCoefficient
 
 DEFAULTS = {
@@ -24,7 +25,7 @@ DEFAULTS = {
     },
     "nonlinearity": {
         "kind": "exp_minus_one",
-        # q is required; p, s0, beta, c_amplitude are optional
+        "q": "",                # required
         "p": "",
         "s0": "1.0",
         "beta": "1.0",
@@ -83,7 +84,7 @@ class RunConfig:
     spec: nl.NonlinearitySpec
     potential: PeriodicCoefficient
     q: float
-    solver: dict
+    solver: SolverConfig
     embedding: dict
     moser: dict
     kernel_bench: dict
@@ -91,8 +92,6 @@ class RunConfig:
     output_path: Optional[str] = None
     output_format: str = "json"
     seed: int = 0
-    threads: int = 1
-    raw: dict = field(default_factory=dict)
 
 
 def _merged(parser: configparser.ConfigParser) -> dict:
@@ -104,7 +103,7 @@ def _merged(parser: configparser.ConfigParser) -> dict:
         block = dict(defaults)
         if parser.has_section(section):
             for key, value in parser.items(section):
-                if key not in defaults and section != "nonlinearity":
+                if key not in defaults:
                     raise ValidationError(
                         f"unknown key {key!r} in section [{section}]")
                 block[key] = value
@@ -141,7 +140,7 @@ def _build_spec(block) -> tuple:
     kind = block.get("kind", "exp_minus_one")
     if kind not in nl.KINDS or kind == "custom":
         raise ValidationError(f"[nonlinearity] kind {kind!r} is not configurable")
-    if "q" not in block or str(block["q"]).strip() == "":
+    if not block["q"].strip():
         raise ValidationError("[nonlinearity] q is required")
     q = _as_float(block, "nonlinearity", "q")
     p_raw = str(block.get("p", "")).strip()
@@ -164,7 +163,7 @@ def _build_spec(block) -> tuple:
 
 
 def load_config(path: Optional[str], command: str, output_path=None,
-                output_format="json", seed=0, threads=1) -> RunConfig:
+                output_format="json", seed=0) -> RunConfig:
     """Parse and fully validate a configuration file (or pure defaults)."""
     parser = configparser.ConfigParser()
     if path is not None:
@@ -191,21 +190,20 @@ def load_config(path: Optional[str], command: str, output_path=None,
     potential = PeriodicCoefficient(floor, amplitude)
 
     sblock = merged["solver"]
-    solver_params = {
-        "grid_kind": sblock.get("grid_kind", "cartesian"),
-        "domain_radius": _as_float(sblock, "solver", "domain_radius"),
-        "resolution": _as_int(sblock, "solver", "resolution"),
-        "path_nodes": _as_int(sblock, "solver", "path_nodes"),
-        "descent_step": _as_float(sblock, "solver", "descent_step"),
-        "max_iterations": _as_int(sblock, "solver", "max_iterations"),
-        "residual_tolerance": _as_float(sblock, "solver", "residual_tolerance"),
-        "rho_sphere": _as_float(sblock, "solver", "rho_sphere"),
-        "witness_radius": _as_float(sblock, "solver", "witness_radius"),
-    }
-    if solver_params["path_nodes"] < 8:
-        raise ValidationError("[solver] path_nodes must be >= 8")
-    if solver_params["residual_tolerance"] <= 0:
-        raise ValidationError("[solver] residual_tolerance must be positive")
+    try:
+        solver = SolverConfig(
+            spec=spec, potential=potential, seed=seed,
+            grid_kind=sblock["grid_kind"],
+            domain_radius=_as_float(sblock, "solver", "domain_radius"),
+            resolution=_as_int(sblock, "solver", "resolution"),
+            path_nodes=_as_int(sblock, "solver", "path_nodes"),
+            descent_step=_as_float(sblock, "solver", "descent_step"),
+            max_iterations=_as_int(sblock, "solver", "max_iterations"),
+            residual_tolerance=_as_float(sblock, "solver", "residual_tolerance"),
+            rho_sphere=_as_float(sblock, "solver", "rho_sphere"),
+            witness_radius=_as_float(sblock, "solver", "witness_radius"))
+    except InvalidParameterError as exc:
+        raise ValidationError(f"[solver] {exc}")
 
     eblock = merged["embedding"]
     embedding = {
@@ -246,9 +244,8 @@ def load_config(path: Optional[str], command: str, output_path=None,
     return RunConfig(
         command=command, grid_kind=grid_kind, domain_radius=radius,
         resolution=resolution, spec=spec, potential=potential, q=q,
-        solver=solver_params, embedding=embedding, moser=moser,
+        solver=solver, embedding=embedding, moser=moser,
         kernel_bench=kernel_bench, scan=scan,
         output_path=output_path or out.get("path"),
-        output_format=output_format, seed=seed, threads=threads,
-        raw=merged,
+        output_format=output_format, seed=seed,
     )

@@ -28,7 +28,7 @@ from . import nonlinearity as nl
 from .errors import (EmptyFamilyError, InvalidParameterError,
                      NoInteriorMaxError)
 from .families import moser_profile
-from .spaces import PeriodicCoefficient
+from .spaces import PeriodicCoefficient, norm_V_sq
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
@@ -69,9 +69,7 @@ def energy_IV(u: grids.GridField, spec: nl.NonlinearitySpec,
               potential: PeriodicCoefficient) -> EnergyBreakdown:
     """Full energy breakdown at u."""
     frak = frak_functionals(u, spec)
-    v_weights = potential.on_grid(u.grid)
-    quadratic = 0.5 * (grids.dirichlet_energy(u)
-                       + grids.integrate(u, lambda s: s**2, weight=v_weights))
+    quadratic = 0.5 * norm_V_sq(u, potential)
     total = quadratic - frak.frakF / FOUR_PI
     return EnergyBreakdown(quadratic=quadratic, frakF=frak.frakF,
                            frakF1=frak.frakF1, frakF2=frak.frakF2,
@@ -84,9 +82,7 @@ def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
     with energy_IV(...).total to rounding."""
     density = grids.GridField(u.grid, compose_density(u, spec))
     frak = kernel.b0_form(density, density)
-    v_weights = potential.on_grid(u.grid)
-    quadratic = 0.5 * (grids.dirichlet_energy(u)
-                       + grids.integrate(u, lambda s: s**2, weight=v_weights))
+    quadratic = 0.5 * norm_V_sq(u, potential)
     return quadratic - frak / FOUR_PI
 
 

@@ -349,12 +349,6 @@ def stiffness_matrix(grid: Grid) -> sp.csr_matrix:
     return grid._cached("stiffness", build)
 
 
-def gradient_values(u: GridField):
-    """Nodal first derivatives: (du/dr,) on radial, (du/dx, du/dy) on cartesian."""
-    flat = u.values.ravel()
-    return tuple((op @ flat).reshape(u.grid.shape) for op in gradient_operators(u.grid))
-
-
 def dirichlet_energy(u: GridField) -> float:
     """Quadrature of |grad u|^2 over the truncated domain (radial: (u')^2 2 pi r dr)."""
     if u.grid.num_nodes < 3:

@@ -106,11 +106,14 @@ def cell_average_log_kernels(h: float):
 # cartesian route
 # ---------------------------------------------------------------------------
 
-def _kernel_tableaus(grid: grids.Grid):
-    """(2n-1)^2 displacement tables of log(1+d) and log(1+1/d); the zero
-    displacement holds the exact self-cell averages."""
+def _fft_kernels(grid: grids.Grid):
+    """(m, {"B1": ..., "B2": ..., "B0": ...}): rfft2 of the zero-padded
+    (2n-1)^2 displacement tables of log(1+d) and log(1+1/d), and of their
+    difference.  The zero displacement holds the exact self-cell averages.
+    Cached per grid."""
     def build():
         n, h = grid.resolution, grid.spacing
+        m = spfft.next_fast_len(2 * n - 1)
         idx = np.arange(n, dtype=float)
         d = h * np.hypot(idx[:, None], idx[None, :])
         with np.errstate(divide="ignore"):
@@ -119,28 +122,15 @@ def _kernel_tableaus(grid: grids.Grid):
         d0, d1, d2 = cell_average_log_kernels(h)
         q1[0, 0] = d1
         q2[0, 0] = d2
-        tab1 = np.empty((2 * n - 1, 2 * n - 1))
-        tab2 = np.empty((2 * n - 1, 2 * n - 1))
-        sl = np.abs(np.arange(-(n - 1), n))
-        tab1[:, :] = q1[sl[:, None], sl[None, :]]
-        tab2[:, :] = q2[sl[:, None], sl[None, :]]
-        return tab1, tab2
-    return grid._cached("kernel_tableaus", build)
-
-
-def _fft_kernels(grid: grids.Grid):
-    """rfft2 of the zero-padded displacement tables, cached per grid."""
-    def build():
-        n = grid.resolution
-        m = spfft.next_fast_len(2 * n - 1)
-        tabs = _kernel_tableaus(grid)
-        out = []
-        for tab in tabs:
+        sl = np.arange(-(n - 1), n)
+        hats = []
+        for q in (q1, q2):
             pad = np.zeros((m, m))
-            sl = np.arange(-(n - 1), n)
-            pad[sl[:, None] % m, sl[None, :] % m] = tab
-            out.append(spfft.rfft2(pad))
-        return (m, *out)
+            pad[sl[:, None] % m, sl[None, :] % m] = \
+                q[np.abs(sl)[:, None], np.abs(sl)[None, :]]
+            hats.append(spfft.rfft2(pad))
+        k1hat, k2hat = hats
+        return m, {"B1": k1hat, "B2": k2hat, "B0": k2hat - k1hat}
     return grid._cached("fft_kernels", build)
 
 
@@ -149,46 +139,44 @@ def convolve_kernel(grid: grids.Grid, density: np.ndarray, which: str = "B0"):
     density given as nodal values (quadrature weights applied internally)."""
     if grid.kind != "cartesian":
         raise UnsupportedGridError("FFT convolution needs a cartesian grid")
-    m, k1hat, k2hat = _fft_kernels(grid)
+    m, khats = _fft_kernels(grid)
     n = grid.resolution
     pad = np.zeros((m, m))
     pad[:n, :n] = grid.weights * density
     dhat = spfft.rfft2(pad)
-    if which == "B1":
-        khat = k1hat
-    elif which == "B2":
-        khat = k2hat
-    else:
-        khat = k2hat - k1hat
-    return spfft.irfft2(khat * dhat, s=(m, m))[:n, :n]
+    return spfft.irfft2(khats[which] * dhat, s=(m, m))[:n, :n]
 
 
-def _direct_cartesian(u: grids.GridField, v: grids.GridField):
-    """Blocked O(N^2) pair sum; returns (b1, b2)."""
+def _pair_sum(u: grids.GridField, v: grids.GridField, kernels):
+    """Blocked O(N^2) node-pair sums sum_ij (w u)_i K(|x_i - x_j|) (w v)_j on
+    a cartesian grid, one per (K, self-cell average of K) in ``kernels``.
+    K is only evaluated at positive distances."""
     grid = u.grid
-    n, h = grid.resolution, grid.spacing
     xx, yy = grid.meshgrid()
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     a = (grid.weights * u.values).ravel()
     b = (grid.weights * v.values).ravel()
-    d0, d1, d2 = cell_average_log_kernels(h)
     total = len(pts)
-    b1 = b2 = 0.0
+    sums = [0.0] * len(kernels)
     block = max(1, 2**22 // total)
     for start in range(0, total, block):
         stop = min(start + block, total)
         dx = pts[start:stop, 0, None] - pts[None, :, 0]
         dy = pts[start:stop, 1, None] - pts[None, :, 1]
         d = np.hypot(dx, dy)
-        diag = d == 0.0
-        with np.errstate(divide="ignore"):
-            k1 = np.log1p(d)
-            k2 = np.log1p(1.0 / np.where(diag, 1.0, d))
-        k1[diag] = d1
-        k2[diag] = d2
-        b1 += a[start:stop] @ (k1 @ b)
-        b2 += a[start:stop] @ (k2 @ b)
-    return b1, b2
+        zero = d == 0.0
+        d[zero] = 1.0
+        for i, (kern, diag) in enumerate(kernels):
+            k = kern(d)
+            k[zero] = diag
+            sums[i] += a[start:stop] @ (k @ b)
+    return sums
+
+
+def _direct_cartesian(u: grids.GridField, v: grids.GridField):
+    """Blocked O(N^2) pair sum; returns (b1, b2)."""
+    d0, d1, d2 = cell_average_log_kernels(u.grid.spacing)
+    return _pair_sum(u, v, [(np.log1p, d1), (lambda d: np.log1p(1.0 / d), d2)])
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +247,8 @@ def ring_c1(grid: grids.Grid, oracle: bool = False) -> np.ndarray:
     return grid._cached("ring_c1", build)
 
 
-def ring_coupling_matrices(grid: grids.Grid, oracle: bool = False):
-    """(C1, C0); the near-kernel coupling C2 is their sum."""
-    return ring_c1(grid, oracle=oracle), ring_c0(grid)
-
-
 def _radial_forms(u: grids.GridField, v: grids.GridField, oracle: bool):
-    c1, c0 = ring_coupling_matrices(u.grid, oracle=oracle)
+    c1, c0 = ring_c1(u.grid, oracle=oracle), ring_c0(u.grid)
     a = u.grid.weights * u.values
     b = u.grid.weights * v.values
     b1 = float(a @ (c1 @ b))
@@ -364,23 +347,9 @@ def hls_check(u: grids.GridField, v: grids.GridField, mu: float,
     grid = u.grid
     if grid.kind != "cartesian":
         raise UnsupportedGridError("hls_check runs on cartesian grids")
-    h = grid.spacing
-    diag = _cell_pair_average(h, lambda k, R: _moment_power(k, R, mu))
-    xx, yy = grid.meshgrid()
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    a = (grid.weights * u.values).ravel()
-    b = (grid.weights * v.values).ravel()
-    total = len(pts)
-    lhs = 0.0
-    block = max(1, 2**22 // total)
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        dx = pts[start:stop, 0, None] - pts[None, :, 0]
-        dy = pts[start:stop, 1, None] - pts[None, :, 1]
-        d = np.hypot(dx, dy)
-        zero = d == 0.0
-        kern = np.where(zero, diag, np.where(d > 0, d, 1.0) ** (-mu))
-        lhs += a[start:stop] @ (kern @ b)
+    diag = _cell_pair_average(grid.spacing,
+                              lambda k, R: _moment_power(k, R, mu))
+    lhs, = _pair_sum(u, v, [(lambda d: d ** (-mu), diag)])
     norm_u = grids.integrate(u, lambda t: np.abs(t) ** s) ** (1.0 / s)
     norm_v = grids.integrate(v, lambda t: np.abs(t) ** r) ** (1.0 / r)
     return HLSReport(lhs=float(lhs), norm_product=norm_u * norm_v)

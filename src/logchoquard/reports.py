@@ -1,17 +1,21 @@
 """Run reports: schema-stable JSON/CSV emission and field persistence.
 
-Floats are serialized with 17 significant digits, which round-trips
-float64 exactly; report bytes are bit-reproducible for identical runs.
+JSON reports go through ``json.dumps``, whose shortest-repr floats
+round-trip float64 exactly; CSV reports and field files write floats with
+17 significant digits, which round-trips as well.  Report bytes are
+bit-reproducible for identical runs.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from . import grids
 from .errors import ValidationError
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 def format_float(x: float) -> str:
@@ -40,46 +44,8 @@ def _to_jsonable(obj):
     return obj
 
 
-def _write_json(obj, parts, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            parts.append(f'{pad}  "{key}": ')
-            _write_json(value, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, value in enumerate(obj):
-            parts.append(pad + "  ")
-            _write_json(value, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    else:
-        escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-        parts.append(f'"{escaped}"')
-
-
 def render_json(payload: dict) -> str:
-    parts = []
-    _write_json(_to_jsonable(payload), parts)
-    parts.append("\n")
-    return "".join(parts)
+    return json.dumps(_to_jsonable(payload), indent=2) + "\n"
 
 
 def _flatten(obj, prefix, rows):

@@ -29,6 +29,9 @@ from . import nonlinearity as nl
 from .errors import GeometryFailureError, InvalidParameterError
 from .spaces import PeriodicCoefficient, WeightSpec, norm_1qw
 
+N_TEST_DIRECTIONS = 20      # seeded test directions checked on the accepted state
+TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -44,8 +47,6 @@ class SolverConfig:
     seed: int = 0
     rho_sphere: float = 1e-2
     witness_radius: float = 0.25
-    n_test_directions: int = 20
-    trace_fields: int = 32
 
     def __post_init__(self):
         if self.path_nodes < 8:
@@ -263,8 +264,8 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     path = [witness.with_values(t * witness.values) for t in ts]
     levels = [energy.total_energy(u, spec, potential) for u in path]
     _scan_all_segments(path, levels, spec, potential)
-    directions = _test_directions(grid, spec, potential,
-                                  config.n_test_directions, config.seed)
+    directions = _test_directions(grid, spec, potential, N_TEST_DIRECTIONS,
+                                  config.seed)
 
     ps_trace = []
     restarts = []
@@ -287,10 +288,10 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         grad = energy.energy_gradient(u, spec, potential)
         residual, direction, slope = _dual_estimate(grid, potential, grad.values)
         ps_trace.append((float(levels[k]), float(residual)))
-        # reservoir trace: decimation keeps ~trace_fields states spread over
+        # reservoir trace: decimation keeps ~TRACE_FIELDS states spread over
         # the realized iterations, always retaining the most recent one
         field_trace.append(u)
-        if len(field_trace) > 2 * config.trace_fields:
+        if len(field_trace) > 2 * TRACE_FIELDS:
             del field_trace[-2::-2]
         if residual <= config.residual_tolerance:
             converged = True

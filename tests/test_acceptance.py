@@ -245,16 +245,16 @@ max_iterations = 2000
 residual_tolerance = 2e-4
 """)
     out = str(tmp_path / "det.json")
-    code1 = cli.main(["solve", "--config", str(cfg_path), "--threads", "1",
-                      "--seed", "11", "--output", out])
+    code1 = cli.main(["solve", "--config", str(cfg_path), "--seed", "11",
+                      "--output", out])
     bytes1 = open(out, "rb").read()
     field1 = open(out + ".field", "rb").read()
-    code2 = cli.main(["solve", "--config", str(cfg_path), "--threads", "1",
-                      "--seed", "11", "--output", out])
+    code2 = cli.main(["solve", "--config", str(cfg_path), "--seed", "11",
+                      "--output", out])
     bytes2 = open(out, "rb").read()
     field2 = open(out + ".field", "rb").read()
     assert code1 == 0 and code2 == 0
     assert bytes1 == bytes2
     assert field1 == field2
-    print("ACCEPTANCE 12 PASS: cmd_solve with --threads 1 and a fixed seed "
+    print("ACCEPTANCE 12 PASS: cmd_solve with a fixed seed "
           "is bit-identical across two runs (report and field file)")

@@ -27,8 +27,8 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE), "solve")
     assert cfg.grid_kind == "radial"
     assert cfg.domain_radius == 20.0
-    assert cfg.solver["resolution"] == 128
-    assert cfg.solver["domain_radius"] == 16.0
+    assert cfg.solver.resolution == 128
+    assert cfg.solver.domain_radius == 16.0
 
 
 def test_missing_q_is_validation_error(tmp_path):
@@ -92,6 +92,21 @@ def test_cli_check_assumptions_power_exp(tmp_path, capsys):
     assert '"f4_ok": true' in out
 
 
+def test_cli_unknown_nonlinearity_key_rejected(tmp_path):
+    path = write_config(tmp_path, BASE + "c_amplitud = 0.5\n")
+    code = cli.main(["check-assumptions", "--config", path])
+    assert code == 2
+
+
+@pytest.mark.parametrize("setting", ["path_nodes = 4",
+                                     "residual_tolerance = 0",
+                                     "descent_step = 0"])
+def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
+    path = write_config(tmp_path, BASE + "\n[solver]\n" + setting + "\n")
+    code = cli.main(["check-assumptions", "--config", path])
+    assert code == 2
+
+
 def test_cli_zero_resolution_grid_rejected(tmp_path):
     path = write_config(tmp_path, BASE + "\n[grid]\nresolution = 0\n")
     code = cli.main(["verify-embedding", "--config", path])
@@ -126,11 +141,9 @@ residual_tolerance = 2e-4
 """
     path = write_config(tmp_path, cfg_text)
     out = str(tmp_path / "run.json")
-    code1 = cli.main(["solve", "--config", path, "--threads", "1",
-                      "--seed", "7", "--output", out])
+    code1 = cli.main(["solve", "--config", path, "--seed", "7", "--output", out])
     bytes1 = open(out, "rb").read()
-    code2 = cli.main(["solve", "--config", path, "--threads", "1",
-                      "--seed", "7", "--output", out])
+    code2 = cli.main(["solve", "--config", path, "--seed", "7", "--output", out])
     bytes2 = open(out, "rb").read()
     assert code1 == 0 and code2 == 0
     assert bytes1 == bytes2
@@ -139,12 +152,21 @@ residual_tolerance = 2e-4
 
 def test_report_json_roundtrip_floats():
     import json
-    payload = {"a": 1.0 / 3.0, "b": [np.pi, 2**-52], "c": {"d": 1e-300}}
+    payload = {"a": 1.0 / 3.0, "b": [np.pi, 2**-52], "c": {"d": 1e-300},
+               "integral": 2.0, "flag": True, "none": None,
+               "nan": float("nan"), "empty_dict": {}, "empty_list": [],
+               "text": 'say "hi" \\ then\nstop'}
     text = reports.render_json(reports.build_report("x", {}, payload, {}))
     parsed = json.loads(text)
     assert parsed["results"]["a"] == 1.0 / 3.0
     assert parsed["results"]["b"][0] == np.pi
     assert parsed["results"]["c"]["d"] == 1e-300
+    res = parsed["results"]
+    assert res["integral"] == 2.0 and isinstance(res["integral"], float)
+    assert res["flag"] is True and res["none"] is None
+    assert np.isnan(res["nan"])
+    assert res["empty_dict"] == {} and res["empty_list"] == []
+    assert res["text"] == payload["text"]
 
 
 def test_field_roundtrip(tmp_path):

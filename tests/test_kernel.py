@@ -184,6 +184,27 @@ def test_hls_ratio_stable_under_refinement():
     assert abs(ratios[1] - ratios[0]) < 0.02 * abs(ratios[1])
 
 
+def test_hls_matches_dense_unblocked_sum():
+    # 48^2 = 2304 nodes: the blocked pair sum runs in two blocks of rows
+    g = grids.build_grid("cartesian", 3.0, 48)
+    u = families.gaussian(g, 1.0)
+    v = families.gaussian(g, 0.5)
+    mu = 1.0
+    xx, yy = g.meshgrid()
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    d = np.hypot(pts[:, 0, None] - pts[None, :, 0],
+                 pts[:, 1, None] - pts[None, :, 1])
+    diag = kernel._cell_pair_average(
+        g.spacing, lambda k, R: kernel._moment_power(k, R, mu))
+    kern = np.full(d.shape, diag)
+    off = d > 0
+    kern[off] = d[off] ** (-mu)
+    a = (g.weights * u.values).ravel()
+    b = (g.weights * v.values).ravel()
+    rep = kernel.hls_check(u, v, mu=mu, s=4 / 3, r=4 / 3)
+    assert rep.lhs == pytest.approx(a @ kern @ b, rel=1e-12)
+
+
 def test_hls_radial_unsupported():
     g = grids.build_grid("radial", 5.0, 64)
     u = families.gaussian(g, 1.0)
