@@ -86,15 +86,6 @@ def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
     return quadratic - frak / FOUR_PI
 
 
-def _convolved_density(u: grids.GridField, spec: nl.NonlinearitySpec) -> np.ndarray:
-    """[log(1/|x|) * c F(u)](x_i): FFT on cartesian, exact ring coupling on
-    radial grids."""
-    density = compose_density(u, spec)
-    if u.grid.kind == "cartesian":
-        return kernel.convolve_kernel(u.grid, density, "B0")
-    return kernel.ring_c0(u.grid) @ (u.grid.weights * density)
-
-
 def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
                     potential: PeriodicCoefficient) -> grids.GridField:
     """Grid representation of the first variation of I_V.
@@ -112,7 +103,7 @@ def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
     positive = w > 0
     grad[positive] = stiff_term[positive] / w[positive]
     grad += potential.on_grid(grid) * u.values
-    conv = _convolved_density(u, spec)
+    conv = kernel.b0_potential(grid, compose_density(u, spec))
     grad -= conv * compose_f(u, spec) / TWO_PI
     grad[~positive] = 0.0
     return grids.GridField(grid, grad)

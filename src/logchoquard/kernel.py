@@ -12,7 +12,8 @@ Two evaluation routes are kept deliberately independent:
   the cell pair against constant densities; radial grids use high-order
   graded angular panels for the ring-ring coupling.
 * ``bilinear_fast``  -- zero-padded FFT convolution on uniform cartesian
-  grids, precomputed (cached) ring-coupling matrices on radial grids.
+  grids; on radial grids a cached log(1+|x-y|) ring-coupling matrix for B1,
+  and Newton prefix sums for B0 (``b0_potential``).
 """
 
 from __future__ import annotations
@@ -212,17 +213,6 @@ def _ring_log1p_block(r_block, r_all, theta, wt):
     return acc / np.pi
 
 
-def ring_c0(grid: grids.Grid) -> np.ndarray:
-    """Exact angular average of log(1/|x-y|) between circles: -log(max(r, s))."""
-    if grid.kind != "radial":
-        raise UnsupportedGridError("ring couplings need a radial grid")
-
-    def build():
-        r = grid.nodes
-        return -np.log(np.maximum(r[:, None], r[None, :]))
-    return grid._cached("ring_c0", build)
-
-
 def ring_c1(grid: grids.Grid, oracle: bool = False) -> np.ndarray:
     """Angular average of log(1+|x-y|) between circles, by graded
     Gauss-Legendre panels.  The fast variant is cached on the grid; the
@@ -248,25 +238,29 @@ def ring_c1(grid: grids.Grid, oracle: bool = False) -> np.ndarray:
 
 
 def _radial_forms(u: grids.GridField, v: grids.GridField, oracle: bool):
-    c1, c0 = ring_c1(u.grid, oracle=oracle), ring_c0(u.grid)
+    c1 = ring_c1(u.grid, oracle=oracle)
     a = u.grid.weights * u.values
-    b = u.grid.weights * v.values
-    b1 = float(a @ (c1 @ b))
-    b2 = float(a @ ((c1 + c0) @ b))
-    return b1, b2
+    b1 = float(a @ (c1 @ (u.grid.weights * v.values)))
+    return b1, b1 + b0_form(u, v)
+
+
+def b0_potential(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
+    """[log(1/|x|) * density](x_i) for nodal density values: one FFT
+    convolution on cartesian grids.  On radial grids the ring coupling is
+    -log max(r_i, r_j) (Newton's theorem), so with m = w * density it is
+    -log(r_i) sum_{j<=i} m_j - sum_{j>i} log(r_j) m_j: two prefix sums."""
+    if grid.kind == "cartesian":
+        return convolve_kernel(grid, density, "B0")
+    m = grid.weights * density
+    log_r = np.log(grid.nodes)
+    outside = np.cumsum((log_r * m)[::-1])[::-1]        # sum_{j >= i}
+    return -log_r * np.cumsum(m) - np.append(outside[1:], 0.0)
 
 
 def b0_form(u: grids.GridField, v: grids.GridField) -> float:
-    """B0(u, v) alone, by the cheapest fast route: a single FFT convolution
-    on cartesian grids, the exact -log(max) coupling on radial grids."""
+    """B0(u, v) alone, by the cheapest fast route (``b0_potential``)."""
     grids.require_same_grid(u, v)
-    grid = u.grid
-    if grid.kind == "cartesian":
-        t0 = convolve_kernel(grid, v.values, "B0")
-        return float(np.sum(grid.weights * u.values * t0))
-    a = grid.weights * u.values
-    b = grid.weights * v.values
-    return float(a @ (ring_c0(grid) @ b))
+    return float(np.sum(u.grid.weights * u.values * b0_potential(u.grid, v.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,6 @@ class NonlinearitySpec:
         return self.s0 ** (self.q - self.p) * math.exp(-A_CRIT * self.s0**2)
 
 
-def _guarded_exp(expo):
-    return np.exp(np.minimum(expo, EXP_GUARD))
-
-
 def saturation_mask(spec: NonlinearitySpec, s) -> np.ndarray:
     """True where the exponential growth exceeds the overflow guard."""
     s = np.asarray(s, dtype=float)
@@ -82,75 +78,80 @@ def saturation_mask(spec: NonlinearitySpec, s) -> np.ndarray:
     return mask & (s > 0)
 
 
-def _apply_guard(spec, s, sp, out, log_form):
-    """Replace saturated entries by the exp-clamped log form (built-ins)."""
+# one closed form for the built-ins ------------------------------------------
+#
+# On each piece a built-in F is c s^p e^{a s^2}, whose k-th derivative is
+# c s^{p-k} P_k(s) e^{a s^2}.  exp_minus_one lists f = 2a s e^{a s^2} instead
+# (its F = expm1(a s^2) keeps its own form), so its f^(k) is the (k-1)-th.
+
+def _poly(p, a, k, s):
+    """P_k with (s^p e^{a s^2})^(k) = s^(p-k) P_k(s) e^{a s^2}, k = 0, 1, 2."""
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return p + 2 * a * s**2
+    return p * (p - 1) + 2 * a * (2 * p + 1) * s**2 + 4 * a**2 * s**4
+
+
+def _by_piece(spec: NonlinearitySpec, s, form):
+    """form(c, p, a) on each piece c s^p e^{a s^2} of a built-in kind,
+    joined at the splice s0 of piecewise."""
+    if spec.kind == "piecewise":
+        return np.where(s <= spec.s0, form(1.0, spec.q, 0.0),
+                        form(spec.splice_constant, spec.p, A_CRIT))
+    c, p = {"power_exp": (1.0, spec.p), "exp_minus_one": (2 * A_CRIT, 1.0)}[spec.kind]
+    return form(c, p, A_CRIT)
+
+
+def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False):
+    """F^(k)(s) of a built-in kind (its log if ``log``) at s > 0; the value
+    form clamps its exponent at the guard."""
+    if spec.kind == "exp_minus_one":
+        if k == 0:
+            x = A_CRIT * s**2
+            return x + np.log1p(-np.exp(-x)) if log \
+                else np.expm1(np.minimum(x, EXP_GUARD))
+        k -= 1
+    if log:
+        return _by_piece(spec, s, lambda c, p, a: math.log(c) + (p - k) * np.log(s)
+                         + np.log(_poly(p, a, k, s)) + a * s**2)
+    return _by_piece(spec, s, lambda c, p, a: c * s ** (p - k) * _poly(p, a, k, s)
+                     * np.exp(np.minimum(a * s**2, EXP_GUARD)))
+
+
+def _evaluate(spec: NonlinearitySpec, s, k: int, log: bool = False):
+    """F^(k)(s) for k = 0, 1, 2, or its log (overflow-free for the built-ins).
+    Values are zero for s <= 0; saturated built-in entries (see
+    saturation_mask) are exp(min(log form, EXP_GUARD))."""
+    s = np.asarray(s, dtype=float)
+    sp = np.maximum(s, 1e-300 if k or log else 0.0)
     if spec.kind == "custom":
-        return out
+        with np.errstate(over="ignore", divide="ignore"):
+            out = _custom_F(spec, sp) if k == 0 else np.asarray(
+                (spec.f_callable, spec.f_prime_callable)[k - 1](sp), dtype=float)
+            return np.log(out) if log else np.where(s > 0, out, 0.0)
+    if log:
+        return _closed_form(spec, sp, k, log=True)
+    with np.errstate(over="ignore"):
+        out = _closed_form(spec, sp, k)
     mask = saturation_mask(spec, sp)
     if np.any(mask):
-        out = np.where(mask, np.exp(np.minimum(log_form(spec, sp), EXP_GUARD)), out)
-    return out
+        out = np.where(mask, np.exp(np.minimum(
+            _evaluate(spec, sp, k, log=True), EXP_GUARD)), out)
+    return np.where(s > 0, out, 0.0)
 
 
 def eval_F(spec: NonlinearitySpec, s):
     """Primitive of f vanishing at zero; zero for s <= 0."""
-    s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 0.0)
-    with np.errstate(over="ignore"):
-        if spec.kind == "exp_minus_one":
-            out = np.expm1(np.minimum(A_CRIT * sp**2, EXP_GUARD))
-        elif spec.kind == "power_exp":
-            out = sp**spec.p * _guarded_exp(A_CRIT * sp**2)
-        elif spec.kind == "piecewise":
-            c = spec.splice_constant
-            upper = c * sp**spec.p * _guarded_exp(A_CRIT * sp**2)
-            out = np.where(sp <= spec.s0, sp**spec.q, upper)
-        else:
-            out = _custom_F(spec, sp)
-    out = _apply_guard(spec, s, sp, out, log_F)
-    return np.where(s > 0, out, 0.0)
+    return _evaluate(spec, s, 0)
 
 
 def eval_f(spec: NonlinearitySpec, s):
-    s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 1e-300)
-    with np.errstate(over="ignore"):
-        if spec.kind == "exp_minus_one":
-            out = 2 * A_CRIT * sp * _guarded_exp(A_CRIT * sp**2)
-        elif spec.kind == "power_exp":
-            out = sp ** (spec.p - 1) * (spec.p + 2 * A_CRIT * sp**2) \
-                * _guarded_exp(A_CRIT * sp**2)
-        elif spec.kind == "piecewise":
-            c = spec.splice_constant
-            upper = c * sp ** (spec.p - 1) * (spec.p + 2 * A_CRIT * sp**2) \
-                * _guarded_exp(A_CRIT * sp**2)
-            out = np.where(sp <= spec.s0, spec.q * sp ** (spec.q - 1), upper)
-        else:
-            out = np.asarray(spec.f_callable(sp), dtype=float)
-    out = _apply_guard(spec, s, sp, out, log_f)
-    return np.where(s > 0, out, 0.0)
+    return _evaluate(spec, s, 1)
 
 
 def eval_f_prime(spec: NonlinearitySpec, s):
-    s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 1e-300)
-    a = A_CRIT
-    with np.errstate(over="ignore"):
-        if spec.kind == "exp_minus_one":
-            out = (2 * a + 4 * a**2 * sp**2) * _guarded_exp(a * sp**2)
-        elif spec.kind == "power_exp":
-            p = spec.p
-            out = (p * (p - 1) * sp ** (p - 2) + 2 * a * (2 * p + 1) * sp**p
-                   + 4 * a**2 * sp ** (p + 2)) * _guarded_exp(a * sp**2)
-        elif spec.kind == "piecewise":
-            c, p, q = spec.splice_constant, spec.p, spec.q
-            upper = c * (p * (p - 1) * sp ** (p - 2) + 2 * a * (2 * p + 1) * sp**p
-                         + 4 * a**2 * sp ** (p + 2)) * _guarded_exp(a * sp**2)
-            out = np.where(sp <= spec.s0, q * (q - 1) * sp ** (q - 2), upper)
-        else:
-            out = np.asarray(spec.f_prime_callable(sp), dtype=float)
-    out = _apply_guard(spec, s, sp, out, _log_f_prime)
-    return np.where(s > 0, out, 0.0)
+    return _evaluate(spec, s, 2)
 
 
 def _custom_F(spec: NonlinearitySpec, sp):
@@ -172,55 +173,11 @@ def _custom_F(spec: NonlinearitySpec, sp):
 # log-space closed forms for overflow-free tail checks ----------------------
 
 def log_F(spec: NonlinearitySpec, s):
-    s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 1e-300)
-    x = A_CRIT * sp**2
-    if spec.kind == "exp_minus_one":
-        return x + np.log1p(-np.exp(-x))
-    if spec.kind == "power_exp":
-        return spec.p * np.log(sp) + x
-    if spec.kind == "piecewise":
-        upper = math.log(spec.splice_constant) + spec.p * np.log(sp) + x
-        return np.where(sp <= spec.s0, spec.q * np.log(sp), upper)
-    with np.errstate(divide="ignore"):
-        return np.log(eval_F(spec, sp))
+    return _evaluate(spec, s, 0, log=True)
 
 
 def log_f(spec: NonlinearitySpec, s):
-    s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 1e-300)
-    x = A_CRIT * sp**2
-    if spec.kind == "exp_minus_one":
-        return math.log(2 * A_CRIT) + np.log(sp) + x
-    if spec.kind == "power_exp":
-        return (spec.p - 1) * np.log(sp) + np.log(spec.p + 2 * A_CRIT * sp**2) + x
-    if spec.kind == "piecewise":
-        upper = (math.log(spec.splice_constant) + (spec.p - 1) * np.log(sp)
-                 + np.log(spec.p + 2 * A_CRIT * sp**2) + x)
-        return np.where(sp <= spec.s0,
-                        math.log(spec.q) + (spec.q - 1) * np.log(sp), upper)
-    with np.errstate(divide="ignore"):
-        return np.log(eval_f(spec, sp))
-
-
-def _log_f_prime(spec: NonlinearitySpec, s):
-    s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 1e-300)
-    a = A_CRIT
-    x = a * sp**2
-    if spec.kind == "exp_minus_one":
-        return math.log(2 * a) + np.log1p(2 * a * sp**2) + x
-    poly = np.log(spec.p * (spec.p - 1) + 2 * a * (2 * spec.p + 1) * sp**2
-                  + 4 * a**2 * sp**4)
-    if spec.kind == "power_exp":
-        return (spec.p - 2) * np.log(sp) + poly + x
-    if spec.kind == "piecewise":
-        upper = math.log(spec.splice_constant) + (spec.p - 2) * np.log(sp) + poly + x
-        lower = (math.log(spec.q * (spec.q - 1)) if spec.q > 1 else -np.inf) \
-            + (spec.q - 2) * np.log(sp)
-        return np.where(sp <= spec.s0, lower, upper)
-    with np.errstate(divide="ignore"):
-        return np.log(eval_f_prime(spec, sp))
+    return _evaluate(spec, s, 1, log=True)
 
 
 def log_s3fF_tail(spec: NonlinearitySpec, s):
@@ -237,24 +194,17 @@ def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise InvalidParameterError("the ratio is defined for s > 0 only")
-    a = A_CRIT
-    x = a * s**2
     if spec.kind == "exp_minus_one":
+        x = A_CRIT * s**2
         out = -np.expm1(-x) * (1.0 + 1.0 / (2.0 * x))
-    elif spec.kind == "power_exp":
-        p = spec.p
-        out = (p * (p - 1) + 2 * a * (2 * p + 1) * s**2 + 4 * a**2 * s**4) \
-            / (p + 2 * a * s**2) ** 2
-    elif spec.kind == "piecewise":
-        p, q = spec.p, spec.q
-        upper = (p * (p - 1) + 2 * a * (2 * p + 1) * s**2 + 4 * a**2 * s**4) \
-            / (p + 2 * a * s**2) ** 2
-        out = np.where(s <= spec.s0, (q - 1) / q, upper)
-    else:
+    elif spec.kind == "custom":
         f = eval_f(spec, s)
         if np.any(f == 0):
             raise ZeroDivisionError("f vanishes inside the scan range")
         out = eval_F(spec, s) * eval_f_prime(spec, s) / f**2
+    else:
+        out = _by_piece(spec, s, lambda c, p, a: _poly(p, a, 2, s)
+                        / _poly(p, a, 1, s) ** 2)
     return out if out.ndim else float(out)
 
 

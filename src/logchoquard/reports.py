@@ -113,15 +113,17 @@ def save_field(field: grids.GridField, path: str):
 
 
 def load_field(path: str) -> grids.GridField:
-    with open(path) as handle:
-        header = handle.readline().split()
+    """Read a field file; malformed content raises ValidationError."""
+    try:
+        with open(path) as handle:
+            header = handle.readline().split()
+            tokens = handle.read().split()
         if len(header) != 3:
-            raise ValidationError(f"malformed field file header in {path!r}")
-        kind, radius, resolution = header[0], float(header[1]), int(header[2])
-        values = np.array([float(tok) for tok in handle.read().split()])
-    grid = grids.build_grid(kind, radius, resolution)
-    expected = grid.num_nodes
-    if values.size != expected:
-        raise ValidationError(
-            f"field file has {values.size} values, grid needs {expected}")
-    return grids.GridField(grid, values.reshape(grid.shape))
+            raise ValueError("the header needs kind, radius and resolution")
+        grid = grids.build_grid(header[0], float(header[1]), int(header[2]))
+        values = np.array([float(tok) for tok in tokens])
+        if values.size != grid.num_nodes:
+            raise ValueError(f"{values.size} values, the grid needs {grid.num_nodes}")
+        return grids.GridField(grid, values.reshape(grid.shape))
+    except ValueError as exc:     # includes the toolkit's parameter errors
+        raise ValidationError(f"malformed field file {path!r}: {exc}") from exc

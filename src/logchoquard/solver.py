@@ -49,10 +49,16 @@ class SolverConfig:
     witness_radius: float = 0.25
 
     def __post_init__(self):
-        if self.path_nodes < 8:
-            raise InvalidParameterError("path_nodes must be >= 8")
-        if self.residual_tolerance <= 0 or self.descent_step <= 0:
-            raise InvalidParameterError("tolerance and step must be positive")
+        if self.grid_kind not in ("cartesian", "radial"):
+            raise InvalidParameterError("grid_kind must be cartesian or radial")
+        for name, least in (("resolution", grids.MIN_RESOLUTION), ("path_nodes", 8),
+                            ("max_iterations", 1)):
+            if getattr(self, name) < least:
+                raise InvalidParameterError(f"{name} must be >= {least}")
+        for name in ("domain_radius", "descent_step", "residual_tolerance",
+                     "rho_sphere", "witness_radius"):
+            if not getattr(self, name) > 0:      # rejects nan as well
+                raise InvalidParameterError(f"{name} must be positive")
 
 
 @dataclass

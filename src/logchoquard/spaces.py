@@ -49,20 +49,18 @@ class PeriodicCoefficient:
         return self.amplitude == 0.0
 
     def __call__(self, x, y):
-        if self.is_constant:
-            return np.broadcast_to(self.floor, np.shape(x)).copy() if np.shape(x) else self.floor
         profile = 0.5 * (1.0 - np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
         return self.floor + self.amplitude * profile
 
     def on_grid(self, grid: grids.Grid) -> np.ndarray:
-        if grid.kind == "radial":
-            if not self.is_constant:
-                raise GridMismatchError(
-                    "non-constant periodic coefficients require a cartesian grid"
-                )
+        if self.is_constant:
             return np.full(grid.shape, self.floor)
+        if grid.kind == "radial":
+            raise GridMismatchError(
+                "non-constant periodic coefficients require a cartesian grid"
+            )
         xx, yy = grid.meshgrid()
-        return np.asarray(self(xx, yy))
+        return self(xx, yy)
 
     def max_within(self, radius: float) -> float:
         """max of the coefficient over the closed disc |x| <= radius."""

@@ -100,7 +100,14 @@ def test_cli_unknown_nonlinearity_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("setting", ["path_nodes = 4",
                                      "residual_tolerance = 0",
-                                     "descent_step = 0"])
+                                     "descent_step = 0",
+                                     "grid_kind = hexagonal",
+                                     "resolution = 4",
+                                     "domain_radius = -1",
+                                     "max_iterations = 0",
+                                     "rho_sphere = -0.5",
+                                     "witness_radius = 0",
+                                     "domain_radius = nan"])
 def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     path = write_config(tmp_path, BASE + "\n[solver]\n" + setting + "\n")
     code = cli.main(["check-assumptions", "--config", path])
@@ -188,3 +195,17 @@ def test_field_roundtrip_radial(tmp_path):
     back = reports.load_field(path)
     assert np.array_equal(back.values, u.values)
     assert np.array_equal(back.grid.nodes, g.nodes)
+
+
+@pytest.mark.parametrize("text", [
+    "cartesian four 8\n" + "0 " * 64,
+    "cartesian 4.0 8\n" + "0 " * 63 + "x",
+    "hexagonal 4.0 8\n" + "0 " * 64,
+    "cartesian 4.0 8\n",
+    "cartesian 4.0 8\n" + "nan " * 64,
+], ids=["bad-radius", "bad-value-token", "unknown-kind", "no-values", "all-nan"])
+def test_load_field_malformed_raises_validation_error(tmp_path, text):
+    path = tmp_path / "bad.field"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        reports.load_field(str(path))

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from logchoquard import families, grids, kernel
 from logchoquard.errors import (DomainError, ExponentMismatchError,
-                                NegativeInputError, UnsupportedGridError)
+                                InvalidParameterError, NegativeInputError,
+                                UnsupportedGridError)
 
 
 def test_kernel_split_values():
@@ -67,6 +69,27 @@ def test_fast_matches_direct_radial():
     for which in ("B0", "B1", "B2"):
         err = abs(fast.value(which) - ref.value(which))
         assert err <= 1e-6 * (1 + abs(ref.value(which))), which
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 600), radius=st.floats(0.5, 50.0),
+       anchor_fracs=st.lists(st.floats(0.001, 0.9), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_radial_b0_potential_matches_dense_ring_coupling(n, radius, anchor_fracs,
+                                                         seed):
+    # Newton's theorem: the ring coupling of log(1/|x-y|) is -log max(r_i, r_j)
+    try:
+        g = grids.build_grid("radial", radius, n,
+                             anchors=tuple(f * radius for f in anchor_fracs))
+    except InvalidParameterError:
+        assume(False)
+    density = np.random.default_rng(seed).standard_normal(n)
+    r = g.nodes
+    c0 = -np.log(np.maximum(r[:, None], r[None, :]))
+    m = g.weights * density
+    dense = c0 @ m
+    bound = 1e-12 * (np.abs(c0) @ np.abs(m))
+    assert np.all(np.abs(kernel.b0_potential(g, density) - dense) <= bound)
 
 
 def test_zero_fields_give_zero_forms():

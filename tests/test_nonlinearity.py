@@ -7,6 +7,7 @@ import pytest
 
 from logchoquard import nonlinearity as nl
 from logchoquard.errors import InvalidParameterError
+from logchoquard.spaces import EXP_GUARD
 
 F1 = nl.NonlinearitySpec("exp_minus_one")
 F2 = nl.NonlinearitySpec("power_exp", p=2.0, q=2.0)
@@ -43,6 +44,19 @@ def test_fprime_is_derivative_of_f():
     for spec in (F1, F2):
         fd = (nl.eval_f(spec, s + h) - nl.eval_f(spec, s - h)) / (2 * h)
         assert np.allclose(fd, nl.eval_f_prime(spec, s), rtol=1e-5)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("spec", [F1, F2, F3], ids=lambda spec: spec.kind)
+def test_closed_form_value_matches_log_form(spec, k):
+    s = np.geomspace(1e-3, 12.0, 4000)
+    val = nl._evaluate(spec, s, k)
+    log_form = nl._evaluate(spec, s, k, log=True)
+    sat = nl.saturation_mask(spec, s)
+    plain = np.isfinite(val) & ~sat
+    assert np.allclose(np.log(val[plain]), log_form[plain], rtol=1e-12, atol=1e-12)
+    assert sat.any() and np.all(np.isfinite(val[sat]))
+    assert np.array_equal(val[sat], np.exp(np.minimum(log_form[sat], EXP_GUARD)))
 
 
 def test_piecewise_continuous_at_splice():
