@@ -9,6 +9,7 @@ table below.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,9 +116,12 @@ def _merged(parser: configparser.ConfigParser) -> dict:
 def _as_float(block, section, key):
     raw = block.get(key, "")
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ValidationError(f"[{section}] {key} must be a number, got {raw!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"[{section}] {key} must be a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(block, section, key):
@@ -148,15 +152,14 @@ def _build_spec(block) -> tuple:
         p = _as_float(block, "nonlinearity", "p")
     else:
         p = {"exp_minus_one": 1.0, "power_exp": q, "piecewise": 2.0}[kind]
-    c_profile = PeriodicCoefficient(
-        _as_float(block, "nonlinearity", "c_floor"),
-        _as_float(block, "nonlinearity", "c_amplitude"))
     try:
         spec = nl.NonlinearitySpec(
             kind=kind, p=p, q=q,
             s0=_as_float(block, "nonlinearity", "s0"),
             beta=_as_float(block, "nonlinearity", "beta"),
-            c_profile=c_profile)
+            c_profile=PeriodicCoefficient(
+                _as_float(block, "nonlinearity", "c_floor"),
+                _as_float(block, "nonlinearity", "c_amplitude")))
     except Exception as exc:
         raise ValidationError(f"invalid nonlinearity block: {exc}")
     return spec, q
@@ -178,14 +181,14 @@ def load_config(path: Optional[str], command: str, output_path=None,
         raise ValidationError(f"[grid] kind must be radial or cartesian")
     radius = _as_float(gblock, "grid", "domain_radius")
     resolution = _as_int(gblock, "grid", "resolution")
-    if radius <= 0 or resolution < 8:
+    if not radius > 0 or resolution < 8:
         raise ValidationError("[grid] needs domain_radius > 0, resolution >= 8")
 
     spec, q = _build_spec(merged["nonlinearity"])
     pblock = merged["potential"]
     floor = _as_float(pblock, "potential", "floor")
     amplitude = _as_float(pblock, "potential", "amplitude")
-    if floor <= 0 or amplitude < 0:
+    if not floor > 0 or not amplitude >= 0:
         raise ValidationError("[potential] needs floor > 0 and amplitude >= 0")
     potential = PeriodicCoefficient(floor, amplitude)
 
@@ -235,7 +238,7 @@ def load_config(path: Optional[str], command: str, output_path=None,
         "s_max": _as_float(scblock, "scan", "s_max"),
         "points": _as_int(scblock, "scan", "points"),
     }
-    if scan["s_max"] < 10.0:
+    if not scan["s_max"] >= 10.0:
         raise ValidationError("[scan] s_max must be >= 10")
 
     out = merged["output"]

@@ -5,8 +5,12 @@ Two grid kinds are provided:
 * ``radial`` -- nodes on (0, R] with a geometric distribution near the
   origin (first node at R/(10 n)) so that logarithmic kernels and Moser
   plateaus are resolved.  Quadrature weights integrate the piecewise
-  parabolic interpolant against the measure 2*pi*r dr, hence polynomials
-  of degree <= 2 in r are integrated exactly.
+  parabolic interpolant against the measure 2*pi*r dr on [r_0, R], with
+  the field held constant on [0, r_0].  On [r_0, R] polynomials of degree
+  <= 1 in r are integrated exactly on every grid, and of degree <= 2 only
+  when n is odd and no triple is skewed: for even n the trailing segment
+  is linear (r^2 is off by 3.0e-6 relative at n = 512), and a skewed
+  triple is split into two linear segments.
 * ``cartesian`` -- an n x n lattice of cell centers on [-R, R]^2 whose
   cells are clipped to the disc |x| <= R by exact area-fraction weights.
 
@@ -16,6 +20,7 @@ weight arrays are marked read-only after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,56 +148,51 @@ def _build_radial(radius: float, n: int, anchors: tuple) -> Grid:
     return Grid("radial", radius, n, nodes, weights)
 
 
-def _ring_moments(a, b):
-    """(m0, m1, m2) with m_k = int_a^b r^k * 2 pi r dr."""
-    two_pi = 2.0 * np.pi
-    m0 = two_pi * (b**2 - a**2) / 2.0
-    m1 = two_pi * (b**3 - a**3) / 3.0
-    m2 = two_pi * (b**4 - a**4) / 4.0
-    return m0, m1, m2
-
-
-def _parabola_weights(x, a, b):
-    """Weights for the 3 nodes ``x`` of the interpolating parabola on [a, b]."""
-    m0, m1, m2 = _ring_moments(a, b)
-    w = np.empty(3)
-    for j in range(3):
-        xi, xk = np.delete(x, j)
-        w[j] = (m2 - (xi + xk) * m1 + xi * xk * m0) / ((x[j] - xi) * (x[j] - xk))
-    return w
-
-
-def _linear_weights(a, b):
-    """Weights for the endpoint nodes of the linear interpolant on [a, b]."""
-    h = b - a
-    return np.array([np.pi * h * (b + 2 * a) / 3.0, np.pi * h * (2 * b + a) / 3.0])
-
-
 def _radial_weights(nodes: np.ndarray) -> np.ndarray:
     """Composite parabolic quadrature of the 2 pi r dr measure on [0, R].
 
-    Segment pairs get the Simpson-style parabolic rule; an odd trailing
-    segment reuses the last parabola; the gap [0, r_0] treats the field as
-    constant (radial profiles are flat at the origin), which keeps every
-    weight positive at the cost of an O(r_0^3) defect.
+    Node triples (i, i+1, i+2), i even, get the Simpson-style parabolic
+    rule, or two linear segments when a parabola weight is negative (a
+    triple skewed by anchor snapping).  With n even the trailing segment
+    reuses the last parabola, or the linear rule when that would give the
+    node n-3 a weight below -1e-3 of the largest.  The gap [0, r_0] treats
+    the field as constant (radial profiles are flat at the origin), which
+    keeps every weight positive at the cost of an O(r_0^3) defect.
+
+    All triples are evaluated at once.  The ring moments
+    m_k = int_a^b r^k 2 pi r dr take their powers of r from ``math.pow``
+    (libm ``pow``), element by element: NumPy's array power can differ
+    from it by an ulp, which would move the weights in the last digit.
     """
     n = len(nodes)
+    first = np.arange(0, n - 2, 2)
+    lo, a, b = first, first, first + 2
+    if n % 2 == 0:   # the trailing segment [r_{n-2}, r_{n-1}] on the last parabola
+        lo, a, b = np.append(lo, n - 3), np.append(a, n - 2), np.append(b, n - 1)
+    power = {k: np.array([math.pow(r, k) for r in nodes.tolist()]) for k in (2, 3, 4)}
+    m0, m1, m2 = (2.0 * np.pi * (power[k][b] - power[k][a]) / k for k in (2, 3, 4))
+    x0, x1, x2 = nodes[lo], nodes[lo + 1], nodes[lo + 2]
+    pw = np.array([
+        (m2 - (x1 + x2) * m1 + x1 * x2 * m0) / ((x0 - x1) * (x0 - x2)),
+        (m2 - (x0 + x2) * m1 + x0 * x2 * m0) / ((x1 - x0) * (x1 - x2)),
+        (m2 - (x0 + x1) * m1 + x0 * x1 * m0) / ((x2 - x0) * (x2 - x1)),
+    ])
+    gap = np.diff(nodes)   # linear rule on every segment: weights of its left/right node
+    left = np.pi * gap * (nodes[1:] + 2 * nodes[:-1]) / 3.0
+    right = np.pi * gap * (2 * nodes[1:] + nodes[:-1]) / 3.0
+
+    tri = pw[:, :len(first)]
+    skewed = np.any(tri < 0, axis=0)
     w = np.zeros(n)
-    i = 0
-    while i + 2 <= n - 1:
-        pw = _parabola_weights(nodes[i:i + 3], nodes[i], nodes[i + 2])
-        if np.any(pw < 0):   # badly skewed triple (anchor snapping): split linearly
-            w[i:i + 2] += _linear_weights(nodes[i], nodes[i + 1])
-            w[i + 1:i + 3] += _linear_weights(nodes[i + 1], nodes[i + 2])
+    w[first] = np.where(skewed, left[first], tri[0])
+    w[first + 1] = np.where(skewed, right[first] + left[first + 1], tri[1])
+    w[first + 2] += np.where(skewed, right[first + 1], tri[2])
+    if n % 2 == 0:
+        tail = pw[:, -1]
+        if tail[0] < -1e-3 * abs(tail).max():
+            w[n - 2:] += (left[n - 2], right[n - 2])
         else:
-            w[i:i + 3] += pw
-        i += 2
-    if i == n - 2:          # odd segment count: last parabola on final segment
-        pw = _parabola_weights(nodes[n - 3:n], nodes[n - 2], nodes[n - 1])
-        if pw[0] < -1e-3 * abs(pw).max():
-            w[n - 2:n] += _linear_weights(nodes[n - 2], nodes[n - 1])
-        else:
-            w[n - 3:n] += pw
+            w[n - 3:] += tail
     w[0] += np.pi * nodes[0] ** 2
     return w
 
@@ -283,34 +283,29 @@ def integrate(u: GridField, pointwise_map=None, weight=None) -> float:
 # finite differences and Dirichlet energy
 # ---------------------------------------------------------------------------
 
-def _stencil_row(x, j):
-    """First-derivative weights at x[j] from the quadratic through 3 nodes.
+def _radial_derivative_matrix(nodes: np.ndarray) -> sp.csr_matrix:
+    """First-derivative weights at every node from the quadratic through 3 nodes.
 
-    The coefficient at x[j] is the negative sum of the others so that
+    Row i uses the nodes (i-1, i, i+1), one-sided at the two ends.  The
+    coefficient at x_i is the negative sum of the other two, so that
     constants differentiate to exactly zero in floating point.
     """
-    x0, x1, x2 = x
-    h1, h2 = x1 - x0, x2 - x1
-    if j == 0:
-        others = np.array([(h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2))])
-        return np.array([-others.sum(), others[0], others[1]])
-    if j == 1:
-        others = np.array([-h2 / (h1 * (h1 + h2)), h1 / (h2 * (h1 + h2))])
-        return np.array([others[0], -others.sum(), others[1]])
-    others = np.array([h2 / (h1 * (h1 + h2)), -(h1 + h2) / (h1 * h2)])
-    return np.array([others[0], others[1], -others.sum()])
-
-
-def _radial_derivative_matrix(nodes: np.ndarray) -> sp.csr_matrix:
     n = len(nodes)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        base = min(max(i - 1, 0), n - 3)
-        coeffs = _stencil_row(nodes[base:base + 3], i - base)
-        rows.extend([i, i, i])
-        cols.extend([base, base + 1, base + 2])
-        vals.extend(coeffs)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    gap = np.diff(nodes)
+    h1, h2 = gap[:-1], gap[1:]      # left and right gaps of nodes 1 .. n-2
+    lo, hi = -h2 / (h1 * (h1 + h2)), h1 / (h2 * (h1 + h2))
+    data = np.empty((n, 3))
+    data[1:-1] = np.column_stack((lo, -(lo + hi), hi))
+    h1, h2 = gap[0], gap[1]
+    mid, far = (h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2))
+    data[0] = (-(mid + far), mid, far)
+    h1, h2 = gap[-2], gap[-1]
+    far, mid = h2 / (h1 * (h1 + h2)), -(h1 + h2) / (h1 * h2)
+    data[-1] = (far, mid, -(far + mid))
+    base = np.clip(np.arange(n) - 1, 0, n - 3)
+    indices = (base[:, None] + np.arange(3)).ravel()
+    return sp.csr_matrix((data.ravel(), indices, np.arange(0, 3 * n + 1, 3)),
+                         shape=(n, n))
 
 
 def _axis_derivative_matrix(n: int, h: float) -> sp.csr_matrix:

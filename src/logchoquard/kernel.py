@@ -145,7 +145,10 @@ def convolve_kernel(grid: grids.Grid, density: np.ndarray, which: str = "B0"):
     pad = np.zeros((m, m))
     pad[:n, :n] = grid.weights * density
     dhat = spfft.rfft2(pad)
-    return spfft.irfft2(khats[which] * dhat, s=(m, m))[:n, :n]
+    # irfft2 pruned to the n rows that are kept.  Like irfft2, both passes
+    # run unscaled and the 1/m^2 is applied once, so the result is the same.
+    rows = spfft.ifft(khats[which] * dhat, axis=0, norm="forward")[:n]
+    return spfft.irfft(rows, n=m, axis=1, norm="forward")[:, :n] * (1.0 / (m * m))
 
 
 def _pair_sum(u: grids.GridField, v: grids.GridField, kernels):

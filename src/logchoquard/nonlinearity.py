@@ -51,13 +51,13 @@ class NonlinearitySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.p <= 0:
+        if not self.p > 0:
             raise InvalidParameterError("p must be positive")
-        if self.q < 2:
+        if not self.q >= 2:
             raise InvalidParameterError("q must be >= 2")
-        if self.s0 <= 0:
+        if not self.s0 > 0:
             raise InvalidParameterError("s0 must be positive")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise InvalidParameterError("beta must be positive")
         if self.kind == "custom" and (self.f_callable is None
                                       or self.f_prime_callable is None):
@@ -243,7 +243,7 @@ class ScanPlan:
     s_min: float = 1e-4
 
     def __post_init__(self):
-        if self.s_max < 10.0:
+        if not self.s_max >= 10.0:
             raise InvalidParameterError("scan must reach s_max >= 10")
         if self.num < 100:
             raise InvalidParameterError("scan needs at least 100 points")

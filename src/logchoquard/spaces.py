@@ -39,9 +39,9 @@ class PeriodicCoefficient:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.floor <= 0:
+        if not self.floor > 0:
             raise InvalidParameterError("coefficient floor must be positive")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise InvalidParameterError("coefficient amplitude must be nonnegative")
 
     @property

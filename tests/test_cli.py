@@ -114,6 +114,39 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     assert code == 2
 
 
+@pytest.mark.parametrize("section, setting", [
+    ("grid", "domain_radius = nan"),
+    ("potential", "floor = nan"),
+    ("potential", "amplitude = nan"),
+    ("nonlinearity", "p = nan"),
+    ("nonlinearity", "q = nan"),
+    ("nonlinearity", "s0 = nan"),
+    ("nonlinearity", "beta = nan"),
+    ("nonlinearity", "c_floor = nan"),
+    ("nonlinearity", "c_floor = 0"),
+    ("nonlinearity", "c_amplitude = nan"),
+    ("scan", "s_max = nan"),
+    ("nonlinearity", "q = inf"),
+    ("potential", "floor = inf"),
+    ("grid", "domain_radius = inf"),
+    ("moser", "t_max = nan"),
+    ("embedding", "alpha = nan"),
+    ("kernel_bench", "bench_radius = nan"),
+])
+def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, setting):
+    if setting.startswith("q ="):
+        text = BASE.replace("q = 2", setting)
+    elif section == "nonlinearity":   # BASE ends inside [nonlinearity]
+        text = BASE + setting + "\n"
+    else:
+        text = BASE + f"\n[{section}]\n{setting}\n"
+    path = write_config(tmp_path, text)
+    for command in ("check-assumptions", "verify-embedding"):
+        assert cli.main([command, "--config", path,
+                         "--output", str(tmp_path / "out.json")]) == 2
+        assert not os.path.exists(tmp_path / "out.json")
+
+
 def test_cli_zero_resolution_grid_rejected(tmp_path):
     path = write_config(tmp_path, BASE + "\n[grid]\nresolution = 0\n")
     code = cli.main(["verify-embedding", "--config", path])

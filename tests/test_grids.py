@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from logchoquard import grids
+from logchoquard import energy, grids
 from logchoquard.errors import GridMismatchError, InvalidParameterError
 
 
@@ -106,3 +108,160 @@ def test_dirichlet_gaussian_cartesian_converges():
         u = grids.field_from_radial(g, lambda r: np.exp(-r**2))
         errs.append(abs(grids.dirichlet_energy(u) - np.pi))
     assert errs[0] / errs[1] >= 3.0
+
+
+# ---------------------------------------------------------------------------
+# radial quadrature and stencils against the per-triple loop rules
+# ---------------------------------------------------------------------------
+
+def _loop_ring_moments(a, b):
+    two_pi = 2.0 * np.pi
+    m0 = two_pi * (b**2 - a**2) / 2.0
+    m1 = two_pi * (b**3 - a**3) / 3.0
+    m2 = two_pi * (b**4 - a**4) / 4.0
+    return m0, m1, m2
+
+
+def _loop_parabola_weights(x, a, b):
+    m0, m1, m2 = _loop_ring_moments(a, b)
+    w = np.empty(3)
+    for j in range(3):
+        xi, xk = np.delete(x, j)
+        w[j] = (m2 - (xi + xk) * m1 + xi * xk * m0) / ((x[j] - xi) * (x[j] - xk))
+    return w
+
+
+def _loop_linear_weights(a, b):
+    h = b - a
+    return np.array([np.pi * h * (b + 2 * a) / 3.0, np.pi * h * (2 * b + a) / 3.0])
+
+
+def _loop_radial_weights(nodes):
+    """Reference rule: one parabola (or two linear segments) per triple."""
+    n = len(nodes)
+    w = np.zeros(n)
+    i = 0
+    while i + 2 <= n - 1:
+        pw = _loop_parabola_weights(nodes[i:i + 3], nodes[i], nodes[i + 2])
+        if np.any(pw < 0):
+            w[i:i + 2] += _loop_linear_weights(nodes[i], nodes[i + 1])
+            w[i + 1:i + 3] += _loop_linear_weights(nodes[i + 1], nodes[i + 2])
+        else:
+            w[i:i + 3] += pw
+        i += 2
+    if i == n - 2:
+        pw = _loop_parabola_weights(nodes[n - 3:n], nodes[n - 2], nodes[n - 1])
+        if pw[0] < -1e-3 * abs(pw).max():
+            w[n - 2:n] += _loop_linear_weights(nodes[n - 2], nodes[n - 1])
+        else:
+            w[n - 3:n] += pw
+    w[0] += np.pi * nodes[0] ** 2
+    return w
+
+
+def _loop_stencil_row(x, j):
+    x0, x1, x2 = x
+    h1, h2 = x1 - x0, x2 - x1
+    if j == 0:
+        others = np.array([(h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2))])
+        return np.array([-others.sum(), others[0], others[1]])
+    if j == 1:
+        others = np.array([-h2 / (h1 * (h1 + h2)), h1 / (h2 * (h1 + h2))])
+        return np.array([others[0], -others.sum(), others[1]])
+    others = np.array([h2 / (h1 * (h1 + h2)), -(h1 + h2) / (h1 * h2)])
+    return np.array([others[0], others[1], -others.sum()])
+
+
+def _loop_radial_derivative_matrix(nodes):
+    """Reference stencils: one quadratic through 3 nodes per row."""
+    n = len(nodes)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        base = min(max(i - 1, 0), n - 3)
+        coeffs = _loop_stencil_row(nodes[base:base + 3], i - base)
+        rows.extend([i, i, i])
+        cols.extend([base, base + 1, base + 2])
+        vals.extend(coeffs)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _assert_matches_loop(nodes):
+    nodes = np.asarray(nodes, dtype=float)
+    assert np.array_equal(grids._radial_weights(nodes), _loop_radial_weights(nodes))
+    got = grids._radial_derivative_matrix(nodes)
+    ref = _loop_radial_derivative_matrix(nodes)
+    assert np.array_equal(got.data, ref.data)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.indptr, ref.indptr)
+
+
+@pytest.mark.parametrize("n", [8, 9, 512, 513, 2048])
+def test_radial_rules_bit_identical_to_loop_on_plain_grids(n):
+    for radius in (1.0, 16.0):
+        _assert_matches_loop(grids.build_grid("radial", radius, n).nodes)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.25, 0.1])
+def test_radial_rules_bit_identical_to_loop_on_moser_grids(rho):
+    skewed = 0
+    for n in (2, 3, 5, 8, 13, 21, 34):
+        for resolution in (2048, 2047):
+            nodes = energy.moser_grid(n, rho, resolution=resolution).nodes
+            _assert_matches_loop(nodes)
+            triples = [nodes[i:i + 3] for i in range(0, len(nodes) - 2, 2)]
+            skewed += sum(np.any(_loop_parabola_weights(x, x[0], x[2]) < 0)
+                          for x in triples)
+    assert skewed > 0   # the linear split is exercised
+
+
+def test_radial_rules_bit_identical_to_loop_on_skewed_triple():
+    nodes = np.array([1.0, 1.001, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    assert np.any(_loop_parabola_weights(nodes[:3], 1.0, 2.0) < 0)
+    _assert_matches_loop(nodes)
+    # even n whose short trailing segment takes the last parabola; the
+    # plain grids above all take the linear tail rule
+    _assert_matches_loop(np.append(nodes, 8.001))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=100.0), min_size=8,
+                max_size=300, unique=True))
+def test_radial_rules_bit_identical_to_loop_on_random_nodes(values):
+    _assert_matches_loop(np.sort(values))
+
+
+def _rule_integral(grid, coeffs):
+    """What the radial rule computes for sum_k c_k r^k: the exact integral
+    over [r_0, R] plus the constant value at r_0 over the disc of radius r_0."""
+    r0, radius = grid.nodes[0], grid.domain_radius
+    antideriv = lambda r: sum(2 * np.pi * c * r ** (k + 2) / (k + 2)
+                              for k, c in enumerate(coeffs))
+    value_r0 = sum(c * r0 ** k for k, c in enumerate(coeffs))
+    return antideriv(radius) - antideriv(r0) + np.pi * r0 ** 2 * value_r0
+
+
+def _rule_error(grid, coeffs):
+    u = grids.field_from_radial(
+        grid, lambda r: sum(c * r ** k for k, c in enumerate(coeffs)))
+    exact = _rule_integral(grid, coeffs)
+    return abs(grids.integrate(u) - exact) / abs(exact)
+
+
+@pytest.mark.parametrize("n", [33, 65, 513, 2049])
+def test_radial_quadrature_exact_to_degree_two_on_odd_plain_grids(n):
+    # n = 9 is too coarse: its geometric triples are skewed and split linearly
+    g = grids.build_grid("radial", 16.0, n)
+    for coeffs in ((1.0,), (0.0, 1.0), (0.0, 0.0, 1.0), (2.0, -0.5, 0.125)):
+        assert _rule_error(g, coeffs) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [
+    ("plain", 8), ("plain", 9), ("plain", 512), ("plain", 2048),
+    ("moser", 5), ("moser", 21),
+])
+def test_radial_quadrature_exact_to_degree_one_on_all_grids(grid):
+    kind, n = grid
+    g = (grids.build_grid("radial", 16.0, n) if kind == "plain"
+         else energy.moser_grid(n, 0.5))
+    for coeffs in ((1.0,), (0.0, 1.0), (3.0, 0.25)):
+        assert _rule_error(g, coeffs) < 1e-12

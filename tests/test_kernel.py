@@ -271,3 +271,21 @@ def test_log_hls_negative_input():
     u = grids.GridField(g, -np.ones(g.shape))
     with pytest.raises(NegativeInputError):
         kernel.log_hls_check(u, u)
+
+
+@pytest.mark.parametrize("n", [16, 33, 128])
+@pytest.mark.parametrize("which", ["B0", "B1", "B2"])
+def test_convolve_kernel_bit_identical_to_full_inverse_fft(n, which):
+    # the pruned inverse transform must equal irfft2 cropped to n x n
+    import scipy.fft as spfft
+    grid = grids.build_grid("cartesian", 4.0, n)
+    m, khats = kernel._fft_kernels(grid)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        density = rng.normal(size=grid.shape)
+        pad = np.zeros((m, m))
+        pad[:n, :n] = grid.weights * density
+        dhat = spfft.rfft2(pad)   # named, as in convolve_kernel: the product's
+        # operand order (and hence its rounding) changes with an elided temporary
+        ref = spfft.irfft2(khats[which] * dhat, s=(m, m))[:n, :n]
+        assert np.array_equal(kernel.convolve_kernel(grid, density, which), ref)

@@ -7,7 +7,7 @@ import pytest
 
 from logchoquard import nonlinearity as nl
 from logchoquard.errors import InvalidParameterError
-from logchoquard.spaces import EXP_GUARD
+from logchoquard.spaces import EXP_GUARD, PeriodicCoefficient
 
 F1 = nl.NonlinearitySpec("exp_minus_one")
 F2 = nl.NonlinearitySpec("power_exp", p=2.0, q=2.0)
@@ -143,6 +143,18 @@ def test_custom_spec_quadrature():
 def test_custom_spec_requires_callables():
     with pytest.raises(InvalidParameterError):
         nl.NonlinearitySpec("custom", q=2.0)
+
+
+@pytest.mark.parametrize("field", ["p", "q", "s0", "beta"])
+def test_spec_rejects_nan_parameters(field):
+    with pytest.raises(InvalidParameterError):
+        nl.NonlinearitySpec("power_exp", **{"p": 2.0, "q": 2.0, field: math.nan})
+
+
+@pytest.mark.parametrize("floor, amplitude", [(math.nan, 0.0), (1.0, math.nan)])
+def test_periodic_coefficient_rejects_nan(floor, amplitude):
+    with pytest.raises(InvalidParameterError):
+        PeriodicCoefficient(floor, amplitude)
 
 
 def test_ratio_signals_vanishing_f():
