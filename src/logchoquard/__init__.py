@@ -9,7 +9,8 @@ from .energy import (EnergyBreakdown, MoserCap, RayAnalysis,
 from .grids import (Grid, GridField, build_grid, dirichlet_energy,
                     field_from_radial, field_from_xy, integrate, zero_field)
 from .kernel import (HLSReport, KernelForm, LogHLSReport, bilinear_direct,
-                     bilinear_fast, hls_check, kernel_split, log_hls_check)
+                     bilinear_direct_many, bilinear_fast, hls_check,
+                     kernel_split, log_hls_check)
 from .nonlinearity import (AssumptionReport, NonlinearitySpec, ScanPlan,
                            G_auxiliary, check_assumptions, compute_script_V,
                            eval_F, eval_f, eval_f_prime, ratio_Ffprime_f2)

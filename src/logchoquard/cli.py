@@ -231,13 +231,14 @@ def cmd_kernel_bench(cfg: RunConfig):
         grid = grids.build_grid("cartesian", cfg.kernel_bench["bench_radius"],
                                 size)
         worst = 0.0
-        t_direct = t_fast = 0.0
-        for _ in range(cfg.kernel_bench["pairs"]):
-            u = families.random_smooth(grid, rng)
-            v = families.random_smooth(grid, rng)
-            t0 = time.perf_counter()
-            ref = kernel.bilinear_direct(u, v)
-            t_direct += time.perf_counter() - t0
+        t_fast = 0.0
+        pairs = [(families.random_smooth(grid, rng),
+                  families.random_smooth(grid, rng))
+                 for _ in range(cfg.kernel_bench["pairs"])]
+        t0 = time.perf_counter()
+        refs = kernel.bilinear_direct_many(pairs)
+        t_direct = time.perf_counter() - t0
+        for (u, v), ref in zip(pairs, refs):
             t0 = time.perf_counter()
             fast = kernel.bilinear_fast(u, v)
             t_fast += time.perf_counter() - t0

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import grids
 from . import nonlinearity as nl
 from .errors import InvalidParameterError, ValidationError
 from .solver import SolverConfig
@@ -140,6 +141,14 @@ def _int_list(block, section, key):
         raise ValidationError(f"[{section}] {key} must be a comma list of integers")
 
 
+def _bounded_list(block, section, key, least):
+    values = _int_list(block, section, key)
+    if not values or min(values) < least:
+        raise ValidationError(
+            f"[{section}] {key} must be a non-empty list of integers >= {least}")
+    return values
+
+
 def _build_spec(block) -> tuple:
     kind = block.get("kind", "exp_minus_one")
     if kind not in nl.KINDS or kind == "custom":
@@ -213,12 +222,12 @@ def load_config(path: Optional[str], command: str, output_path=None,
         "alpha": (_as_float(eblock, "embedding", "alpha")
                   if str(eblock.get("alpha", "")).strip() else None),
         "bound_points": _as_int(eblock, "embedding", "bound_points"),
-        "moser_ns": _int_list(eblock, "embedding", "moser_ns"),
+        "moser_ns": _bounded_list(eblock, "embedding", "moser_ns", 2),
         "rho": _as_float(eblock, "embedding", "rho"),
     }
     mblock = merged["moser"]
     moser = {
-        "ns": _int_list(mblock, "moser", "ns"),
+        "ns": _bounded_list(mblock, "moser", "ns", 2),
         "rho": _as_float(mblock, "moser", "rho"),
         "t_max": _as_float(mblock, "moser", "t_max"),
         "ray_samples": _as_int(mblock, "moser", "ray_samples"),
@@ -227,12 +236,17 @@ def load_config(path: Optional[str], command: str, output_path=None,
         raise ValidationError("[moser] rho must lie in (0, 1/2]")
     if not 0.0 < embedding["rho"] <= 0.5:
         raise ValidationError("[embedding] rho must lie in (0, 1/2]")
+    if embedding["bound_points"] < 1:
+        raise ValidationError("[embedding] bound_points must be >= 1")
     kblock = merged["kernel_bench"]
     kernel_bench = {
-        "sizes": _int_list(kblock, "kernel_bench", "sizes"),
+        "sizes": _bounded_list(kblock, "kernel_bench", "sizes",
+                               grids.MIN_RESOLUTION),
         "pairs": _as_int(kblock, "kernel_bench", "pairs"),
         "bench_radius": _as_float(kblock, "kernel_bench", "bench_radius"),
     }
+    if kernel_bench["pairs"] < 1 or not kernel_bench["bench_radius"] > 0:
+        raise ValidationError("[kernel_bench] needs pairs >= 1 and bench_radius > 0")
     scblock = merged["scan"]
     scan = {
         "s_max": _as_float(scblock, "scan", "s_max"),

@@ -10,7 +10,10 @@ Two evaluation routes are kept deliberately independent:
 * ``bilinear_direct`` -- O(N^2) double quadrature over node pairs, the
   oracle.  Diagonal (self-cell) entries integrate the kernel exactly over
   the cell pair against constant densities; radial grids use high-order
-  graded angular panels for the ring-ring coupling.
+  graded angular panels for the ring-ring coupling.  ``bilinear_direct_many``
+  evaluates a batch of pairs on one grid per pass: the node-pair distances
+  and kernel tables (cartesian) or the oracle ring coupling (radial) are
+  built once for the whole batch.
 * ``bilinear_fast``  -- zero-padded FFT convolution on uniform cartesian
   grids; on radial grids a cached log(1+|x-y|) ring-coupling matrix for B1,
   and Newton prefix sums for B0 (``b0_potential``).
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.fft as spfft
 
 from . import grids
-from .errors import (DomainError, ExponentMismatchError,
+from .errors import (DomainError, ExponentMismatchError, InvalidParameterError,
                      NegativeInputError, UnsupportedGridError)
 
 
@@ -151,36 +154,33 @@ def convolve_kernel(grid: grids.Grid, density: np.ndarray, which: str = "B0"):
     return spfft.irfft(rows, n=m, axis=1, norm="forward")[:, :n] * (1.0 / (m * m))
 
 
-def _pair_sum(u: grids.GridField, v: grids.GridField, kernels):
-    """Blocked O(N^2) node-pair sums sum_ij (w u)_i K(|x_i - x_j|) (w v)_j on
-    a cartesian grid, one per (K, self-cell average of K) in ``kernels``.
+def _pair_sum(grid: grids.Grid, a: np.ndarray, b: np.ndarray, kernels):
+    """Blocked O(N^2) node-pair sums sum_ij a_ip K(|x_i - x_j|) b_jp on a
+    cartesian grid for every column p of the (N, P) weighted stacks a and b:
+    one (P,) array per (K, self-cell average of K) in ``kernels``.  Each row
+    block's distances and kernel tables are built once for all P columns.
     K is only evaluated at positive distances."""
-    grid = u.grid
     xx, yy = grid.meshgrid()
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    a = (grid.weights * u.values).ravel()
-    b = (grid.weights * v.values).ravel()
     total = len(pts)
-    sums = [0.0] * len(kernels)
+    sums = [np.zeros(a.shape[1]) for _ in kernels]
     block = max(1, 2**22 // total)
     for start in range(0, total, block):
         stop = min(start + block, total)
         dx = pts[start:stop, 0, None] - pts[None, :, 0]
-        dy = pts[start:stop, 1, None] - pts[None, :, 1]
-        d = np.hypot(dx, dy)
+        d = np.hypot(dx, pts[start:stop, 1, None] - pts[None, :, 1], out=dx)
         zero = d == 0.0
         d[zero] = 1.0
         for i, (kern, diag) in enumerate(kernels):
             k = kern(d)
             k[zero] = diag
-            sums[i] += a[start:stop] @ (k @ b)
+            sums[i] += np.einsum("rp,rp->p", a[start:stop], k @ b)
     return sums
 
 
-def _direct_cartesian(u: grids.GridField, v: grids.GridField):
-    """Blocked O(N^2) pair sum; returns (b1, b2)."""
-    d0, d1, d2 = cell_average_log_kernels(u.grid.spacing)
-    return _pair_sum(u, v, [(np.log1p, d1), (lambda d: np.log1p(1.0 / d), d2)])
+def _weighted_stack(grid: grids.Grid, fields) -> np.ndarray:
+    """(N, P) stack of the quadrature-weighted nodal values of ``fields``."""
+    return np.column_stack([(grid.weights * f.values).ravel() for f in fields])
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +240,6 @@ def ring_c1(grid: grids.Grid, oracle: bool = False) -> np.ndarray:
     return grid._cached("ring_c1", build)
 
 
-def _radial_forms(u: grids.GridField, v: grids.GridField, oracle: bool):
-    c1 = ring_c1(u.grid, oracle=oracle)
-    a = u.grid.weights * u.values
-    b1 = float(a @ (c1 @ (u.grid.weights * v.values)))
-    return b1, b1 + b0_form(u, v)
-
-
 def b0_potential(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
     """[log(1/|x|) * density](x_i) for nodal density values: one FFT
     convolution on cartesian grids.  On radial grids the ring coupling is
@@ -287,13 +280,33 @@ class KernelForm:
 def bilinear_direct(u: grids.GridField, v: grids.GridField,
                     which: str = "B0") -> KernelForm:
     """O(N^2) double quadrature over node pairs; the oracle route."""
-    grids.require_same_grid(u, v)
     _check_which(which)
-    if u.grid.kind == "cartesian":
-        b1, b2 = _direct_cartesian(u, v)
+    return bilinear_direct_many([(u, v)])[0]
+
+
+def bilinear_direct_many(pairs) -> list[KernelForm]:
+    """``bilinear_direct`` for every (u, v) in ``pairs``, all on one grid, in
+    one pass over the node-pair geometry (cartesian) or with one oracle
+    ring coupling (radial)."""
+    pairs = list(pairs)
+    if not pairs:
+        raise InvalidParameterError("bilinear_direct_many needs at least one pair")
+    grid = pairs[0][0].grid
+    for u, v in pairs:
+        grids.require_same_grid(u, v)
+        if u.grid is not grid:
+            raise InvalidParameterError("a batch of pairs must live on one grid")
+    a = _weighted_stack(grid, [u for u, _ in pairs])
+    b = _weighted_stack(grid, [v for _, v in pairs])
+    if grid.kind == "cartesian":
+        d0, d1, d2 = cell_average_log_kernels(grid.spacing)
+        b1, b2 = _pair_sum(grid, a, b, [(np.log1p, d1),
+                                        (lambda d: np.log1p(1.0 / d), d2)])
     else:
-        b1, b2 = _radial_forms(u, v, oracle=True)
-    return KernelForm(b1=b1, b2=b2, b0=b2 - b1, method="direct")
+        b1 = np.einsum("rp,rp->p", a, ring_c1(grid, oracle=True) @ b)
+        b2 = b1 + np.array([b0_form(u, v) for u, v in pairs])
+    return [KernelForm(b1=float(x1), b2=float(x2), b0=float(x2 - x1),
+                       method="direct") for x1, x2 in zip(b1, b2)]
 
 
 def bilinear_fast(u: grids.GridField, v: grids.GridField,
@@ -309,7 +322,9 @@ def bilinear_fast(u: grids.GridField, v: grids.GridField,
         b1 = float(np.sum(a * t1))
         b2 = float(np.sum(a * t2))
     else:
-        b1, b2 = _radial_forms(u, v, oracle=False)
+        a = grid.weights * u.values
+        b1 = float(a @ (ring_c1(grid) @ (grid.weights * v.values)))
+        b2 = b1 + b0_form(u, v)
     return KernelForm(b1=b1, b2=b2, b0=b2 - b1, method="fast")
 
 
@@ -346,10 +361,11 @@ def hls_check(u: grids.GridField, v: grids.GridField, mu: float,
         raise UnsupportedGridError("hls_check runs on cartesian grids")
     diag = _cell_pair_average(grid.spacing,
                               lambda k, R: _moment_power(k, R, mu))
-    lhs, = _pair_sum(u, v, [(lambda d: d ** (-mu), diag)])
+    a, b = (_weighted_stack(grid, [f]) for f in (u, v))
+    lhs, = _pair_sum(grid, a, b, [(lambda d: d ** (-mu), diag)])
     norm_u = grids.integrate(u, lambda t: np.abs(t) ** s) ** (1.0 / s)
     norm_v = grids.integrate(v, lambda t: np.abs(t) ** r) ** (1.0 / r)
-    return HLSReport(lhs=float(lhs), norm_product=norm_u * norm_v)
+    return HLSReport(lhs=float(lhs[0]), norm_product=norm_u * norm_v)
 
 
 @dataclass(frozen=True)

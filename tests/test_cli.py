@@ -132,6 +132,12 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     ("moser", "t_max = nan"),
     ("embedding", "alpha = nan"),
     ("kernel_bench", "bench_radius = nan"),
+    ("moser", "ns = 0"),
+    ("embedding", "moser_ns = 1"),
+    ("embedding", "bound_points = 0"),
+    ("kernel_bench", "pairs = 0"),
+    ("kernel_bench", "sizes = 4"),
+    ("kernel_bench", "bench_radius = -1"),
 ])
 def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, setting):
     if setting.startswith("q ="):

@@ -1,5 +1,7 @@
 """Kernel split, bilinear forms (direct vs fast) and HLS evaluators."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -49,10 +51,9 @@ def test_cell_average_log_inv_brute_force():
 def test_fast_matches_direct_cartesian(n):
     g = grids.build_grid("cartesian", 4.0, n)
     rng = np.random.default_rng(n)
-    for _ in range(5):
-        u = families.random_smooth(g, rng)
-        v = families.random_smooth(g, rng)
-        ref = kernel.bilinear_direct(u, v)
+    pairs = [(families.random_smooth(g, rng), families.random_smooth(g, rng))
+             for _ in range(5)]
+    for (u, v), ref in zip(pairs, kernel.bilinear_direct_many(pairs)):
         fast = kernel.bilinear_fast(u, v)
         for which in ("B0", "B1", "B2"):
             err = abs(fast.value(which) - ref.value(which))
@@ -69,6 +70,96 @@ def test_fast_matches_direct_radial():
     for which in ("B0", "B1", "B2"):
         err = abs(fast.value(which) - ref.value(which))
         assert err <= 1e-6 * (1 + abs(ref.value(which))), which
+
+
+def _per_pair_sum(u, v, kernels):
+    """The one-pair blocked loop that the batched ``kernel._pair_sum``
+    replaced, kept as its reference: it rebuilds the distances and kernel
+    tables of every row block for each pair."""
+    grid = u.grid
+    xx, yy = grid.meshgrid()
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    a = (grid.weights * u.values).ravel()
+    b = (grid.weights * v.values).ravel()
+    total = len(pts)
+    sums = [0.0] * len(kernels)
+    block = max(1, 2**22 // total)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        dx = pts[start:stop, 0, None] - pts[None, :, 0]
+        dy = pts[start:stop, 1, None] - pts[None, :, 1]
+        d = np.hypot(dx, dy)
+        zero = d == 0.0
+        d[zero] = 1.0
+        for i, (kern, diag) in enumerate(kernels):
+            k = kern(d)
+            k[zero] = diag
+            sums[i] += a[start:stop] @ (k @ b)
+    return sums
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs_with_reference(n):
+    """20 random pairs on an n^2 lattice and their per-pair (b1, b2) sums."""
+    g = grids.build_grid("cartesian", 4.0, n)
+    rng = np.random.default_rng(100 + n)
+    pairs = [(families.random_smooth(g, rng), families.random_smooth(g, rng))
+             for _ in range(20)]
+    _, d1, d2 = kernel.cell_average_log_kernels(g.spacing)
+    kernels = [(np.log1p, d1), (lambda d: np.log1p(1.0 / d), d2)]
+    ref = np.array([_per_pair_sum(u, v, kernels) for u, v in pairs])
+    return g, pairs, kernels, ref
+
+
+# 16^2 is one row block, 48^2 two and 64^2 four
+@pytest.mark.parametrize("n", [16, 48, 64])
+@pytest.mark.parametrize("batch", [1, 3, 20])
+def test_batched_pair_sum_matches_per_pair_loop(n, batch):
+    g, pairs, kernels, ref = _pairs_with_reference(n)
+    a = kernel._weighted_stack(g, [u for u, _ in pairs[:batch]])
+    b = kernel._weighted_stack(g, [v for _, v in pairs[:batch]])
+    got = np.column_stack(kernel._pair_sum(g, a, b, kernels))
+    assert got.shape == (batch, len(kernels))
+    # Both are float64 sums of the same <= 4096^2 = 16.7M terms in another
+    # order, so they differ by rounding relative to the sum of the terms'
+    # magnitudes (both kernels are positive); relative to a sum that cancels
+    # to near 0 the same rounding can be large.
+    magnitude = np.column_stack(kernel._pair_sum(g, np.abs(a), np.abs(b), kernels))
+    assert np.all(np.abs(got - ref[:batch]) <= 1e-13 * magnitude)
+
+
+@pytest.mark.parametrize("kind, radius, n", [("cartesian", 4.0, 16),
+                                             ("radial", 10.0, 256)])
+def test_single_pair_direct_is_a_batch_of_one(kind, radius, n):
+    g = grids.build_grid(kind, radius, n)
+    rng = np.random.default_rng(3)
+    u = families.random_smooth(g, rng)
+    v = families.random_smooth(g, rng)
+    assert kernel.bilinear_direct(u, v) == kernel.bilinear_direct_many([(u, v)])[0]
+
+
+def test_radial_batch_matches_per_pair_direct():
+    g = grids.build_grid("radial", 10.0, 256)
+    rng = np.random.default_rng(11)
+    pairs = [(families.random_smooth(g, rng), families.random_smooth(g, rng))
+             for _ in range(6)]
+    for (u, v), form in zip(pairs, kernel.bilinear_direct_many(pairs)):
+        ref = kernel.bilinear_direct(u, v)
+        for which in ("B0", "B1", "B2"):
+            assert abs(form.value(which) - ref.value(which)) \
+                <= 1e-13 * abs(ref.value(which)), which
+
+
+def test_direct_batch_rejects_empty_and_mixed_grids():
+    g1 = grids.build_grid("cartesian", 4.0, 16)
+    g2 = grids.build_grid("cartesian", 4.0, 16)
+    rng = np.random.default_rng(0)
+    u1, v1 = families.random_smooth(g1, rng), families.random_smooth(g1, rng)
+    u2, v2 = families.random_smooth(g2, rng), families.random_smooth(g2, rng)
+    with pytest.raises(InvalidParameterError):
+        kernel.bilinear_direct_many([])
+    with pytest.raises(InvalidParameterError):
+        kernel.bilinear_direct_many([(u1, v1), (u2, v2)])
 
 
 @settings(max_examples=60, deadline=None)
