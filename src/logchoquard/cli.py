@@ -105,7 +105,9 @@ def cmd_verify_embedding(cfg: RunConfig):
         sandwich.append({"field": name, "h1_sq": h1, "w0_sq": w0,
                          "ratio": ratio, "ok": ok})
 
-    alpha = cfg.embedding["alpha"] or 2 * np.pi
+    alpha = cfg.embedding["alpha"]
+    if alpha is None:
+        alpha = 2 * np.pi
     family = families.moser_family(cfg.embedding["moser_ns"],
                                    rho=cfg.embedding["rho"],
                                    domain_radius=cfg.domain_radius,

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import grids
 from . import nonlinearity as nl
+from .energy import MIN_RAY_SAMPLES
 from .errors import InvalidParameterError, ValidationError
 from .solver import SolverConfig
 from .spaces import PeriodicCoefficient
@@ -234,8 +235,13 @@ def load_config(path: Optional[str], command: str, output_path=None,
     }
     if not 0.0 < moser["rho"] <= 0.5:
         raise ValidationError("[moser] rho must lie in (0, 1/2]")
+    if moser["ray_samples"] < MIN_RAY_SAMPLES or not moser["t_max"] > 0:
+        raise ValidationError(
+            f"[moser] needs ray_samples >= {MIN_RAY_SAMPLES} and t_max > 0")
     if not 0.0 < embedding["rho"] <= 0.5:
         raise ValidationError("[embedding] rho must lie in (0, 1/2]")
+    if embedding["alpha"] is not None and not embedding["alpha"] > 0:
+        raise ValidationError("[embedding] alpha must be positive")
     if embedding["bound_points"] < 1:
         raise ValidationError("[embedding] bound_points must be >= 1")
     kblock = merged["kernel_bench"]

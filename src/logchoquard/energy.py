@@ -32,6 +32,7 @@ from .spaces import PeriodicCoefficient, norm_V_sq
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
+MIN_RAY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,9 @@ def ray_analysis(u: grids.GridField, spec: nl.NonlinearitySpec,
                  samples: int = 96) -> RayAnalysis:
     """Sample t -> I_V(t u) on a log-uniform grid, refine the maximum by
     bounded golden-section search and record the stationarity residuals."""
-    if samples < 64:
-        raise InvalidParameterError("ray analysis needs at least 64 samples")
+    if samples < MIN_RAY_SAMPLES:
+        raise InvalidParameterError(
+            f"ray analysis needs at least {MIN_RAY_SAMPLES} samples")
     if t_max <= 0 or not np.any(u.values != 0):
         raise InvalidParameterError("need t_max > 0 and a nonzero direction")
     ts = np.geomspace(1e-3, t_max, samples)

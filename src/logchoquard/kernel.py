@@ -17,6 +17,12 @@ Two evaluation routes are kept deliberately independent:
 * ``bilinear_fast``  -- zero-padded FFT convolution on uniform cartesian
   grids; on radial grids a cached log(1+|x-y|) ring-coupling matrix for B1,
   and Newton prefix sums for B0 (``b0_potential``).
+
+``b0_form`` (B0 alone, the energy's form) pairs spectra on cartesian grids:
+B0(u, v) = (1/m^2) sum_k c_k K_B0hat(k) Re(conj(uhat_k) vhat_k) over the
+rfft2 half spectrum, with no inverse FFT, and one forward FFT when v is u.
+The pad m >= 2n - 1 leaves no wrap-around terms.  Every forward transform
+is pruned to the n nonzero rows of the pad (``_spectrum``).
 """
 
 from __future__ import annotations
@@ -138,6 +144,29 @@ def _fft_kernels(grid: grids.Grid):
     return grid._cached("fft_kernels", build)
 
 
+def _spectrum(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
+    """rfft2 of the m x m zero pad of the weighted nodal density, with the
+    forward pass pruned to the n nonzero rows (bit-identical to rfft2)."""
+    m, _ = _fft_kernels(grid)
+    rows = spfft.rfft(grid.weights * density, n=m, axis=1)
+    return spfft.fft(rows, n=m, axis=0)
+
+
+def _b0_pairing(grid: grids.Grid) -> np.ndarray:
+    """c_k Re(K_B0 hat)_k / m^2 on the rfft2 half spectrum, c_k = 1 on column 0
+    (and on the Nyquist column when m is even), 2 elsewhere: Parseval
+    weights of the B0 form.  The table depends on |offset| only, so its
+    transform is real.  Cached per grid."""
+    def build():
+        m, khats = _fft_kernels(grid)
+        c = np.full(m // 2 + 1, 2.0)
+        c[0] = 1.0
+        if m % 2 == 0:
+            c[-1] = 1.0
+        return c * khats["B0"].real / (m * m)
+    return grid._cached("b0_pairing", build)
+
+
 def convolve_kernel(grid: grids.Grid, density: np.ndarray, which: str = "B0"):
     """(K * density) sampled at the nodes of a uniform cartesian grid,
     density given as nodal values (quadrature weights applied internally)."""
@@ -145,9 +174,7 @@ def convolve_kernel(grid: grids.Grid, density: np.ndarray, which: str = "B0"):
         raise UnsupportedGridError("FFT convolution needs a cartesian grid")
     m, khats = _fft_kernels(grid)
     n = grid.resolution
-    pad = np.zeros((m, m))
-    pad[:n, :n] = grid.weights * density
-    dhat = spfft.rfft2(pad)
+    dhat = _spectrum(grid, density)
     # irfft2 pruned to the n rows that are kept.  Like irfft2, both passes
     # run unscaled and the 1/m^2 is applied once, so the result is the same.
     rows = spfft.ifft(khats[which] * dhat, axis=0, norm="forward")[:n]
@@ -254,9 +281,17 @@ def b0_potential(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
 
 
 def b0_form(u: grids.GridField, v: grids.GridField) -> float:
-    """B0(u, v) alone, by the cheapest fast route (``b0_potential``)."""
+    """B0(u, v) alone, by the cheapest fast route.  On cartesian grids the
+    spectra are paired by Parseval, with no inverse transform (one forward
+    transform when ``v is u``); radial grids pair u with ``b0_potential``."""
     grids.require_same_grid(u, v)
-    return float(np.sum(u.grid.weights * u.values * b0_potential(u.grid, v.values)))
+    grid = u.grid
+    if grid.kind != "cartesian":
+        return float(np.sum(grid.weights * u.values * b0_potential(grid, v.values)))
+    uhat = _spectrum(grid, u.values)
+    vhat = uhat if v is u else _spectrum(grid, v.values)
+    cross = uhat.real * vhat.real + uhat.imag * vhat.imag
+    return float(np.sum(_b0_pairing(grid) * cross))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from logchoquard import cli, families, grids, reports
 from logchoquard.config import load_config
-from logchoquard.errors import ValidationError
+from logchoquard.errors import InvalidParameterError, ValidationError
 
 
 def write_config(tmp_path, text):
@@ -138,6 +138,10 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     ("kernel_bench", "pairs = 0"),
     ("kernel_bench", "sizes = 4"),
     ("kernel_bench", "bench_radius = -1"),
+    ("moser", "ray_samples = 63"),
+    ("moser", "t_max = 0"),
+    ("embedding", "alpha = 0"),
+    ("embedding", "alpha = -1"),
 ])
 def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, setting):
     if setting.startswith("q ="):
@@ -151,6 +155,20 @@ def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, set
         assert cli.main([command, "--config", path,
                          "--output", str(tmp_path / "out.json")]) == 2
         assert not os.path.exists(tmp_path / "out.json")
+
+
+def test_verify_embedding_reports_the_configured_alpha(tmp_path):
+    path = write_config(tmp_path, BASE + "\n[grid]\nresolution = 256\n"
+                        "\n[embedding]\nalpha = 3.5\nbound_points = 10\n"
+                        "moser_ns = 4,8\n")
+    cfg = load_config(path, "verify-embedding")
+    results, _, _ = cli.cmd_verify_embedding(cfg)
+    assert results["alpha"] == 3.5
+    # an unset alpha means 2 pi; any other value is used as given, never
+    # replaced (a zero that slipped past load_config must not read as unset)
+    cfg.embedding["alpha"] = 0.0
+    with pytest.raises(InvalidParameterError):
+        cli.cmd_verify_embedding(cfg)
 
 
 def test_cli_zero_resolution_grid_rejected(tmp_path):

@@ -380,3 +380,66 @@ def test_convolve_kernel_bit_identical_to_full_inverse_fft(n, which):
         # operand order (and hence its rounding) changes with an elided temporary
         ref = spfft.irfft2(khats[which] * dhat, s=(m, m))[:n, :n]
         assert np.array_equal(kernel.convolve_kernel(grid, density, which), ref)
+
+
+SPECTRAL_SIZES = [8, 16, 33, 64, 128, 256]   # n = 8 pads to odd m = 15
+
+
+@pytest.mark.parametrize("n", SPECTRAL_SIZES)
+def test_spectrum_bit_identical_to_rfft2_of_zero_pad(n):
+    import scipy.fft as spfft
+    grid = grids.build_grid("cartesian", 4.0, n)
+    m, _ = kernel._fft_kernels(grid)
+    density = np.random.default_rng(n).normal(size=grid.shape)
+    pad = np.zeros((m, m))
+    pad[:n, :n] = grid.weights * density
+    assert np.array_equal(kernel._spectrum(grid, density), spfft.rfft2(pad))
+
+
+@pytest.mark.parametrize("n", SPECTRAL_SIZES)
+def test_b0_kernel_spectrum_is_real(n):
+    # the table depends on |offset| only, so its transform is real; the
+    # Parseval pairing of b0_form drops the imaginary part
+    _, khats = kernel._fft_kernels(grids.build_grid("cartesian", 4.0, n))
+    k0 = khats["B0"]
+    assert np.max(np.abs(k0.imag)) <= 1e-15 * np.max(np.abs(k0))
+
+
+@pytest.mark.parametrize("n", SPECTRAL_SIZES)
+def test_spectral_b0_form_matches_convolution(n):
+    # reference: sum w u (K * v) by the real-space convolution.  The bound is
+    # 1e-13 of the terms' magnitudes, sum |w u| ((K1 + K2) * |v|) >= the
+    # absolute sum, since |log(1/d)| <= log(1+d) + log(1+1/d).
+    grid = grids.build_grid("cartesian", 4.0, n)
+    rng = np.random.default_rng(n)
+    u = grids.GridField(grid, rng.normal(size=grid.shape))
+    v = grids.GridField(grid, rng.normal(size=grid.shape))
+    for a, b in ((u, u), (u, v), (v, u)):
+        wa = grid.weights * a.values
+        ref = np.sum(wa * kernel.convolve_kernel(grid, b.values, "B0"))
+        mag = np.sum(np.abs(wa) * (kernel.convolve_kernel(grid, np.abs(b.values), "B1")
+                                   + kernel.convolve_kernel(grid, np.abs(b.values), "B2")))
+        assert abs(kernel.b0_form(a, b) - ref) <= 1e-13 * mag
+    assert kernel.b0_form(u, v) == kernel.b0_form(v, u)
+
+
+def test_cartesian_total_energy_runs_one_forward_fft_and_no_inverse(monkeypatch):
+    import scipy.fft as spfft
+    from logchoquard import energy, nonlinearity as nl, spaces
+    grid = grids.build_grid("cartesian", 6.0, 32)
+    u = families.gaussian(grid, 1.0)
+    spec = nl.NonlinearitySpec(kind="exp_minus_one", p=1.0, q=2.0)
+    calls = []
+    for name in ("rfft", "fft", "ifft", "irfft"):
+        original = getattr(spfft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(spfft, name, counted)
+    value = energy.total_energy(u, spec, spaces.PeriodicCoefficient(1.0))
+    assert np.isfinite(value)
+    assert calls == ["rfft", "fft"]      # B0(cF, cF): one pruned forward pass
+    calls.clear()
+    kernel.convolve_kernel(grid, u.values)    # the counters do see a convolution
+    assert calls == ["rfft", "fft", "ifft", "irfft"]
