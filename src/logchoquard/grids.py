@@ -280,7 +280,7 @@ def integrate(u: GridField, pointwise_map=None, weight=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite differences and Dirichlet energy
+# Dirichlet energy
 # ---------------------------------------------------------------------------
 
 def _radial_derivative_matrix(nodes: np.ndarray) -> sp.csr_matrix:
@@ -308,53 +308,73 @@ def _radial_derivative_matrix(nodes: np.ndarray) -> sp.csr_matrix:
                          shape=(n, n))
 
 
-def _axis_derivative_matrix(n: int, h: float) -> sp.csr_matrix:
-    """Second-order central differences, one-sided second order at the ends."""
-    d = sp.lil_matrix((n, n))
-    inv = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        d[i, i - 1] = -inv
-        d[i, i + 1] = inv
-    d[0, 0], d[0, 1], d[0, 2] = -3 * inv, 4 * inv, -inv
-    d[n - 1, n - 1], d[n - 1, n - 2], d[n - 1, n - 3] = 3 * inv, -4 * inv, inv
-    return d.tocsr()
+def _edge_weights(grid: Grid):
+    """Cartesian edge coefficients c_e = (w_a + w_b) / (2 h^2) of the
+    x-neighbour pairs, shape (n-1, n), and the y-neighbour pairs, (n, n-1).
 
-
-def gradient_operators(grid: Grid):
-    """Sparse derivative operators acting on flattened field values."""
+    With them E(u) = sum_e c_e (u_a - u_b)^2 is the compact (5-point)
+    Dirichlet form, which charges the odd-even (checkerboard) mode about
+    8 / h^2 per unit mass, so no lattice mode is nearly free (Patankar 1980).
+    """
     def build():
-        if grid.kind == "radial":
-            return (_radial_derivative_matrix(grid.nodes),)
-        n, h = grid.resolution, grid.spacing
-        d1 = _axis_derivative_matrix(n, h)
-        eye = sp.identity(n, format="csr")
-        return (sp.kron(d1, eye, format="csr"), sp.kron(eye, d1, format="csr"))
-    return grid._cached("gradient_ops", build)
+        w, h_sq2 = grid.weights, 2.0 * grid.spacing ** 2
+        edges = ((w[1:] + w[:-1]) / h_sq2, (w[:, 1:] + w[:, :-1]) / h_sq2)
+        for c in edges:
+            c.flags.writeable = False
+        return edges
+    return grid._cached("edge_weights", build)
 
 
 def stiffness_matrix(grid: Grid) -> sp.csr_matrix:
-    """Quadratic form of the Dirichlet energy: E(u) = u^T A u."""
+    """Quadratic form of the Dirichlet energy: E(u) = u^T A u.
+
+    Radial: D^T W D with D the 3-point derivative.  Cartesian: the sum of
+    D^T diag(c) D over both axes with D the forward differences and c the
+    edge coefficients, so A carries exactly the form ``dirichlet_energy``
+    sums matrix-free.
+    """
     def build():
-        w = sp.diags(grid.weights.ravel())
-        ops = gradient_operators(grid)
-        a = ops[0].T @ w @ ops[0]
-        for op in ops[1:]:
-            a = a + op.T @ w @ op
-        return a.tocsr()
+        if grid.kind == "radial":
+            d = _radial_derivative_matrix(grid.nodes)
+            return (d.T @ sp.diags(grid.weights) @ d).tocsr()
+        n = grid.resolution
+        step = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+        eye = sp.identity(n)
+        dx, dy = sp.kron(step, eye), sp.kron(eye, step)
+        cx, cy = _edge_weights(grid)
+        return (dx.T @ sp.diags(cx.ravel()) @ dx
+                + dy.T @ sp.diags(cy.ravel()) @ dy).tocsr()
     return grid._cached("stiffness", build)
 
 
 def dirichlet_energy(u: GridField) -> float:
-    """Quadrature of |grad u|^2 over the truncated domain (radial: (u')^2 2 pi r dr)."""
+    """Quadrature of |grad u|^2 over the truncated domain (radial: (u')^2 2 pi r dr).
+
+    Cartesian grids sum the edge form with ``np.sum`` (no sparse product and
+    no BLAS call, so the value does not depend on the BLAS thread count).
+    """
     if u.grid.num_nodes < 3:
         raise GridMismatchError("grid too small for finite differences")
+    if u.grid.kind == "cartesian":
+        cx, cy = _edge_weights(u.grid)
+        v = u.values
+        return float(np.sum(cx * (v[1:] - v[:-1]) ** 2)
+                     + np.sum(cy * (v[:, 1:] - v[:, :-1]) ** 2))
     flat = u.values.ravel()
     return float(flat @ (stiffness_matrix(u.grid) @ flat))
 
 
 def require_same_grid(u: GridField, v: GridField):
-    if u.grid is not v.grid:
-        raise GridMismatchError("fields live on different grids")
+    """Fail unless the two fields share a grid: one object, or two grids
+    equal in kind, radius, resolution, nodes and weights (as a field loaded
+    from a file and a freshly built grid with the same parameters are)."""
+    a, b = u.grid, v.grid
+    if a is b or (a.kind == b.kind and a.domain_radius == b.domain_radius
+                  and a.resolution == b.resolution
+                  and np.array_equal(a.nodes, b.nodes)
+                  and np.array_equal(a.weights, b.weights)):
+        return
+    raise GridMismatchError("fields live on different grids")
 
 
 def require_plateau_resolution(grid: Grid, radius: float, min_nodes: int = 4):

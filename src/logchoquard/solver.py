@@ -4,9 +4,10 @@ The solver discretizes a path from 0 to a negative-energy witness and
 alternates (a) locating the path maximum with (b) preconditioned descent
 of that node: the descent direction solves K d = I_V'(u) where K is the
 (positive) quadratic-part Hessian, so the linear physics is handled
-exactly and steps are mesh-independent.  The path endpoints pin the node
-ensemble across the mountain ridge, which is what makes descent of the
-maximum converge to the pass instead of sliding to 0.
+exactly (the iteration count still grows as the mesh is refined).  The
+path endpoints pin the node ensemble across the mountain ridge, which is
+what makes descent of the maximum converge to the pass instead of
+sliding to 0.
 
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
@@ -223,10 +224,17 @@ def _insert_segment_humps(path, levels, segments, spec, potential):
 
 def _scan_all_segments(path, levels, spec, potential, rounds: int = 4):
     """Insert polyline humps anywhere along the path (used at startup and
-    after arclength resampling, which forgets where the ridge was)."""
+    after arclength resampling, which forgets where the ridge was).
+
+    A segment whose two endpoint objects were searched in an earlier round
+    is still a segment only because that search found no hump, and it would
+    find none again, so each endpoint pair is searched at most once."""
+    searched = set()
     for _ in range(rounds):
-        if not _insert_segment_humps(path, levels, range(len(path) - 1),
-                                     spec, potential):
+        fresh = [i for i in range(len(path) - 1)
+                 if (path[i], path[i + 1]) not in searched]
+        searched.update((path[i], path[i + 1]) for i in fresh)
+        if not _insert_segment_humps(path, levels, fresh, spec, potential):
             break
 
 

@@ -53,14 +53,18 @@ class PeriodicCoefficient:
         return self.floor + self.amplitude * profile
 
     def on_grid(self, grid: grids.Grid) -> np.ndarray:
-        if self.is_constant:
-            return np.full(grid.shape, self.floor)
-        if grid.kind == "radial":
+        """The coefficient at the nodes; cached per grid and read-only."""
+        if not self.is_constant and grid.kind == "radial":
             raise GridMismatchError(
                 "non-constant periodic coefficients require a cartesian grid"
             )
-        xx, yy = grid.meshgrid()
-        return self(xx, yy)
+
+        def build():
+            values = (np.full(grid.shape, self.floor) if self.is_constant
+                      else self(*grid.meshgrid()))
+            values.flags.writeable = False
+            return values
+        return grid._cached(("coefficient", self.floor, self.amplitude), build)
 
     def max_within(self, radius: float) -> float:
         """max of the coefficient over the closed disc |x| <= radius."""

@@ -4,7 +4,11 @@ Each test prints a single PASS line once its assertions hold; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -230,9 +234,7 @@ def test_c11_assumption_checkers():
           f"every tested beta")
 
 
-def test_c12_solve_determinism(tmp_path):
-    cfg_path = tmp_path / "det.cfg"
-    cfg_path.write_text("""
+C12_CONFIG = """
 [nonlinearity]
 kind = exp_minus_one
 q = 2
@@ -242,7 +244,17 @@ domain_radius = 6.0
 resolution = 48
 max_iterations = 2000
 residual_tolerance = 2e-4
-""")
+"""
+# F1, V = 1, R = 16: the radial P1 (compact edge form) level at 1024 nodes
+RADIAL_P1_LEVEL = 0.078195
+# total_energy calls of the C12 solve: 2,516 measured with numpy 2.4 /
+# scipy 1.17; the budget leaves 7% for other library rounding
+C12_ENERGY_BUDGET = 2700
+
+
+def test_c12_solve_determinism(tmp_path):
+    cfg_path = tmp_path / "det.cfg"
+    cfg_path.write_text(C12_CONFIG)
     out = str(tmp_path / "det.json")
     code1 = cli.main(["solve", "--config", str(cfg_path), "--seed", "11",
                       "--output", out])
@@ -257,3 +269,51 @@ residual_tolerance = 2e-4
     assert field1 == field2
     print("ACCEPTANCE 12 PASS: cmd_solve with a fixed seed "
           "is bit-identical across two runs (report and field file)")
+
+
+def test_c12_level_and_energy_budget(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "c12.cfg"
+    cfg_path.write_text(C12_CONFIG)
+    calls = [0]
+    total_energy = energy.total_energy
+
+    def counted(*args):
+        calls[0] += 1
+        return total_energy(*args)
+    monkeypatch.setattr(energy, "total_energy", counted)
+    out = tmp_path / "c12.json"
+    assert cli.main(["solve", "--config", str(cfg_path), "--seed", "11",
+                     "--output", str(out)]) == 0
+    res = json.loads(out.read_text())["results"]
+    assert res["converged"] is True
+    rel = abs(res["level"] - RADIAL_P1_LEVEL) / RADIAL_P1_LEVEL
+    assert rel <= 0.01
+    assert calls[0] <= C12_ENERGY_BUDGET
+    print(f"ACCEPTANCE 12b PASS: h = 0.25 lattice level {res['level']:.6f} "
+          f"within {100 * rel:.2f}% of the radial P1 level {RADIAL_P1_LEVEL}; "
+          f"{calls[0]} energy evaluations <= {C12_ENERGY_BUDGET}")
+
+
+def test_c12_solve_independent_of_blas_threads(tmp_path):
+    cfg_path = tmp_path / "c12.cfg"
+    cfg_path.write_text(C12_CONFIG)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-m", "logchoquard.cli", "solve",
+                        "--config", str(cfg_path), "--seed", "11",
+                        "--output", str(out)],
+                       env=env, check=True, capture_output=True)
+        report = [line for line in out.read_bytes().splitlines()
+                  if b'"field_file"' not in line]
+        outputs.append((report, (tmp_path / f"threads{threads}.json.field").read_bytes()))
+    (report1, field1), (report2, field2) = outputs
+    assert report1 == report2
+    assert field1 == field2
+    print("ACCEPTANCE 12c PASS: the solve report and field file are "
+          "byte-identical at one and two BLAS threads")

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from logchoquard import energy, grids
+from logchoquard import energy, families, grids, kernel, reports
 from logchoquard.errors import GridMismatchError, InvalidParameterError
 
 
@@ -265,3 +265,71 @@ def test_radial_quadrature_exact_to_degree_one_on_all_grids(grid):
          else energy.moser_grid(n, 0.5))
     for coeffs in ((1.0,), (0.0, 1.0), (3.0, 0.25)):
         assert _rule_error(g, coeffs) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the compact cartesian Dirichlet form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("radius, n", [(4.0, 32), (6.0, 48), (16.0, 128)])
+def test_cartesian_checkerboard_rayleigh_quotient_is_mesh_scale(radius, n):
+    # 2h central differences left the odd-even mode nearly free
+    # (0.60, 0.33 and 0.075 / h^2 here); the edge form charges ~8 / h^2
+    g = grids.build_grid("cartesian", radius, n)
+    i, j = np.indices(g.shape)
+    u = grids.GridField(g, np.where(g.weights > 0, (-1.0) ** (i + j), 0.0))
+    quotient = grids.dirichlet_energy(u) / grids.integrate(u, lambda s: s**2)
+    assert quotient >= 1.0 / g.spacing**2
+
+
+@pytest.mark.parametrize("n", [8, 33, 128])
+def test_cartesian_matrix_free_energy_equals_stiffness_form(n):
+    g = grids.build_grid("cartesian", 3.0, n)
+    a = grids.stiffness_matrix(g)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        u = grids.GridField(g, rng.normal(size=g.shape))
+        flat = u.values.ravel()
+        quadratic = float(flat @ (a @ flat))
+        assert abs(grids.dirichlet_energy(u) - quadratic) <= 1e-12 * quadratic
+
+
+# ---------------------------------------------------------------------------
+# grid identity
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, radius, n", [("cartesian", 4.0, 16),
+                                             ("radial", 5.0, 64)])
+def test_loaded_fields_pair_with_an_equal_grid(tmp_path, kind, radius, n):
+    g = grids.build_grid(kind, radius, n)
+    rng = np.random.default_rng(5)
+    u, v = (families.random_smooth(g, rng) for _ in range(2))
+    loaded = []
+    for name, field in (("u", u), ("v", v)):
+        reports.save_field(field, str(tmp_path / name))
+        loaded.append(reports.load_field(str(tmp_path / name)))
+    lu, lv = loaded
+    assert lu.grid is not lv.grid and lu.grid is not g
+    assert kernel.b0_form(lu, lv) == kernel.b0_form(u, v)
+    assert kernel.b0_form(lu, v) == kernel.b0_form(u, v)
+    assert energy.pair_gradient(lu, lv) == energy.pair_gradient(u, v)
+    assert energy.pair_gradient(u, lv) == energy.pair_gradient(u, v)
+
+
+def test_grids_differing_in_any_defining_value_do_not_pair():
+    base = grids.build_grid("cartesian", 4.0, 16)
+    nodes, weights = np.array(base.nodes), np.array(base.weights)
+    others = [
+        grids.build_grid("radial", 4.0, 16),
+        grids.build_grid("cartesian", 4.5, 16),
+        grids.build_grid("cartesian", 4.0, 18),
+        grids.Grid("cartesian", 4.0, 16, nodes + 1e-12, weights),
+        grids.Grid("cartesian", 4.0, 16, nodes, weights * (1.0 + 1e-12)),
+    ]
+    u = grids.GridField(base, np.ones(base.shape))
+    for other in others:
+        v = grids.GridField(other, np.ones(other.shape))
+        with pytest.raises(GridMismatchError):
+            grids.require_same_grid(u, v)
+        with pytest.raises(GridMismatchError):
+            energy.pair_gradient(u, v)

@@ -161,3 +161,38 @@ def test_solver_deterministic_repeat():
     assert r1.residual == r2.residual
     assert r1.iterations == r2.iterations
     assert np.array_equal(r1.field.values, r2.field.values)
+
+
+def _plain_scan(path, levels, spec, potential, rounds=4):
+    """The scan without a memo: every segment is searched in every round."""
+    for _ in range(rounds):
+        if not solver._insert_segment_humps(path, levels, range(len(path) - 1),
+                                            spec, potential):
+            break
+
+
+def test_scan_searches_each_pair_once_and_builds_the_plain_path(monkeypatch):
+    grid = grids.build_grid("cartesian", 6.0, 48)
+    _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
+    start = [witness.with_values(t * witness.values)
+             for t in np.linspace(0.0, 1.0, 16)]
+    start_levels = [energy.total_energy(u, F1, V1) for u in start]
+    searched = []
+    segment_max = solver._segment_max
+
+    def counted(a, b, spec, potential):
+        searched.append((a, b))
+        return segment_max(a, b, spec, potential)
+    monkeypatch.setattr(solver, "_segment_max", counted)
+
+    plain, plain_levels = list(start), list(start_levels)
+    _plain_scan(plain, plain_levels, F1, V1)
+    repeated = len(searched) - len(set(searched))
+    assert repeated > 0      # the plain loop does search some pairs again
+    searched.clear()
+    memo, memo_levels = list(start), list(start_levels)
+    solver._scan_all_segments(memo, memo_levels, F1, V1)
+    assert len(searched) == len(set(searched))
+    assert len(memo) == len(plain) > len(start)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(memo, plain))
+    assert memo_levels == plain_levels

@@ -159,3 +159,18 @@ def test_tm_moser_blowup_at_16pi():
         values.append(spaces.tm_functional(scaled, 16 * np.pi).value)
     assert values[0] < values[1] < values[2]
     assert values[2] > 10 * values[0]
+
+
+def test_coefficient_on_grid_is_cached_read_only_and_keyed_by_value():
+    g = grids.build_grid("cartesian", 2.0, 16)
+    flat, periodic = spaces.PeriodicCoefficient(1.5), spaces.PeriodicCoefficient(1.0, 0.5)
+    for coeff, expected in ((flat, np.full(g.shape, 1.5)),
+                            (periodic, periodic(*g.meshgrid()))):
+        values = coeff.on_grid(g)
+        assert np.array_equal(values, expected)
+        assert not values.flags.writeable
+        assert coeff.on_grid(g) is values
+        # an equal coefficient shares the entry, another grid gets its own
+        assert spaces.PeriodicCoefficient(coeff.floor, coeff.amplitude).on_grid(g) is values
+        assert coeff.on_grid(grids.build_grid("cartesian", 2.0, 16)) is not values
+    assert not np.array_equal(flat.on_grid(g), periodic.on_grid(g))
