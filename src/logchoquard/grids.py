@@ -108,8 +108,9 @@ def build_grid(kind: str, domain_radius: float, resolution: int,
     ``anchors`` (radial grids only) is a tuple of radii in (0, R) that are
     snapped onto exact nodes; used to align nodes with profile corners.
     """
-    if domain_radius <= 0:
-        raise InvalidParameterError(f"domain_radius must be positive, got {domain_radius}")
+    if not (domain_radius > 0 and math.isfinite(domain_radius)):   # nan fails too
+        raise InvalidParameterError(
+            f"domain_radius must be positive and finite, got {domain_radius}")
     if resolution < MIN_RESOLUTION:
         raise InvalidParameterError(
             f"resolution must be >= {MIN_RESOLUTION}, got {resolution}"

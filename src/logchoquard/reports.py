@@ -120,10 +120,13 @@ def load_field(path: str) -> grids.GridField:
             tokens = handle.read().split()
         if len(header) != 3:
             raise ValueError("the header needs kind, radius and resolution")
-        grid = grids.build_grid(header[0], float(header[1]), int(header[2]))
+        kind, resolution = header[0], int(header[2])
+        # count before building, so a huge header resolution allocates nothing
+        needed = resolution**2 if kind == "cartesian" else resolution
+        if len(tokens) != needed:
+            raise ValueError(f"{len(tokens)} values, the header needs {needed}")
+        grid = grids.build_grid(kind, float(header[1]), resolution)
         values = np.array([float(tok) for tok in tokens])
-        if values.size != grid.num_nodes:
-            raise ValueError(f"{values.size} values, the grid needs {grid.num_nodes}")
         return grids.GridField(grid, values.reshape(grid.shape))
     except ValueError as exc:     # includes the toolkit's parameter errors
         raise ValidationError(f"malformed field file {path!r}: {exc}") from exc

@@ -9,6 +9,13 @@ path endpoints pin the node ensemble across the mountain ridge, which is
 what makes descent of the maximum converge to the pass instead of
 sliding to 0.
 
+A segment [a, b] of the path is searched for an interior hump only when
+its endpoint slopes prove one: <I_V'(a), b - a> > 0 > <I_V'(b), b - a>,
+with the zero field counted as rising.  The gradients behind the slopes
+are computed once per live path node, and the one at the path maximum is
+the one the descent step uses.  Slopes at a saturated endpoint (clamped
+exponential) decide nothing, so such a segment is always searched.
+
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
 direction of weighted norm one; a fixed seeded set of 20 such directions
@@ -24,6 +31,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy import optimize as sp_optimize
 
 from . import energy, families, grids
 from . import nonlinearity as nl
@@ -195,14 +203,37 @@ def _segment_max(a, b, spec, potential):
     def negative(s):
         vals = (1.0 - s) * a.values + s * b.values
         return -energy.total_energy(a.with_values(vals), spec, potential)
-    from scipy import optimize as sp_optimize
     res = sp_optimize.minimize_scalar(negative, bounds=(0.0, 1.0),
                                       method="bounded",
                                       options={"xatol": 1e-3})
     return float(res.x), float(-res.fun)
 
 
-def _insert_segment_humps(path, levels, segments, spec, potential):
+def _node_gradient(u, gradients, spec, potential):
+    """I_V'(u), computed once per path node: ``gradients`` is keyed by the
+    node object (GridField hashes by identity) and holds live nodes only."""
+    if u not in gradients:
+        gradients[u] = energy.energy_gradient(u, spec, potential)
+    return gradients[u]
+
+
+def _may_have_hump(a, b, spec, potential, gradients):
+    """Whether the segment from a to b needs a hump search: an endpoint
+    saturates, or the slopes of s -> I_V(a + s (b - a)) at s = 0 and 1 are
+    positive and negative, which proves an interior maximum above both
+    endpoints.  I_V'(0) = 0, but I_V rises quadratically from the zero
+    field, so a zero ``a`` counts as a positive slope."""
+    if (np.any(nl.saturation_mask(spec, a.values))
+            or np.any(nl.saturation_mask(spec, b.values))):
+        return True
+    step = b.with_values(b.values - a.values)
+    rising = (not np.any(a.values) or energy.pair_gradient(
+        _node_gradient(a, gradients, spec, potential), step) > 0)
+    return rising and energy.pair_gradient(
+        _node_gradient(b, gradients, spec, potential), step) < 0
+
+
+def _insert_segment_humps(path, levels, segments, spec, potential, gradients):
     """Maximize I_V along the given segments and promote interior humps to
     nodes.  Keeping the piecewise-linear path maximum represented by a node
     is what stops the node ensemble from sliding off the mountain ridge
@@ -210,6 +241,9 @@ def _insert_segment_humps(path, levels, segments, spec, potential):
     inserted = False
     for seg in sorted(set(segments), reverse=True):
         if seg < 0 or seg + 1 >= len(path):
+            continue
+        if not _may_have_hump(path[seg], path[seg + 1], spec, potential,
+                              gradients):
             continue
         s_star, lvl = _segment_max(path[seg], path[seg + 1], spec, potential)
         floor = max(levels[seg], levels[seg + 1])
@@ -222,7 +256,8 @@ def _insert_segment_humps(path, levels, segments, spec, potential):
     return inserted
 
 
-def _scan_all_segments(path, levels, spec, potential, rounds: int = 4):
+def _scan_all_segments(path, levels, spec, potential, gradients,
+                       rounds: int = 4):
     """Insert polyline humps anywhere along the path (used at startup and
     after arclength resampling, which forgets where the ridge was).
 
@@ -234,7 +269,8 @@ def _scan_all_segments(path, levels, spec, potential, rounds: int = 4):
         fresh = [i for i in range(len(path) - 1)
                  if (path[i], path[i + 1]) not in searched]
         searched.update((path[i], path[i + 1]) for i in fresh)
-        if not _insert_segment_humps(path, levels, fresh, spec, potential):
+        if not _insert_segment_humps(path, levels, fresh, spec, potential,
+                                     gradients):
             break
 
 
@@ -277,7 +313,8 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     ts = np.linspace(0.0, 1.0, m)
     path = [witness.with_values(t * witness.values) for t in ts]
     levels = [energy.total_energy(u, spec, potential) for u in path]
-    _scan_all_segments(path, levels, spec, potential)
+    gradients = {}
+    _scan_all_segments(path, levels, spec, potential, gradients)
     directions = _test_directions(grid, spec, potential, N_TEST_DIRECTIONS,
                                   config.seed)
 
@@ -294,12 +331,13 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
 
     for iterations in range(1, config.max_iterations + 1):
         if len(path) > 2 * m:
+            gradients.clear()
             path, levels = _resample_path(path, levels, m, spec, potential)
-            _scan_all_segments(path, levels, spec, potential)
+            _scan_all_segments(path, levels, spec, potential, gradients)
             restarts.append(iterations)
         k = int(np.argmax(levels))
         u = path[k]
-        grad = energy.energy_gradient(u, spec, potential)
+        grad = _node_gradient(u, gradients, spec, potential)
         residual, direction, slope = _dual_estimate(grid, potential, grad.values)
         ps_trace.append((float(levels[k]), float(residual)))
         # reservoir trace: decimation keeps ~TRACE_FIELDS states spread over
@@ -337,9 +375,12 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
             if trial_level < levels[k]:
                 path[k] = trial
                 levels[k] = trial_level
+        if path[k] is not u:
+            del gradients[u]        # u has left the path
         # re-expose the polyline maximum around the moved node; an insertion
         # refines the path (counted as a restart for trace monotonicity)
-        if _insert_segment_humps(path, levels, (k - 1, k), spec, potential):
+        if _insert_segment_humps(path, levels, (k - 1, k), spec, potential,
+                                 gradients):
             restarts.append(iterations + 1)
 
     k = int(np.argmax(levels))

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logchoquard import cli, families, grids, reports
 from logchoquard.config import load_config
@@ -264,5 +265,66 @@ def test_field_roundtrip_radial(tmp_path):
 def test_load_field_malformed_raises_validation_error(tmp_path, text):
     path = tmp_path / "bad.field"
     path.write_text(text)
+    with pytest.raises(ValidationError):
+        reports.load_field(str(path))
+
+
+def test_load_field_counts_values_before_building_the_grid(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built before the value count was checked")
+    monkeypatch.setattr(grids, "build_grid", refuse)
+    path = tmp_path / "huge.field"
+    path.write_text("cartesian 16 100000000\n" + "0 " * 64)
+    with pytest.raises(ValidationError, match="100000000"):
+        reports.load_field(str(path))
+
+
+BAD_VALUE_TOKENS = ["x", "1.2.3", "--1", "0x10", "0,5", "nan", "inf", "-inf", "1e999"]
+
+
+@st.composite
+def malformed_field_texts(draw):
+    """A valid field file with exactly one defect; header resolutions stay
+    within 1024 so that no example can allocate much."""
+    kind = draw(st.sampled_from(["cartesian", "radial"]))
+    n = draw(st.integers(grids.MIN_RESOLUTION, 16 if kind == "cartesian" else 64))
+    header = [kind, repr(draw(st.floats(0.5, 50.0))), str(n)]
+    values = ["0.25"] * (n * n if kind == "cartesian" else n)
+    valid = " ".join(header) + "\n" + " ".join(values) + "\n"
+    defect = draw(st.sampled_from(["kind", "radius", "resolution", "header",
+                                   "count", "value"]))
+    if defect == "kind":
+        header[0] = draw(st.sampled_from(["hexagonal", "polar", "Cartesian", "radial2"]))
+    elif defect == "radius":
+        header[1] = draw(st.one_of(
+            st.floats(max_value=0.0).map(repr),
+            st.sampled_from(["nan", "inf", "-inf", "1e999", "four"])))
+    elif defect == "resolution":
+        header[2] = draw(st.one_of(
+            st.integers(-1024, 1024).filter(lambda m: m != n).map(str),
+            st.sampled_from([f"{n}.0", "eight", "1e3"])))
+    elif defect == "header":
+        if draw(st.booleans()):
+            del header[draw(st.integers(0, 2))]
+        else:
+            header.insert(draw(st.integers(0, 3)), "1")
+    elif defect == "count":
+        k = draw(st.integers(1, len(values)))
+        values = values[k:] if draw(st.booleans()) else values + ["0.25"] * k
+    else:
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.sampled_from(BAD_VALUE_TOKENS))
+    return valid, " ".join(header) + "\n" + " ".join(values) + "\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=malformed_field_texts())
+def test_malformed_field_files_raise_validation_error(tmp_path, texts):
+    valid, malformed = texts
+    path = tmp_path / "fuzz.field"
+    path.write_text(valid)
+    reports.load_field(str(path))
+    path.write_text(malformed)
     with pytest.raises(ValidationError):
         reports.load_field(str(path))

@@ -32,6 +32,13 @@ def test_small_resolution_rejected():
         grids.build_grid("cartesian", -1.0, 16)
 
 
+@pytest.mark.parametrize("kind", ["cartesian", "radial"])
+@pytest.mark.parametrize("radius", [np.inf, -np.inf, np.nan])
+def test_non_finite_radius_rejected(kind, radius):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        grids.build_grid(kind, radius, 16)
+
+
 def test_integrate_constant_field():
     g = grids.build_grid("cartesian", 2.0, 64)
     u = grids.GridField(g, np.ones(g.shape))

@@ -164,10 +164,11 @@ def test_solver_deterministic_repeat():
 
 
 def _plain_scan(path, levels, spec, potential, rounds=4):
-    """The scan without a memo: every segment is searched in every round."""
+    """The scan without a memo: every segment is considered in every round."""
+    gradients = {}
     for _ in range(rounds):
         if not solver._insert_segment_humps(path, levels, range(len(path) - 1),
-                                            spec, potential):
+                                            spec, potential, gradients):
             break
 
 
@@ -177,22 +178,109 @@ def test_scan_searches_each_pair_once_and_builds_the_plain_path(monkeypatch):
     start = [witness.with_values(t * witness.values)
              for t in np.linspace(0.0, 1.0, 16)]
     start_levels = [energy.total_energy(u, F1, V1) for u in start]
-    searched = []
-    segment_max = solver._segment_max
+    gated, searched = [], []
+    may_have_hump, segment_max = solver._may_have_hump, solver._segment_max
+
+    def counted_gate(a, b, *args):
+        gated.append((a, b))
+        return may_have_hump(a, b, *args)
 
     def counted(a, b, spec, potential):
         searched.append((a, b))
         return segment_max(a, b, spec, potential)
+    monkeypatch.setattr(solver, "_may_have_hump", counted_gate)
     monkeypatch.setattr(solver, "_segment_max", counted)
 
     plain, plain_levels = list(start), list(start_levels)
     _plain_scan(plain, plain_levels, F1, V1)
-    repeated = len(searched) - len(set(searched))
-    assert repeated > 0      # the plain loop does search some pairs again
+    repeated = len(gated) - len(set(gated))
+    assert repeated > 0      # the plain loop does consider some pairs again
+    gated.clear()
     searched.clear()
     memo, memo_levels = list(start), list(start_levels)
-    solver._scan_all_segments(memo, memo_levels, F1, V1)
-    assert len(searched) == len(set(searched))
+    solver._scan_all_segments(memo, memo_levels, F1, V1, {})
+    assert len(gated) == len(set(gated))
+    assert 0 < len(searched) == len(set(searched))
     assert len(memo) == len(plain) > len(start)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(memo, plain))
     assert memo_levels == plain_levels
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+@pytest.mark.parametrize("start", [0.2, 0.4])
+def test_gate_slopes_match_central_differences(kind, resolution, start):
+    grid = grids.build_grid(kind, 6.0, resolution)
+    a = families.gaussian(grid, 1.0, amplitude=start)
+    b = families.bump(grid, 0.5, amplitude=0.6)
+    step = b.with_values(b.values - a.values)
+    g0 = energy.pair_gradient(energy.energy_gradient(a, F1, V1), step)
+    g1 = energy.pair_gradient(energy.energy_gradient(b, F1, V1), step)
+
+    def level(s):
+        return energy.total_energy(
+            a.with_values((1.0 - s) * a.values + s * b.values), F1, V1)
+    h = 1e-4
+    assert abs(g0 - (level(h) - level(-h)) / (2 * h)) <= 1e-5 * abs(g0)
+    assert abs(g1 - (level(1 + h) - level(1 - h)) / (2 * h)) <= 1e-5 * abs(g1)
+    assert solver._may_have_hump(a, b, F1, V1, {}) == (g0 > 0 > g1)
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+def test_gate_counts_the_zero_field_as_rising(kind, resolution):
+    grid = grids.build_grid(kind, 6.0, resolution)
+    zero = grids.zero_field(grid)
+    b = families.bump(grid, 0.5, amplitude=0.6)
+    assert energy.pair_gradient(energy.energy_gradient(zero, F1, V1), b) == 0.0
+    assert energy.pair_gradient(energy.energy_gradient(b, F1, V1), b) < 0
+    assert solver._may_have_hump(zero, b, F1, V1, {})
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+def test_gate_searches_a_segment_with_a_saturated_endpoint(kind, resolution,
+                                                          monkeypatch):
+    grid = grids.build_grid(kind, 6.0, resolution)
+    searched = []
+
+    def recorded(a, b, spec, potential):
+        searched.append(b)
+        return 0.5, -np.inf      # never a hump: the path stays as it is
+    monkeypatch.setattr(solver, "_segment_max", recorded)
+    a = families.bump(grid, 0.5, amplitude=2.0)
+    calm, clamped = (families.bump(grid, 0.5, amplitude=t) for t in (4.0, 10.0))
+    assert not np.any(nl.saturation_mask(F1, calm.values))
+    assert np.any(nl.saturation_mask(F1, clamped.values))
+    for b in (calm, clamped):
+        solver._insert_segment_humps([a, b], [0.0, 0.0], [0], F1, V1, {})
+    # the slopes rule a hump out on the calm segment; on the clamped one
+    # they are not trusted
+    assert len(searched) == 1 and searched[0] is clamped
+
+
+C12_SETTINGS = dict(domain_radius=6.0, resolution=48, max_iterations=2000,
+                    residual_tolerance=2e-4, seed=11)
+
+
+@pytest.mark.parametrize("spec, potential", [
+    (F1, V1), (F1, PeriodicCoefficient(1.0, 0.5))], ids=["C12", "periodic-V"])
+def test_gated_solve_reaches_the_ungated_level(spec, potential, monkeypatch):
+    cfg = solver.SolverConfig(spec=spec, potential=potential, **C12_SETTINGS)
+    gated = solver.solve_mountain_pass(cfg)
+    monkeypatch.setattr(solver, "_may_have_hump", lambda *args: True)
+    ungated = solver.solve_mountain_pass(cfg)
+    assert gated.converged and ungated.converged
+    assert abs(gated.level - ungated.level) <= 1e-6 * ungated.level
+
+
+def test_gradients_are_kept_for_live_path_nodes_only(monkeypatch):
+    insert = solver._insert_segment_humps
+    cached = []
+
+    def checked(path, levels, segments, spec, potential, gradients):
+        live = {id(u) for u in path}
+        assert all(id(u) in live for u in gradients)
+        cached.append(len(gradients))
+        return insert(path, levels, segments, spec, potential, gradients)
+    monkeypatch.setattr(solver, "_insert_segment_humps", checked)
+    cfg = solver.SolverConfig(spec=F1, potential=V1, **C12_SETTINGS)
+    assert solver.solve_mountain_pass(cfg).converged
+    assert max(cached) > 0
