@@ -59,8 +59,7 @@ def _tail_mass_fraction(field: grids.GridField) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_check_assumptions(cfg: RunConfig):
-    plan = nl.ScanPlan(s_max=cfg.scan["s_max"], num=cfg.scan["points"])
-    report = nl.check_assumptions(cfg.spec, plan, potential=cfg.potential)
+    report = nl.check_assumptions(cfg.spec, cfg.scan, potential=cfg.potential)
     value, argmin = nl.compute_script_V(cfg.q, cfg.potential.max_within(0.5))
     results = {
         "f1_ok": report.f1_ok, "f2_ok": report.f2_ok,
@@ -84,8 +83,6 @@ def cmd_check_assumptions(cfg: RunConfig):
 
 
 def cmd_verify_embedding(cfg: RunConfig):
-    if cfg.grid_kind != "radial":
-        raise ValidationError("verify-embedding needs a radial grid")
     grid = grids.build_grid("radial", cfg.domain_radius, cfg.resolution)
     n_points = cfg.embedding["bound_points"]
     r = np.geomspace(1e-6, 1e4, n_points)
@@ -288,11 +285,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command, output_path=args.output,
                           output_format=args.format, seed=args.seed)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         results, diagnostics, code = COMMANDS[args.command](cfg)
+        report = reports.build_report(args.command, _resolved_config(cfg),
+                                      results, diagnostics)
+        text = reports.write_report(report, cfg.output_path, cfg.output_format)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -302,9 +298,9 @@ def main(argv=None) -> int:
     except LogChoquardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = reports.build_report(args.command, _resolved_config(cfg),
-                                  results, diagnostics)
-    text = reports.write_report(report, cfg.output_path, cfg.output_format)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if cfg.output_path is None:
         sys.stdout.write(text)
     else:

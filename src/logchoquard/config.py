@@ -1,16 +1,20 @@
 """Run configuration: a plain key-value text file with nested sections.
 
 Sections: [grid], [nonlinearity], [potential], [solver], [embedding],
-[moser], [kernel_bench], [output].  Every command validates the complete
-configuration before any computation starts; defaults live in the single
-table below.
+[moser], [kernel_bench], [scan], [output].  ``DEFAULTS`` is the one table
+of keys; each default's value gives the key's type: str, int, float,
+``None`` for an optional float and a tuple for a comma list of ints.  The
+[solver] rows are the defaults of ``SolverConfig``.  ``%`` is literal.
+Every command validates the complete configuration before any computation
+starts, and a malformed file raises ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import grids
@@ -21,61 +25,51 @@ from .solver import SolverConfig
 from .spaces import PeriodicCoefficient
 
 DEFAULTS = {
-    "grid": {
-        "kind": "radial",
-        "domain_radius": "20.0",
-        "resolution": "2048",
-    },
-    "nonlinearity": {
-        "kind": "exp_minus_one",
-        "q": "",                # required
-        "p": "",
-        "s0": "1.0",
-        "beta": "1.0",
-        "c_floor": "1.0",
-        "c_amplitude": "0.0",
-    },
-    "potential": {
-        "floor": "1.0",
-        "amplitude": "0.0",
-    },
-    "solver": {
-        # the solve command runs on a cartesian lattice whose cell divides 1,
-        # so integer-lattice recentering is an exact whole-cell roll
-        "grid_kind": "cartesian",
-        "domain_radius": "16.0",
-        "resolution": "128",
-        "path_nodes": "16",
-        "descent_step": "1.0",
-        "max_iterations": "20000",
-        "residual_tolerance": "1e-4",
-        "rho_sphere": "1e-2",
-        "witness_radius": "0.25",
-    },
-    "embedding": {
-        "alpha": "",            # defaults to 2 pi at runtime
-        "bound_points": "10000",
-        "moser_ns": "4,8,16,32,64",
-        "rho": "0.5",
-    },
-    "moser": {
-        "ns": "8,16,32,64",
-        "rho": "0.5",
-        "t_max": "4.0",
-        "ray_samples": "96",
-    },
-    "kernel_bench": {
-        "sizes": "16,32,64",
-        "pairs": "20",
-        "bench_radius": "4.0",
-    },
-    "scan": {
-        "s_max": "10.0",
-        "points": "2000",
-    },
+    "grid": {"kind": "radial", "domain_radius": 20.0, "resolution": 2048},
+    # q is required; an unset p is P_BY_KIND[kind]
+    "nonlinearity": {"kind": "exp_minus_one", "q": None, "p": None, "s0": 1.0,
+                     "beta": 1.0, "c_floor": 1.0, "c_amplitude": 0.0},
+    "potential": {"floor": 1.0, "amplitude": 0.0},
+    "solver": {f.name: f.default for f in fields(SolverConfig)
+               if f.name not in ("spec", "potential", "seed")},
+    # an unset alpha is 2 pi
+    "embedding": {"alpha": None, "bound_points": 10000,
+                  "moser_ns": (4, 8, 16, 32, 64), "rho": 0.5},
+    "moser": {"ns": (8, 16, 32, 64), "rho": 0.5, "t_max": 4.0, "ray_samples": 96},
+    "kernel_bench": {"sizes": (16, 32, 64), "pairs": 20, "bench_radius": 4.0},
+    "scan": {"s_max": 10.0, "points": 2000},
+    "output": {"path": ""},
 }
 
-KNOWN_SECTIONS = set(DEFAULTS) | {"output"}
+P_BY_KIND = {"exp_minus_one": 1.0, "power_exp": None, "piecewise": 2.0}  # None: q
+
+
+def _least(bound):
+    """(test, rule) that a number, or each entry of a list, is >= bound."""
+    return (lambda v: min(v if isinstance(v, tuple) else (v,)) >= bound,
+            f"must be >= {bound}")
+
+
+# range checks that no constructor below makes: (section, key, test, rule)
+CHECKS = (
+    ("grid", "kind", lambda v: v == "radial", "must be radial ([solver] sets the "
+     "solve lattice)"),
+    ("grid", "domain_radius", lambda v: v > 0, "must be positive"),
+    ("grid", "resolution", *_least(grids.MIN_RESOLUTION)),
+    ("nonlinearity", "kind", lambda v: v in P_BY_KIND, "is not configurable"),
+    ("nonlinearity", "q", lambda v: v is not None, "is required"),
+    ("embedding", "alpha", lambda v: v is None or v > 0, "must be positive"),
+    ("embedding", "bound_points", *_least(1)),
+    ("embedding", "moser_ns", *_least(2)),
+    ("embedding", "rho", lambda v: 0 < v <= 0.5, "must lie in (0, 1/2]"),
+    ("moser", "ns", *_least(2)),
+    ("moser", "rho", lambda v: 0 < v <= 0.5, "must lie in (0, 1/2]"),
+    ("moser", "t_max", lambda v: v > 0, "must be positive"),
+    ("moser", "ray_samples", *_least(MIN_RAY_SAMPLES)),
+    ("kernel_bench", "sizes", *_least(grids.MIN_RESOLUTION)),
+    ("kernel_bench", "pairs", *_least(1)),
+    ("kernel_bench", "bench_radius", lambda v: v > 0, "must be positive"),
+)
 
 
 @dataclass(frozen=True)
@@ -91,184 +85,94 @@ class RunConfig:
     embedding: dict
     moser: dict
     kernel_bench: dict
-    scan: dict
+    scan: nl.ScanPlan
     output_path: Optional[str] = None
     output_format: str = "json"
     seed: int = 0
 
 
-def _merged(parser: configparser.ConfigParser) -> dict:
-    for section in parser.sections():
-        if section not in KNOWN_SECTIONS:
-            raise ValidationError(f"unknown config section [{section}]")
-    merged = {}
-    for section, defaults in DEFAULTS.items():
-        block = dict(defaults)
-        if parser.has_section(section):
-            for key, value in parser.items(section):
-                if key not in defaults:
-                    raise ValidationError(
-                        f"unknown key {key!r} in section [{section}]")
-                block[key] = value
-        merged[section] = block
-    merged["output"] = dict(parser.items("output")) if parser.has_section("output") else {}
-    return merged
-
-
-def _as_float(block, section, key):
-    raw = block.get(key, "")
+def _parse(section: str, key: str, raw: str, default):
+    """``raw`` as a value of the type of ``default``."""
+    if isinstance(default, str):
+        return raw
+    if default is None and not raw.strip():
+        return None
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValidationError(f"[{section}] {key} must be a finite number, got {raw!r}")
-    return value
-
-
-def _as_int(block, section, key):
-    raw = block.get(key, "")
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"[{section}] {key} must be an integer, got {raw!r}")
-
-
-def _int_list(block, section, key):
-    raw = block.get(key, "")
-    try:
-        return [int(tok) for tok in str(raw).replace(" ", "").split(",") if tok]
+        if isinstance(default, tuple):
+            value = tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
+            if value:
+                return value
+        elif isinstance(default, int):
+            return int(raw)
+        elif math.isfinite(value := float(raw)):
+            return value
     except ValueError:
-        raise ValidationError(f"[{section}] {key} must be a comma list of integers")
+        pass
+    kind = {tuple: "a non-empty comma list of integers", int: "an integer"}.get(
+        type(default), "a finite number")
+    raise ValidationError(f"[{section}] {key} must be {kind}, got {raw!r}")
 
 
-def _bounded_list(block, section, key, least):
-    values = _int_list(block, section, key)
-    if not values or min(values) < least:
-        raise ValidationError(
-            f"[{section}] {key} must be a non-empty list of integers >= {least}")
+def _read(path: Optional[str]) -> dict:
+    """Every section of ``DEFAULTS``, with the file's values parsed over it."""
+    # [DEFAULT] is an ordinary section to a parser whose default section
+    # no line can name, so it is reported as unknown like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    try:
+        if path is not None and not parser.read(path, encoding="utf-8"):
+            raise ValidationError(f"cannot read config file {path!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"malformed config file {path!r}: {exc}") from exc
+    values = {section: dict(rows) for section, rows in DEFAULTS.items()}
+    for section in parser.sections():
+        if section not in DEFAULTS:
+            raise ValidationError(f"unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in DEFAULTS[section]:
+                raise ValidationError(f"unknown key {key!r} in section [{section}]")
+            values[section][key] = _parse(section, key, raw, DEFAULTS[section][key])
     return values
 
 
-def _build_spec(block) -> tuple:
-    kind = block.get("kind", "exp_minus_one")
-    if kind not in nl.KINDS or kind == "custom":
-        raise ValidationError(f"[nonlinearity] kind {kind!r} is not configurable")
-    if not block["q"].strip():
-        raise ValidationError("[nonlinearity] q is required")
-    q = _as_float(block, "nonlinearity", "q")
-    p_raw = str(block.get("p", "")).strip()
-    if p_raw:
-        p = _as_float(block, "nonlinearity", "p")
-    else:
-        p = {"exp_minus_one": 1.0, "power_exp": q, "piecewise": 2.0}[kind]
+def _build(section: str, make, *args, **kwargs):
     try:
-        spec = nl.NonlinearitySpec(
-            kind=kind, p=p, q=q,
-            s0=_as_float(block, "nonlinearity", "s0"),
-            beta=_as_float(block, "nonlinearity", "beta"),
-            c_profile=PeriodicCoefficient(
-                _as_float(block, "nonlinearity", "c_floor"),
-                _as_float(block, "nonlinearity", "c_amplitude")))
-    except Exception as exc:
-        raise ValidationError(f"invalid nonlinearity block: {exc}")
-    return spec, q
+        return make(*args, **kwargs)
+    except InvalidParameterError as exc:
+        raise ValidationError(f"[{section}] {exc}") from exc
 
 
 def load_config(path: Optional[str], command: str, output_path=None,
                 output_format="json", seed=0) -> RunConfig:
     """Parse and fully validate a configuration file (or pure defaults)."""
-    parser = configparser.ConfigParser()
-    if path is not None:
-        read = parser.read(path)
-        if not read:
-            raise ValidationError(f"cannot read config file {path!r}")
-    merged = _merged(parser)
-
-    gblock = merged["grid"]
-    grid_kind = gblock.get("kind", "radial")
-    if grid_kind not in ("radial", "cartesian"):
-        raise ValidationError(f"[grid] kind must be radial or cartesian")
-    radius = _as_float(gblock, "grid", "domain_radius")
-    resolution = _as_int(gblock, "grid", "resolution")
-    if not radius > 0 or resolution < 8:
-        raise ValidationError("[grid] needs domain_radius > 0, resolution >= 8")
-
-    spec, q = _build_spec(merged["nonlinearity"])
-    pblock = merged["potential"]
-    floor = _as_float(pblock, "potential", "floor")
-    amplitude = _as_float(pblock, "potential", "amplitude")
-    if not floor > 0 or not amplitude >= 0:
-        raise ValidationError("[potential] needs floor > 0 and amplitude >= 0")
-    potential = PeriodicCoefficient(floor, amplitude)
-
-    sblock = merged["solver"]
-    try:
-        solver = SolverConfig(
-            spec=spec, potential=potential, seed=seed,
-            grid_kind=sblock["grid_kind"],
-            domain_radius=_as_float(sblock, "solver", "domain_radius"),
-            resolution=_as_int(sblock, "solver", "resolution"),
-            path_nodes=_as_int(sblock, "solver", "path_nodes"),
-            descent_step=_as_float(sblock, "solver", "descent_step"),
-            max_iterations=_as_int(sblock, "solver", "max_iterations"),
-            residual_tolerance=_as_float(sblock, "solver", "residual_tolerance"),
-            rho_sphere=_as_float(sblock, "solver", "rho_sphere"),
-            witness_radius=_as_float(sblock, "solver", "witness_radius"))
-    except InvalidParameterError as exc:
-        raise ValidationError(f"[solver] {exc}")
-
-    eblock = merged["embedding"]
-    embedding = {
-        "alpha": (_as_float(eblock, "embedding", "alpha")
-                  if str(eblock.get("alpha", "")).strip() else None),
-        "bound_points": _as_int(eblock, "embedding", "bound_points"),
-        "moser_ns": _bounded_list(eblock, "embedding", "moser_ns", 2),
-        "rho": _as_float(eblock, "embedding", "rho"),
-    }
-    mblock = merged["moser"]
-    moser = {
-        "ns": _bounded_list(mblock, "moser", "ns", 2),
-        "rho": _as_float(mblock, "moser", "rho"),
-        "t_max": _as_float(mblock, "moser", "t_max"),
-        "ray_samples": _as_int(mblock, "moser", "ray_samples"),
-    }
-    if not 0.0 < moser["rho"] <= 0.5:
-        raise ValidationError("[moser] rho must lie in (0, 1/2]")
-    if moser["ray_samples"] < MIN_RAY_SAMPLES or not moser["t_max"] > 0:
-        raise ValidationError(
-            f"[moser] needs ray_samples >= {MIN_RAY_SAMPLES} and t_max > 0")
-    if not 0.0 < embedding["rho"] <= 0.5:
-        raise ValidationError("[embedding] rho must lie in (0, 1/2]")
-    if embedding["alpha"] is not None and not embedding["alpha"] > 0:
-        raise ValidationError("[embedding] alpha must be positive")
-    if embedding["bound_points"] < 1:
-        raise ValidationError("[embedding] bound_points must be >= 1")
-    kblock = merged["kernel_bench"]
-    kernel_bench = {
-        "sizes": _bounded_list(kblock, "kernel_bench", "sizes",
-                               grids.MIN_RESOLUTION),
-        "pairs": _as_int(kblock, "kernel_bench", "pairs"),
-        "bench_radius": _as_float(kblock, "kernel_bench", "bench_radius"),
-    }
-    if kernel_bench["pairs"] < 1 or not kernel_bench["bench_radius"] > 0:
-        raise ValidationError("[kernel_bench] needs pairs >= 1 and bench_radius > 0")
-    scblock = merged["scan"]
-    scan = {
-        "s_max": _as_float(scblock, "scan", "s_max"),
-        "points": _as_int(scblock, "scan", "points"),
-    }
-    if not scan["s_max"] >= 10.0:
-        raise ValidationError("[scan] s_max must be >= 10")
-
-    out = merged["output"]
+    values = _read(path)
+    for section, key, test, rule in CHECKS:
+        if not test(values[section][key]):
+            raise ValidationError(f"[{section}] {key} {rule}, got "
+                                  f"{values[section][key]!r}")
     if output_format not in ("json", "csv"):
         raise ValidationError("output format must be json or csv")
+    output_path = output_path or values["output"]["path"] or None
+    if output_path is not None and not os.path.isdir(
+            os.path.dirname(os.path.abspath(output_path))):
+        raise ValidationError(f"no directory to write {output_path!r} into")
+
+    grid, nonlin = values["grid"], dict(values["nonlinearity"])
+    q = nonlin["q"]
+    if nonlin["p"] is None:
+        nonlin["p"] = P_BY_KIND[nonlin["kind"]] or q
+    c_profile = _build("nonlinearity", PeriodicCoefficient,
+                       nonlin.pop("c_floor"), nonlin.pop("c_amplitude"))
+    spec = _build("nonlinearity", nl.NonlinearitySpec, c_profile=c_profile, **nonlin)
+    potential = _build("potential", PeriodicCoefficient, **values["potential"])
     return RunConfig(
-        command=command, grid_kind=grid_kind, domain_radius=radius,
-        resolution=resolution, spec=spec, potential=potential, q=q,
-        solver=solver, embedding=embedding, moser=moser,
-        kernel_bench=kernel_bench, scan=scan,
-        output_path=output_path or out.get("path"),
-        output_format=output_format, seed=seed,
+        command=command, grid_kind=grid["kind"],
+        domain_radius=grid["domain_radius"], resolution=grid["resolution"],
+        spec=spec, potential=potential, q=q,
+        solver=_build("solver", SolverConfig, spec=spec, potential=potential,
+                      seed=seed, **values["solver"]),
+        embedding=values["embedding"], moser=values["moser"],
+        kernel_bench=values["kernel_bench"],
+        scan=_build("scan", nl.ScanPlan, s_max=values["scan"]["s_max"],
+                    num=values["scan"]["points"]),
+        output_path=output_path, output_format=output_format, seed=seed,
     )

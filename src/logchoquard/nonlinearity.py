@@ -64,9 +64,10 @@ class NonlinearitySpec:
             raise InvalidParameterError("custom specs need f and f' callables")
 
     @property
-    def splice_constant(self) -> float:
-        """c making the piecewise F continuous at s0."""
-        return self.s0 ** (self.q - self.p) * math.exp(-A_CRIT * self.s0**2)
+    def log_splice_constant(self) -> float:
+        """log c, with c making the piecewise F continuous at s0 (c itself
+        underflows to 0 from s0 ~ 7.7 on)."""
+        return (self.q - self.p) * math.log(self.s0) - A_CRIT * self.s0 * self.s0
 
 
 def saturation_mask(spec: NonlinearitySpec, s) -> np.ndarray:
@@ -93,14 +94,15 @@ def _poly(p, a, k, s):
     return p * (p - 1) + 2 * a * (2 * p + 1) * s**2 + 4 * a**2 * s**4
 
 
-def _by_piece(spec: NonlinearitySpec, s, form):
+def _by_piece(spec: NonlinearitySpec, s, form, log: bool = False):
     """form(c, p, a) on each piece c s^p e^{a s^2} of a built-in kind,
-    joined at the splice s0 of piecewise."""
+    joined at the splice s0 of piecewise; c is passed as log c if ``log``."""
     if spec.kind == "piecewise":
-        return np.where(s <= spec.s0, form(1.0, spec.q, 0.0),
-                        form(spec.splice_constant, spec.p, A_CRIT))
+        c = spec.log_splice_constant if log else np.exp(spec.log_splice_constant)
+        return np.where(s <= spec.s0, form(0.0 if log else 1.0, spec.q, 0.0),
+                        form(c, spec.p, A_CRIT))
     c, p = {"power_exp": (1.0, spec.p), "exp_minus_one": (2 * A_CRIT, 1.0)}[spec.kind]
-    return form(c, p, A_CRIT)
+    return form(math.log(c) if log else c, p, A_CRIT)
 
 
 def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False):
@@ -113,8 +115,8 @@ def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False):
                 else np.expm1(np.minimum(x, EXP_GUARD))
         k -= 1
     if log:
-        return _by_piece(spec, s, lambda c, p, a: math.log(c) + (p - k) * np.log(s)
-                         + np.log(_poly(p, a, k, s)) + a * s**2)
+        return _by_piece(spec, s, lambda log_c, p, a: log_c + (p - k) * np.log(s)
+                         + np.log(_poly(p, a, k, s)) + a * s**2, log=True)
     return _by_piece(spec, s, lambda c, p, a: c * s ** (p - k) * _poly(p, a, k, s)
                      * np.exp(np.minimum(a * s**2, EXP_GUARD)))
 
@@ -365,10 +367,13 @@ def G_lower_bound_holds(spec: NonlinearitySpec, report: AssumptionReport,
 def growth_bracket(q: float, V_bound: float, rho):
     """V + (2 pi)^{2/q-1} log^{2/q}(1+rho) ([q]!/2^{[q]-1}) (1 + ([q]+1)/2),
     the bracket shared by the Moser norm expansion and the threshold constant.
-    [q] is the integer floor; half-integer q is admitted."""
+    [q] is the integer floor; half-integer q is admitted.  [q]!/2^{[q]-1}
+    is exact while lgamma shows it fits a float, and inf beyond."""
     rho = np.asarray(rho, dtype=float)
     fq = math.floor(q)
-    combinatorial = math.factorial(fq) / 2.0 ** (fq - 1) * (1.0 + (fq + 1) / 2.0)
+    fits = math.lgamma(fq + 1) - (fq - 1) * math.log(2.0) < 709.0
+    combinatorial = (math.factorial(fq) / 2 ** (fq - 1) if fits else math.inf) \
+        * (1.0 + (fq + 1) / 2.0)
     out = V_bound + (2 * np.pi) ** (2.0 / q - 1.0) \
         * np.log1p(rho) ** (2.0 / q) * combinatorial
     return out if out.ndim else float(out)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logchoquard import cli, families, grids, reports
-from logchoquard.config import load_config
+from logchoquard.config import DEFAULTS, load_config
 from logchoquard.errors import InvalidParameterError, ValidationError
 
 
@@ -143,6 +143,9 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     ("moser", "t_max = 0"),
     ("embedding", "alpha = 0"),
     ("embedding", "alpha = -1"),
+    ("output", "pth = x"),
+    ("scan", "points = 99"),
+    ("grid", "kind = cartesian"),
 ])
 def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, setting):
     if setting.startswith("q ="):
@@ -156,6 +159,144 @@ def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, set
         assert cli.main([command, "--config", path,
                          "--output", str(tmp_path / "out.json")]) == 2
         assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("text", [
+    b"[nonlinearity]\nq = 2\nq = 2\n",
+    b"[nonlinearity]\nq = 2\n[nonlinearity]\nq = 3\n",
+    b"q = 2\n[nonlinearity]\nq = 2\n",
+    b"[nonlinearity]\nq = 2\nkind\n",
+    b"[nonlinearity]\nq = 2%\n",
+    b"[nonlinearity]\nq = 2\xff\n",
+    b"[DEFAULT]\nq = 2\n[nonlinearity]\nq = 2\n",
+    b"[DEFAULT]\n[nonlinearity]\nq = 2\n",
+], ids=["duplicate-key", "duplicate-section", "key-before-header", "no-equals",
+        "percent", "non-utf8-byte", "default-section", "empty-default-section"])
+def test_cli_malformed_ini_exits_2(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text)
+    out = tmp_path / "out.json"
+    assert cli.main(["check-assumptions", "--config", str(path),
+                     "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_output_path_from_the_file_takes_percent_literally(tmp_path):
+    out = tmp_path / "report%1.json"
+    path = write_config(tmp_path, BASE + f"\n[output]\npath = {out}\n")
+    assert cli.main(["check-assumptions", "--config", path]) == 0
+    assert '"f4_ok": true' in out.read_text()
+
+
+@pytest.mark.parametrize("block", [
+    "kind = piecewise\nq = 2\ns0 = 10\n",        # the splice constant underflows
+    "q = 1e300\n",                                # [q]! overflows
+    "kind = piecewise\nq = 400\np = 0.5\n",       # [q]!/2^([q]-1) overflows
+    "kind = piecewise\nq = 2\ns0 = 1e300\n",      # s0^2 overflows
+    "kind = piecewise\nq = 1e4\np = 0.5\ns0 = 2\n",  # the splice constant overflows
+], ids=["piecewise-s0-10", "q-1e300", "piecewise-q-400", "piecewise-s0-1e300",
+        "piecewise-q-1e4"])
+def test_cli_check_assumptions_extreme_nonlinearity(tmp_path, block):
+    path = write_config(tmp_path, "[nonlinearity]\n" + block)
+    out = tmp_path / "out.json"
+    assert cli.main(["check-assumptions", "--config", path,
+                     "--output", str(out)]) in (0, 3)
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-assumptions", "solve"])
+def test_cli_unwritable_output_exits_2(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, BASE + "\n[solver]\nmax_iterations = 1\n")
+    missing = tmp_path / "missing" / "out.json"
+    assert cli.main([command, "--config", path, "--output", str(missing)]) == 2
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_report_path_that_is_a_directory_exits_2(tmp_path):
+    # the directory exists, so the write itself fails, after the computation
+    path = write_config(tmp_path, BASE)
+    (tmp_path / "taken.json").mkdir()
+    assert cli.main(["check-assumptions", "--config", path,
+                     "--output", str(tmp_path / "taken.json")]) == 2
+
+
+KINDS = ["radial", "cartesian", "exp_minus_one", "power_exp", "piecewise", "custom"]
+FUZZ_VALUES = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(KINDS + ["", "  ", "nan", "-nan", "inf", "-inf", "1e300", "-1e300",
+                             "1e-300", "yes", "8, 16,32", "1,,2", ",", "2%", "%(q)s",
+                             "%%", "x.json"]),
+    st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=4).map(
+        lambda ints: ",".join(map(str, ints))),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+UNKNOWN_SECTIONS = ["DEFAULT", "mystery", "Grid"]
+DEFECTS = {"duplicate-key": "q = 2", "duplicate-section": "[nonlinearity]",
+           "key-before-header": "q = 2", "no-equals": "kind",
+           "continuation": "  8", "byte": "q = 2\udcff"}
+
+
+@st.composite
+def ini_files(draw):
+    """INI bytes: keys of the config table with values of their own type
+    around the default.  Half the files are otherwise clean; in the rest,
+    each value may be wild, and a missing q, an unknown section, an unknown
+    key and structural defects each occur in about half of them."""
+    clean = draw(st.booleans())
+
+    def rarely(odds=2):
+        return not clean and draw(st.integers(0, odds - 1)) == 0
+
+    def value(default):
+        if rarely(4):
+            return draw(FUZZ_VALUES)
+        if isinstance(default, tuple):
+            return ",".join(map(str, draw(st.lists(st.integers(2, 64), min_size=1,
+                                                   max_size=4))))
+        if isinstance(default, str):
+            return draw(st.sampled_from([default] + KINDS))
+        if isinstance(default, int):
+            return str(draw(st.integers(0, min(2 * default, 10**4))))
+        low, high = (1.0, 8.0) if default is None else (default / 2, 2 * default or 1.0)
+        return repr(draw(st.floats(low, high)))
+
+    others = [section for section in DEFAULTS if section != "nonlinearity"]
+    sections = [] if rarely() else ["nonlinearity"]
+    sections += draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    if rarely():
+        sections.insert(draw(st.integers(0, len(sections))),
+                        draw(st.sampled_from(UNKNOWN_SECTIONS)))
+    lines = []
+    for section in sections:
+        lines.append(f"[{section}]")
+        rows = dict(DEFAULTS.get(section, {}))
+        if section == "nonlinearity" and not rarely():
+            lines.append(f"q = {value(rows.pop('q'))}")
+        keys = draw(st.lists(st.sampled_from(sorted(rows) or ["x"]), max_size=4,
+                             unique=True))
+        if rarely():
+            keys.append(draw(st.sampled_from(["typo", "Q"])))
+        lines += [f"{key} = {value(rows.get(key))}" for key in keys]
+    if rarely():
+        for defect in draw(st.lists(st.sampled_from(sorted(DEFECTS)), min_size=1,
+                                    max_size=2)):
+            at = 0 if defect == "key-before-header" else draw(
+                st.integers(0, len(lines)))
+            lines[at:at] = [DEFECTS[defect]] * (2 if defect == "duplicate-key" else 1)
+    return "\n".join(lines).encode("utf-8", "surrogateescape") + b"\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=ini_files())
+def test_fuzzed_ini_files_exit_with_a_documented_code(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    code = cli.main(["check-assumptions", "--config", str(path),
+                     "--output", str(tmp_path / "fuzz.json")])
+    assert code in (0, 2, 3, 4)
 
 
 def test_verify_embedding_reports_the_configured_alpha(tmp_path):

@@ -65,6 +65,24 @@ def test_piecewise_continuous_at_splice():
     assert abs(left - right) < 1e-9 * max(left, 1.0)
 
 
+def test_piecewise_log_form_survives_an_underflowing_splice_constant():
+    # c = s0^(q-p) e^{-4 pi s0^2} is 0 in floats from s0 ~ 7.7 on; log F above
+    # the splice is log c + p log s + 4 pi s^2 all the same
+    spec = nl.NonlinearitySpec("piecewise", p=2.0, q=3.0, s0=10.0)
+    s = 12.0
+    log_c = math.log(10.0) - 4 * math.pi * 100.0
+    assert nl.log_F(spec, s) == pytest.approx(log_c + 2 * math.log(s)
+                                              + 4 * math.pi * s**2, rel=1e-14)
+
+
+def test_growth_bracket_overflows_to_inf_not_an_exception():
+    # [q]!/2^([q]-1) stays exact while it fits a float: 2.5 at q = 2
+    assert nl.growth_bracket(2.0, 1.0, math.e - 1) == 1.0 + 2.5
+    assert nl.growth_bracket(170.0, 1.0, 0.5) < math.inf    # 170! alone fills a float
+    for q in (400.0, 1e300):
+        assert nl.growth_bracket(q, 1.0, 0.5) == math.inf
+
+
 def test_ratio_F1_small_s_limit():
     # series oracle: (1 - e^{-4 pi s^2}) (1 + 8 pi s^2) / (8 pi s^2) -> 1/2
     s = np.geomspace(1e-8, 1e-4, 50)
