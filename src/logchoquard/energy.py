@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from . import grids, kernel
 from . import nonlinearity as nl
+from .brent import minimize_bounded
 from .errors import (EmptyFamilyError, InvalidParameterError,
                      NoInteriorMaxError)
 from .families import moser_profile
@@ -229,10 +229,10 @@ def ray_analysis(u: grids.GridField, spec: nl.NonlinearitySpec,
             f"I_V(t u) is still increasing at t_max = {t_max}; raise t_max")
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, samples - 1)]
-    res = sp_optimize.minimize_scalar(
+    t_star, value = minimize_bounded(
         lambda t: -total_energy(u.with_values(t * u.values), spec, potential),
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    t_star, max_val = float(res.x), float(-res.fun)
+        lo, hi, 1e-10)
+    max_val = -value
     if energies[k] > max_val:
         t_star, max_val = float(ts[k]), float(energies[k])
     ts = np.append(ts, t_star)

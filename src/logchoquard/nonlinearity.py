@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as sp_integrate
-from scipy import optimize as sp_optimize
 
+from .brent import minimize_bounded
 from .errors import InvalidParameterError, QuadratureFailureError
 from .spaces import EXP_GUARD, PeriodicCoefficient
 
@@ -159,13 +158,14 @@ def eval_f_prime(spec: NonlinearitySpec, s):
 def _custom_F(spec: NonlinearitySpec, sp):
     if spec.F_callable is not None:
         return np.asarray(spec.F_callable(sp), dtype=float)
+    from scipy.integrate import quad
     flat = np.atleast_1d(sp).ravel()
     order = np.argsort(flat)
     out = np.empty_like(flat)
     acc, prev = 0.0, 0.0
     for idx in order:
-        val, _ = sp_integrate.quad(spec.f_callable, prev, flat[idx],
-                                   epsrel=1e-10, limit=200)
+        val, _ = quad(spec.f_callable, prev, flat[idx], epsrel=1e-10,
+                      limit=200)
         acc += val
         out[idx] = acc
         prev = flat[idx]
@@ -223,7 +223,8 @@ def G_auxiliary(spec: NonlinearitySpec, t: float) -> float:
             raise QuadratureFailureError(f"non-finite ratio at s = {s}")
         return math.sqrt(val)
 
-    val, _ = sp_integrate.quad(integrand, 0.0, t, limit=200)
+    from scipy.integrate import quad
+    val, _ = quad(integrand, 0.0, t, limit=200)
     return float(val)
 
 
@@ -401,11 +402,8 @@ def compute_script_V(q: float, V_half: float, scan_points: int = 200_001):
     i = int(np.argmin(vals))
     lo = rho[max(i - 1, 0)]
     hi = rho[min(i + 1, len(rho) - 1)]
-    res = sp_optimize.minimize_scalar(
-        lambda x: script_V_integrand(x, q, V_half),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-14})
-    best_rho, best_val = float(res.x), float(res.fun)
+    best_rho, best_val = minimize_bounded(
+        lambda x: script_V_integrand(x, q, V_half), lo, hi, 1e-14)
     if vals[i] < best_val:
         best_rho, best_val = float(rho[i]), float(vals[i])
     # the endpoint is admissible and often the minimizer

@@ -1,14 +1,16 @@
 """Run reports: schema-stable JSON/CSV emission and field persistence.
 
 JSON reports go through ``json.dumps``, whose shortest-repr floats
-round-trip float64 exactly; CSV reports and field files write floats with
-17 significant digits, which round-trips as well.  Report bytes are
+round-trip float64 exactly; a non-finite float is written as ``null``, so
+every JSON report is strict JSON.  CSV reports and field files write floats
+with 17 significant digits, which round-trips as well.  Report bytes are
 bit-reproducible for identical runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -28,15 +30,17 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _to_jsonable(obj):
+def _to_jsonable(obj, finite=False):
+    """Plain Python values; with ``finite`` a nan or inf becomes None."""
     if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
+        return {str(k): _to_jsonable(v, finite) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
+        return [_to_jsonable(v, finite) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return [_to_jsonable(v, finite) for v in obj.tolist()]
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return None if finite and not math.isfinite(obj) else obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -45,7 +49,8 @@ def _to_jsonable(obj):
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_to_jsonable(payload), indent=2) + "\n"
+    return json.dumps(_to_jsonable(payload, finite=True), indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _flatten(obj, prefix, rows):

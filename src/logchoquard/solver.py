@@ -31,10 +31,10 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy import optimize as sp_optimize
 
 from . import energy, families, grids
 from . import nonlinearity as nl
+from .brent import minimize_bounded
 from .errors import GeometryFailureError, InvalidParameterError
 from .spaces import PeriodicCoefficient, WeightSpec, norm_1qw
 
@@ -203,10 +203,8 @@ def _segment_max(a, b, spec, potential):
     def negative(s):
         vals = (1.0 - s) * a.values + s * b.values
         return -energy.total_energy(a.with_values(vals), spec, potential)
-    res = sp_optimize.minimize_scalar(negative, bounds=(0.0, 1.0),
-                                      method="bounded",
-                                      options={"xatol": 1e-3})
-    return float(res.x), float(-res.fun)
+    s, value = minimize_bounded(negative, 0.0, 1.0, 1e-3)
+    return s, -value
 
 
 def _node_gradient(u, gradients, spec, potential):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import grids
 from .errors import (DomainError, EmptyFamilyError, GridMismatchError,
@@ -231,6 +230,7 @@ def transform_to_unweighted(u: grids.GridField) -> grids.GridField:
         raise GridMismatchError("transform_to_unweighted requires a radial profile")
     s_radius = radial_map_T(u.grid.domain_radius)
     image_grid = grids.build_grid("radial", s_radius, u.grid.resolution)
+    from scipy.interpolate import PchipInterpolator
     r_nodes, u_vals = _augment_origin(u.grid.nodes, u.values)
     with np.errstate(over="ignore", invalid="ignore"):   # flat segments
         interp = PchipInterpolator(r_nodes, u_vals, extrapolate=False)
@@ -243,6 +243,7 @@ def transform_from_unweighted(v: grids.GridField, target_grid: grids.Grid) -> gr
     """Inverse resampling: u(r) = v(T(r)) on the given radial grid."""
     if v.grid.kind != "radial" or target_grid.kind != "radial":
         raise GridMismatchError("transform_from_unweighted requires radial grids")
+    from scipy.interpolate import PchipInterpolator
     s_nodes, v_vals = _augment_origin(v.grid.nodes, v.values)
     with np.errstate(over="ignore", invalid="ignore"):
         interp = PchipInterpolator(s_nodes, v_vals, extrapolate=False)

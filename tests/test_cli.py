@@ -1,6 +1,10 @@
 """CLI commands, configuration validation, report and field round trips."""
 
+import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -336,16 +340,18 @@ def test_cli_solve_geometry_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
-def test_cli_solve_small_and_determinism(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cfg_text = BASE + """
+SMALL_SOLVE = """
 [solver]
 domain_radius = 6.0
 resolution = 48
 max_iterations = 2000
 residual_tolerance = 2e-4
 """
-    path = write_config(tmp_path, cfg_text)
+
+
+def test_cli_solve_small_and_determinism(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, BASE + SMALL_SOLVE)
     out = str(tmp_path / "run.json")
     code1 = cli.main(["solve", "--config", path, "--seed", "7", "--output", out])
     bytes1 = open(out, "rb").read()
@@ -356,23 +362,95 @@ residual_tolerance = 2e-4
     assert os.path.exists(out + ".field")
 
 
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def test_report_json_roundtrip_floats():
-    import json
     payload = {"a": 1.0 / 3.0, "b": [np.pi, 2**-52], "c": {"d": 1e-300},
                "integral": 2.0, "flag": True, "none": None,
                "nan": float("nan"), "empty_dict": {}, "empty_list": [],
                "text": 'say "hi" \\ then\nstop'}
     text = reports.render_json(reports.build_report("x", {}, payload, {}))
-    parsed = json.loads(text)
+    parsed = json.loads(text, parse_constant=reject_constant)
     assert parsed["results"]["a"] == 1.0 / 3.0
     assert parsed["results"]["b"][0] == np.pi
     assert parsed["results"]["c"]["d"] == 1e-300
     res = parsed["results"]
     assert res["integral"] == 2.0 and isinstance(res["integral"], float)
     assert res["flag"] is True and res["none"] is None
-    assert np.isnan(res["nan"])
+    assert res["nan"] is None
     assert res["empty_dict"] == {} and res["empty_list"] == []
     assert res["text"] == payload["text"]
+
+
+def test_report_json_writes_non_finite_floats_as_null():
+    finite = {"a": [1.0 / 3.0, np.float64(2.5), np.arange(3.0)], "b": {"c": 7}}
+    assert reports.render_json(finite) == json.dumps(
+        reports._to_jsonable(finite), indent=2) + "\n"
+    payload = {"inf": float("inf"), "ninf": np.float64(-np.inf),
+               "array": np.array([1.0, np.nan]), "pair": (np.inf, 2.0)}
+    parsed = json.loads(reports.render_json(payload),
+                        parse_constant=reject_constant)
+    assert parsed == {"inf": None, "ninf": None, "array": [1.0, None],
+                      "pair": [None, 2.0]}
+    # CSV keeps its own spelling of non-finite values
+    assert "inf,Infinity" in reports.render_csv(payload)
+
+
+def test_overflowing_threshold_gives_a_strict_report_and_a_quiet_search(
+        tmp_path):
+    path = write_config(tmp_path, "[nonlinearity]\nq = 1e300\n")
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["check-assumptions", "--config", path,
+                         "--output", str(out)]) == 3
+    report = json.loads(out.read_text(), parse_constant=reject_constant)
+    assert report["results"]["script_V"] is None
+    # scipy's search warned on inf - inf in its parabola; float arithmetic
+    # in the port does not
+    noisy = [w for w in caught if issubclass(w.category, RuntimeWarning)
+             and ("brent" in w.filename or "scipy" in w.filename)]
+    assert noisy == []
+
+
+UNUSED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+IMPORT_PROBE = """
+import json, sys
+from logchoquard import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))
+""".format(modules=UNUSED_SCIPY)
+
+
+@pytest.mark.parametrize("command, block", [
+    (None, ""),
+    ("check-assumptions", ""),
+    ("kernel-bench", "\n[kernel_bench]\nsizes = 16\n"),
+    ("solve", SMALL_SOLVE),
+    ("verify-embedding", ""),
+], ids=["import", "check-assumptions", "kernel-bench", "solve",
+        "verify-embedding"])
+def test_commands_import_only_the_scipy_they_use(tmp_path, command, block):
+    args = []
+    if command is not None:
+        args = [command, "--config", write_config(tmp_path, BASE + block),
+                "--output", str(tmp_path / "out.json")]
+        if command == "solve":
+            args += ["--seed", "11"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
+                         env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True)
+    code, present = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    if command == "verify-embedding":
+        assert "scipy.interpolate" in present     # PCHIP, loaded on demand
+    else:
+        assert present == []
 
 
 def test_field_roundtrip(tmp_path):
