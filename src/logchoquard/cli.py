@@ -12,6 +12,7 @@ reports, which keeps the other reports bit-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -30,10 +31,9 @@ EXIT_BUDGET = 4
 
 def _resolved_config(cfg: RunConfig) -> dict:
     return {
-        "grid": {"kind": cfg.grid_kind, "domain_radius": cfg.domain_radius,
-                 "resolution": cfg.resolution},
+        "grid": {"domain_radius": cfg.domain_radius, "resolution": cfg.resolution},
         "nonlinearity": {"kind": cfg.spec.kind, "p": cfg.spec.p, "q": cfg.spec.q,
-                         "s0": cfg.spec.s0, "beta": cfg.spec.beta,
+                         "s0": cfg.spec.s0,
                          "c_floor": cfg.spec.c_profile.floor,
                          "c_amplitude": cfg.spec.c_profile.amplitude},
         "potential": {"floor": cfg.potential.floor,
@@ -109,13 +109,12 @@ def cmd_verify_embedding(cfg: RunConfig):
                                    rho=cfg.embedding["rho"],
                                    domain_radius=cfg.domain_radius,
                                    resolution=cfg.resolution)
-    best, best_params = spaces.tm_sup_search(family, alpha, constraint="w0")
+    # each member on the unit w0 sphere; the first largest value is the sup
     tm_values = []
     for params, field in family:
-        nrm = spaces.norm_w0_sq(field)
-        scaled = field.with_values(field.values / np.sqrt(nrm))
-        tm_values.append({"n": params["n"],
-                          "value": spaces.tm_functional(scaled, alpha).value})
+        scaled = field.with_values(field.values / np.sqrt(spaces.norm_w0_sq(field)))
+        tm_values.append((params, spaces.tm_functional(scaled, alpha).value))
+    best_params, best = max(tm_values, key=lambda row: row[1])
 
     results = {
         "pointwise_bounds_ok": bounds_ok,
@@ -123,8 +122,9 @@ def cmd_verify_embedding(cfg: RunConfig):
         "sandwich": sandwich,
         "sandwich_ok": sandwich_ok,
         "alpha": float(alpha),
-        "tm_family_values": tm_values,
-        "tm_empirical_supremum": best.value,
+        "tm_family_values": [{"n": params["n"], "value": value}
+                             for params, value in tm_values],
+        "tm_empirical_supremum": best,
         "tm_supremum_params": dict(best_params),
     }
     if cfg.q > 2:
@@ -153,16 +153,15 @@ def cmd_moser_scan(cfg: RunConfig):
         grid = energy.moser_grid(n, rho, cfg.domain_radius, cfg.resolution)
         cap, w_plain = energy.moser_cap(n, rho, grid, q=cfg.q,
                                         potential=cfg.potential)
-        rep = energy.moser_delta_n(n, rho, cfg.q, cfg.potential, grid)
-        _, w_norm = energy.moser_cap(n, rho, grid, normalized=True, q=cfg.q,
-                                     potential=cfg.potential)
+        # the normalized cap, as moser_cap(..., normalized=True) scales it
+        w_norm = w_plain.with_values(w_plain.values / math.sqrt(1.0 + cap.delta_n))
         ray = energy.ray_analysis(w_norm, cfg.spec, cfg.potential,
                                   t_max=cfg.moser["t_max"],
                                   samples=cfg.moser["ray_samples"])
         rows.append({
             "n": n, "rho": rho,
             "delta_n": cap.delta_n,
-            "norm_1qw_sq": rep.norm_quadrature_sq,
+            "norm_1qw_sq": spaces.norm_1qw_sq(w_plain, cfg.q, cfg.potential),
             "dirichlet": grids.dirichlet_energy(w_plain),
             "t_star": ray.t_star,
             "ray_max": ray.max_value,

@@ -25,10 +25,10 @@ from .solver import SolverConfig
 from .spaces import PeriodicCoefficient
 
 DEFAULTS = {
-    "grid": {"kind": "radial", "domain_radius": 20.0, "resolution": 2048},
+    "grid": {"domain_radius": 20.0, "resolution": 2048},
     # q is required; an unset p is P_BY_KIND[kind]
     "nonlinearity": {"kind": "exp_minus_one", "q": None, "p": None, "s0": 1.0,
-                     "beta": 1.0, "c_floor": 1.0, "c_amplitude": 0.0},
+                     "c_floor": 1.0, "c_amplitude": 0.0},
     "potential": {"floor": 1.0, "amplitude": 0.0},
     "solver": {f.name: f.default for f in fields(SolverConfig)
                if f.name not in ("spec", "potential", "seed")},
@@ -52,8 +52,6 @@ def _least(bound):
 
 # range checks that no constructor below makes: (section, key, test, rule)
 CHECKS = (
-    ("grid", "kind", lambda v: v == "radial", "must be radial ([solver] sets the "
-     "solve lattice)"),
     ("grid", "domain_radius", lambda v: v > 0, "must be positive"),
     ("grid", "resolution", *_least(grids.MIN_RESOLUTION)),
     ("nonlinearity", "kind", lambda v: v in P_BY_KIND, "is not configurable"),
@@ -75,7 +73,6 @@ CHECKS = (
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    grid_kind: str
     domain_radius: float
     resolution: int
     spec: nl.NonlinearitySpec
@@ -156,7 +153,7 @@ def load_config(path: Optional[str], command: str, output_path=None,
             os.path.dirname(os.path.abspath(output_path))):
         raise ValidationError(f"no directory to write {output_path!r} into")
 
-    grid, nonlin = values["grid"], dict(values["nonlinearity"])
+    nonlin = dict(values["nonlinearity"])
     q = nonlin["q"]
     if nonlin["p"] is None:
         nonlin["p"] = P_BY_KIND[nonlin["kind"]] or q
@@ -165,9 +162,7 @@ def load_config(path: Optional[str], command: str, output_path=None,
     spec = _build("nonlinearity", nl.NonlinearitySpec, c_profile=c_profile, **nonlin)
     potential = _build("potential", PeriodicCoefficient, **values["potential"])
     return RunConfig(
-        command=command, grid_kind=grid["kind"],
-        domain_radius=grid["domain_radius"], resolution=grid["resolution"],
-        spec=spec, potential=potential, q=q,
+        command=command, **values["grid"], spec=spec, potential=potential, q=q,
         solver=_build("solver", SolverConfig, spec=spec, potential=potential,
                       seed=seed, **values["solver"]),
         embedding=values["embedding"], moser=values["moser"],

@@ -28,7 +28,7 @@ from .brent import minimize_bounded
 from .errors import (EmptyFamilyError, InvalidParameterError,
                      NoInteriorMaxError)
 from .families import moser_profile
-from .spaces import PeriodicCoefficient, norm_V_sq
+from .spaces import PeriodicCoefficient, norm_1qw_sq, norm_V_sq
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
@@ -172,15 +172,12 @@ def moser_delta_n(n: int, rho: float, q: float,
                   potential: Optional[PeriodicCoefficient] = None,
                   grid: Optional[grids.Grid] = None) -> MoserDeltaReport:
     """Closed-form delta_n next to the directly quadratured weighted norm."""
-    from .spaces import WeightSpec, norm_1qw
     pot = potential if potential is not None else PeriodicCoefficient(1.0)
     if grid is None:
         grid = moser_grid(n, rho)
-    _, field = moser_cap(n, rho, grid, q=q, potential=pot)
-    report = norm_1qw(field, q, (WeightSpec("log_one_plus"),
-                                 WeightSpec("potential_V", pot)))
-    delta = delta_n_closed_form(n, rho, q, pot.max_within(rho))
-    return MoserDeltaReport(delta_n=delta, norm_quadrature_sq=report.total_sq)
+    cap, field = moser_cap(n, rho, grid, q=q, potential=pot)
+    return MoserDeltaReport(delta_n=cap.delta_n,
+                            norm_quadrature_sq=norm_1qw_sq(field, q, pot))
 
 
 # ---------------------------------------------------------------------------

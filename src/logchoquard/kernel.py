@@ -28,7 +28,6 @@ is pruned to the n nonzero rows of the pad (``_spectrum``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.fft as spfft
@@ -305,8 +304,6 @@ class KernelForm:
     b1: float
     b2: float
     b0: float
-    method: str
-    error_vs_direct: Optional[float] = None
 
     def value(self, which: str) -> float:
         return {"B0": self.b0, "B1": self.b1, "B2": self.b2}[which]
@@ -340,8 +337,8 @@ def bilinear_direct_many(pairs) -> list[KernelForm]:
     else:
         b1 = np.einsum("rp,rp->p", a, ring_c1(grid, oracle=True) @ b)
         b2 = b1 + np.array([b0_form(u, v) for u, v in pairs])
-    return [KernelForm(b1=float(x1), b2=float(x2), b0=float(x2 - x1),
-                       method="direct") for x1, x2 in zip(b1, b2)]
+    return [KernelForm(b1=float(x1), b2=float(x2), b0=float(x2 - x1))
+            for x1, x2 in zip(b1, b2)]
 
 
 def bilinear_fast(u: grids.GridField, v: grids.GridField,
@@ -360,7 +357,7 @@ def bilinear_fast(u: grids.GridField, v: grids.GridField,
         a = grid.weights * u.values
         b1 = float(a @ (ring_c1(grid) @ (grid.weights * v.values)))
         b2 = b1 + b0_form(u, v)
-    return KernelForm(b1=b1, b2=b2, b0=b2 - b1, method="fast")
+    return KernelForm(b1=b1, b2=b2, b0=b2 - b1)
 
 
 def _check_which(which: str):

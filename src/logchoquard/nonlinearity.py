@@ -34,13 +34,12 @@ KINDS = ("exp_minus_one", "power_exp", "piecewise", "custom")
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Parametric description of (f, F) with growth data (p, q, s0, beta)."""
+    """Parametric description of (f, F) with growth data (p, q, s0)."""
 
     kind: str = "exp_minus_one"
     p: float = 1.0
     q: float = 2.0
     s0: float = 1.0
-    beta: float = 1.0
     c_profile: PeriodicCoefficient = field(
         default_factory=lambda: PeriodicCoefficient(1.0))
     f_callable: Optional[Callable] = None
@@ -56,8 +55,6 @@ class NonlinearitySpec:
             raise InvalidParameterError("q must be >= 2")
         if not self.s0 > 0:
             raise InvalidParameterError("s0 must be positive")
-        if not self.beta > 0:
-            raise InvalidParameterError("beta must be positive")
         if self.kind == "custom" and (self.f_callable is None
                                       or self.f_prime_callable is None):
             raise InvalidParameterError("custom specs need f and f' callables")
@@ -97,7 +94,8 @@ def _by_piece(spec: NonlinearitySpec, s, form, log: bool = False):
     """form(c, p, a) on each piece c s^p e^{a s^2} of a built-in kind,
     joined at the splice s0 of piecewise; c is passed as log c if ``log``."""
     if spec.kind == "piecewise":
-        c = spec.log_splice_constant if log else np.exp(spec.log_splice_constant)
+        with np.errstate(over="ignore"):      # c = inf when log c > 709
+            c = spec.log_splice_constant if log else np.exp(spec.log_splice_constant)
         return np.where(s <= spec.s0, form(0.0 if log else 1.0, spec.q, 0.0),
                         form(c, spec.p, A_CRIT))
     c, p = {"power_exp": (1.0, spec.p), "exp_minus_one": (2 * A_CRIT, 1.0)}[spec.kind]
@@ -137,8 +135,9 @@ def _evaluate(spec: NonlinearitySpec, s, k: int, log: bool = False):
         out = _closed_form(spec, sp, k)
     mask = saturation_mask(spec, sp)
     if np.any(mask):
-        out = np.where(mask, np.exp(np.minimum(
-            _evaluate(spec, sp, k, log=True), EXP_GUARD)), out)
+        with np.errstate(divide="ignore"):    # log 0 where s = 0, masked out
+            out = np.where(mask, np.exp(np.minimum(
+                _evaluate(spec, sp, k, log=True), EXP_GUARD)), out)
     return np.where(s > 0, out, 0.0)
 
 
@@ -290,7 +289,8 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
     f_vals = eval_f(spec, s)
     nonneg = bool(np.all(f_vals >= 0))
     head = s <= min(10 * scan.s_min, 0.05)
-    small = np.exp(log_f(spec, s[head]) - (spec.q - 1) * np.log(s[head]))
+    with np.errstate(over="ignore"):          # inf for a huge q; reported
+        small = np.exp(log_f(spec, s[head]) - (spec.q - 1) * np.log(s[head]))
     q_limit = float(small[-1]) if small.size else float("nan")
     small_ok = bool(small.size and np.all(np.isfinite(small)) and np.all(small > 0)
                     and small.max() < 100 * max(small.min(), 1e-12))
@@ -323,10 +323,12 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
 
     # two-branch growth envelope constant
     below = s <= spec.s0
-    env_low = np.exp(log_F(spec, s[below]) - spec.q * np.log(s[below])) \
-        if np.any(below) else np.array([0.0])
-    env_high = np.exp(log_F(spec, s[~below]) - (spec.p - 1) * np.log(s[~below])
-                      - A_CRIT * s[~below]**2) if np.any(~below) else np.array([0.0])
+    with np.errstate(over="ignore"):          # inf for a huge q; reported
+        env_low = np.exp(log_F(spec, s[below]) - spec.q * np.log(s[below])) \
+            if np.any(below) else np.array([0.0])
+        env_high = np.exp(log_F(spec, s[~below]) - (spec.p - 1) * np.log(s[~below])
+                          - A_CRIT * s[~below]**2) \
+            if np.any(~below) else np.array([0.0])
     envelope_c = float(max(env_low.max(), env_high.max()))
 
     # onset of sqrt(ratio) >= 1 - eps (used by the G lower bound)

@@ -36,7 +36,7 @@ from . import energy, families, grids
 from . import nonlinearity as nl
 from .brent import minimize_bounded
 from .errors import GeometryFailureError, InvalidParameterError
-from .spaces import PeriodicCoefficient, WeightSpec, norm_1qw
+from .spaces import PeriodicCoefficient, norm_1qw_sq
 
 N_TEST_DIRECTIONS = 20      # seeded test directions checked on the accepted state
 TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
@@ -91,11 +91,6 @@ class SolverResult:
 # geometry
 # ---------------------------------------------------------------------------
 
-def _norm_1qw_sq(u, spec, potential):
-    return norm_1qw(u, spec.q, (WeightSpec("log_one_plus"),
-                                WeightSpec("potential_V", potential))).total_sq
-
-
 def _geometry_probes(grid):
     probes = [families.gaussian(grid, s) for s in (0.5, 1.0, 2.0)]
     probes += [families.bump(grid, radius) for radius in (0.5, 1.0)]
@@ -103,8 +98,7 @@ def _geometry_probes(grid):
 
 
 def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
-                      rho_sphere: float = 1e-2,
-                      grid: Optional[grids.Grid] = None,
+                      grid: grids.Grid, rho_sphere: float = 1e-2,
                       witness_radius: float = 0.25,
                       doubling_budget: int = 60):
     """Certify the two mountain-pass conditions on the grid.
@@ -115,11 +109,9 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
     found by doubling t.  Raises GeometryFailureError when either part
     cannot be certified (e.g. for an inert nonlinearity).
     """
-    if grid is None:
-        grid = grids.build_grid("cartesian", 16.0, 128)
     delta0 = math.inf
     for probe in _geometry_probes(grid):
-        nrm = math.sqrt(_norm_1qw_sq(probe, spec, potential))
+        nrm = math.sqrt(norm_1qw_sq(probe, spec.q, potential))
         scaled = probe.with_values(probe.values * (rho_sphere / nrm))
         delta0 = min(delta0, energy.total_energy(scaled, spec, potential))
     if not delta0 > 0:
@@ -174,7 +166,7 @@ def _test_directions(grid, spec, potential, n, seed):
                                      max_center=0.4 * grid.domain_radius)
         vals = np.where(grid.weights > 0, phi.values, 0.0)
         phi = grids.GridField(grid, vals)
-        nrm = math.sqrt(_norm_1qw_sq(phi, spec, potential))
+        nrm = math.sqrt(norm_1qw_sq(phi, spec.q, potential))
         dirs.append(phi.with_values(phi.values / nrm))
     return dirs
 
@@ -199,11 +191,21 @@ def _dual_estimate(grid, potential, gradient_values):
 # ---------------------------------------------------------------------------
 
 def _segment_max(a, b, spec, potential):
-    """(s*, level) maximizing I_V over the segment from a to b."""
+    """(s*, level) maximizing I_V over the segment from a to b.
+
+    I_V overflows to a non-finite value near a saturating endpoint b, and a
+    search whose first trials all land there never reaches the finite
+    part, so a non-finite result halves the interval [0, top] and searches
+    again, while the halved interval still reaches past the s = 1e-3 below
+    which no hump is accepted."""
     def negative(s):
         vals = (1.0 - s) * a.values + s * b.values
         return -energy.total_energy(a.with_values(vals), spec, potential)
-    s, value = minimize_bounded(negative, 0.0, 1.0, 1e-3)
+    top = 1.0
+    s, value = minimize_bounded(negative, 0.0, top, 1e-3)
+    while not math.isfinite(value) and 0.5 * top > 1e-3:
+        top *= 0.5
+        s, value = minimize_bounded(negative, 0.0, top, 1e-3)
     return s, -value
 
 
@@ -272,15 +274,14 @@ def _scan_all_segments(path, levels, spec, potential, gradients,
             break
 
 
-def _resample_path(path, levels, target, spec, potential):
+def _resample_path(path, target, spec, potential):
     """Arclength (L2-weighted) resampling of the polyline to ``target``
-    nodes, endpoints pinned."""
+    nodes, endpoints pinned; the last is the nonzero witness, so the
+    length is positive."""
     w = path[0].grid.weights
     gaps = [math.sqrt(float(np.sum(w * (b.values - a.values) ** 2)))
             for a, b in zip(path[:-1], path[1:])]
     cum = np.concatenate(([0.0], np.cumsum(gaps)))
-    if cum[-1] == 0.0:
-        return path[:target], levels[:target]
     targets = np.linspace(0.0, cum[-1], target)
     new_path, new_levels = [], []
     for t in targets:
@@ -304,7 +305,7 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
                             config.resolution)
     spec, potential = config.spec, config.potential
     delta0, witness = check_mp_geometry(
-        spec, potential, rho_sphere=config.rho_sphere, grid=grid,
+        spec, potential, grid, rho_sphere=config.rho_sphere,
         witness_radius=config.witness_radius)
 
     m = config.path_nodes
@@ -330,7 +331,7 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     for iterations in range(1, config.max_iterations + 1):
         if len(path) > 2 * m:
             gradients.clear()
-            path, levels = _resample_path(path, levels, m, spec, potential)
+            path, levels = _resample_path(path, m, spec, potential)
             _scan_all_segments(path, levels, spec, potential, gradients)
             restarts.append(iterations)
         k = int(np.argmax(levels))
@@ -350,7 +351,6 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         cap = max(0.2 * state_norm(u.values), 1e-3)
         step_norm = state_norm(direction)
         eta = min(config.descent_step, cap / max(step_norm, 1e-300))
-        moved = False
         for _ in range(40):
             trial_vals = np.maximum(u.values - eta * direction, 0.0)
             trial_vals[grid.weights == 0] = 0.0
@@ -359,20 +359,8 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
             if trial_level < levels[k] - 1e-4 * eta * max(slope, 0.0):
                 path[k] = trial
                 levels[k] = trial_level
-                moved = True
                 break
             eta *= 0.5
-        if not moved:
-            # descent blocked along the preconditioned direction: fall back
-            # to a plain gradient step at a mesh-scale step size
-            eta = config.descent_step * grid.spacing**2
-            trial_vals = np.maximum(u.values - eta * grad.values, 0.0)
-            trial_vals[grid.weights == 0] = 0.0
-            trial = grids.GridField(grid, trial_vals)
-            trial_level = energy.total_energy(trial, spec, potential)
-            if trial_level < levels[k]:
-                path[k] = trial
-                levels[k] = trial_level
         if path[k] is not u:
             del gradients[u]        # u has left the path
         # re-expose the polyline maximum around the moved node; an insertion
@@ -429,14 +417,12 @@ class PSDiagnostics:
     sup_norm_V_sq: float
     sup_abs_frak: float
     sup_abs_pairing: float
-    levels: np.ndarray
     alpha: float
     integrability: np.ndarray    # int [c F(|u_k|)]^alpha along the trace
 
 
 def ps_diagnostics(trace, spec: nl.NonlinearitySpec,
-                   potential: PeriodicCoefficient,
-                   level: Optional[float] = None) -> PSDiagnostics:
+                   potential: PeriodicCoefficient, level: float) -> PSDiagnostics:
     """Boundedness and improved-integrability probes along a field trace.
 
     The integrability exponent is alpha = min(1.2, 0.9 / (2 c)) with c the
@@ -445,7 +431,6 @@ def ps_diagnostics(trace, spec: nl.NonlinearitySpec,
         raise InvalidParameterError("ps_diagnostics needs a nonempty trace")
     from . import kernel
     from .spaces import norm_V_sq
-    levels = []
     sup_v = sup_frak = sup_pair = 0.0
     for u in trace:
         sup_v = max(sup_v, norm_V_sq(u, potential))
@@ -454,9 +439,7 @@ def ps_diagnostics(trace, spec: nl.NonlinearitySpec,
             u.grid, energy.compose_f(u, spec) * u.values)
         sup_frak = max(sup_frak, abs(kernel.b0_form(density, density)))
         sup_pair = max(sup_pair, abs(kernel.b0_form(density, response)))
-        levels.append(energy.total_energy(u, spec, potential))
-    c = level if level is not None else levels[-1]
-    alpha = min(1.2, 0.9 / (2.0 * c)) if c > 0 else 1.2
+    alpha = min(1.2, 0.9 / (2.0 * level)) if level > 0 else 1.2
     integ = []
     for u in trace:
         dens = energy.compose_density(
@@ -464,8 +447,8 @@ def ps_diagnostics(trace, spec: nl.NonlinearitySpec,
         integ.append(float(np.sum(u.grid.weights * dens**alpha)))
     return PSDiagnostics(
         sup_norm_V_sq=float(sup_v), sup_abs_frak=float(sup_frak),
-        sup_abs_pairing=float(sup_pair), levels=np.array(levels),
-        alpha=float(alpha), integrability=np.array(integ))
+        sup_abs_pairing=float(sup_pair), alpha=float(alpha),
+        integrability=np.array(integ))
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +463,25 @@ def _lattice_centers(radius: float):
     return np.column_stack([cx[keep], cy[keep]])
 
 
+def _lattice_masses(u: grids.GridField, r: float):
+    """(center, int_{B_r(center)} u^2 dx) for each integer-lattice center
+    inside the domain of a cartesian field."""
+    grid = u.grid
+    mass = grid.weights * u.values**2
+    xx, yy = grid.meshgrid()
+    for cx, cy in _lattice_centers(grid.domain_radius):
+        inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= r**2
+        yield (int(cx), int(cy)), float(np.sum(mass[inside]))
+
+
 def vanishing_check(u: grids.GridField, r: float) -> float:
     """sup over integer-lattice centers y of int_{B_r(y)} u^2 dx; small
     values indicate a vanishing profile."""
     if r <= 0:
         raise InvalidParameterError("r must be positive")
     grid = u.grid
-    mass = grid.weights * u.values**2
     if grid.kind == "radial":
+        mass = grid.weights * u.values**2
         centers = _lattice_centers(grid.domain_radius)
         dists = np.unique(np.hypot(centers[:, 0], centers[:, 1]))
         s = grid.nodes
@@ -502,12 +496,7 @@ def vanishing_check(u: grids.GridField, r: float) -> float:
                                          np.arccos(np.clip(cosang, -1, 1)) / np.pi))
             best = max(best, float(np.sum(mass * frac)))
         return best
-    xx, yy = grid.meshgrid()
-    best = 0.0
-    for cx, cy in _lattice_centers(grid.domain_radius):
-        inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= r**2
-        best = max(best, float(np.sum(mass[inside])))
-    return best
+    return max(0.0, *(local for _, local in _lattice_masses(u, r)))
 
 
 @dataclass(frozen=True)
@@ -535,14 +524,10 @@ def recenter(u: grids.GridField,
             "recentering needs a grid whose cell size divides 1 "
             f"(got spacing {grid.spacing})")
     cells_per_unit = int(round(cells_per_unit))
-    mass = grid.weights * u.values**2
-    xx, yy = grid.meshgrid()
     best, best_center = -1.0, (0, 0)
-    for cx, cy in _lattice_centers(grid.domain_radius):
-        inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= r**2
-        local = float(np.sum(mass[inside]))
+    for center, local in _lattice_masses(u, r):
         if local > best + 1e-15:
-            best, best_center = local, (int(cx), int(cy))
+            best, best_center = local, center
     shift = (-best_center[0], -best_center[1])
     rolled = np.roll(u.values, (shift[0] * cells_per_unit,
                                 shift[1] * cells_per_unit), axis=(0, 1))

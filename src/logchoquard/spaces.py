@@ -130,6 +130,14 @@ def norm_1qw(u: grids.GridField, q: float, weights) -> NormReport:
     return NormReport(dirichlet, weighted_mass, total_sq, q, grad_sq, pot_mass)
 
 
+def norm_1qw_sq(u: grids.GridField, q: float,
+                potential: PeriodicCoefficient) -> float:
+    """||u||_{1,q(w)}^2 with w = log(1+|x|) and the potential V: the norm of
+    the mountain-pass sphere and of the Moser expansion."""
+    return norm_1qw(u, q, (WeightSpec("log_one_plus"),
+                           WeightSpec("potential_V", potential))).total_sq
+
+
 def norm_w0_sq(u: grids.GridField) -> float:
     """||u||_{w0}^2 = ||grad u||^2 + int u^2 log(e+|x|) dx."""
     return norm_1qw(u, 2.0, (WeightSpec("log_e_weight"), None)).total_sq

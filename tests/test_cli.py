@@ -1,6 +1,7 @@
 """CLI commands, configuration validation, report and field round trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from logchoquard import cli, families, grids, reports
+from logchoquard import cli, families, grids, reports, spaces
 from logchoquard.config import DEFAULTS, load_config
 from logchoquard.errors import InvalidParameterError, ValidationError
 
@@ -30,7 +31,6 @@ q = 2
 
 def test_load_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE), "solve")
-    assert cfg.grid_kind == "radial"
     assert cfg.domain_radius == 20.0
     assert cfg.solver.resolution == 128
     assert cfg.solver.domain_radius == 16.0
@@ -126,7 +126,6 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     ("nonlinearity", "p = nan"),
     ("nonlinearity", "q = nan"),
     ("nonlinearity", "s0 = nan"),
-    ("nonlinearity", "beta = nan"),
     ("nonlinearity", "c_floor = nan"),
     ("nonlinearity", "c_floor = 0"),
     ("nonlinearity", "c_amplitude = nan"),
@@ -150,6 +149,8 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     ("output", "pth = x"),
     ("scan", "points = 99"),
     ("grid", "kind = cartesian"),
+    ("grid", "kind = radial"),
+    ("nonlinearity", "beta = 1"),
 ])
 def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, setting):
     if setting.startswith("q ="):
@@ -310,11 +311,32 @@ def test_verify_embedding_reports_the_configured_alpha(tmp_path):
     cfg = load_config(path, "verify-embedding")
     results, _, _ = cli.cmd_verify_embedding(cfg)
     assert results["alpha"] == 3.5
+    assert "orlicz_q_variant" not in results      # q = 2
     # an unset alpha means 2 pi; any other value is used as given, never
     # replaced (a zero that slipped past load_config must not read as unset)
     cfg.embedding["alpha"] = 0.0
     with pytest.raises(InvalidParameterError):
         cli.cmd_verify_embedding(cfg)
+
+
+def test_verify_embedding_orlicz_variant_at_q_3(tmp_path):
+    path = write_config(tmp_path, BASE.replace("q = 2", "q = 3"))
+    out = tmp_path / "out.json"
+    assert cli.main(["verify-embedding", "--config", path,
+                     "--output", str(out)]) == 0
+    variant = json.loads(out.read_text())["results"]["orlicz_q_variant"]
+    alpha = 1.0 / math.sqrt(3.0)
+    assert variant["alpha"] == alpha and variant["q"] == 3.0
+    assert [row["n"] for row in variant["values"]] == [4, 8, 16, 32, 64]
+    values = [row["value"] for row in variant["values"]]
+    assert all(math.isfinite(v) and v > 0 for v in values)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    # the n = 16 value, evaluated directly on the cap scaled to the unit
+    # q-growth sphere
+    [(_, cap)] = families.moser_family((16,), rho=0.5)
+    nrm = spaces.norm_1qw(cap, 3.0, (spaces.WeightSpec("log_e_weight"), None))
+    scaled = cap.with_values(cap.values / math.sqrt(nrm.total_sq))
+    assert values[2] == spaces.tm_functional(scaled, alpha, q_cap=3.0).value
 
 
 def test_cli_zero_resolution_grid_rejected(tmp_path):

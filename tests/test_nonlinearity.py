@@ -163,7 +163,7 @@ def test_custom_spec_requires_callables():
         nl.NonlinearitySpec("custom", q=2.0)
 
 
-@pytest.mark.parametrize("field", ["p", "q", "s0", "beta"])
+@pytest.mark.parametrize("field", ["p", "q", "s0"])
 def test_spec_rejects_nan_parameters(field):
     with pytest.raises(InvalidParameterError):
         nl.NonlinearitySpec("power_exp", **{"p": 2.0, "q": 2.0, field: math.nan})
