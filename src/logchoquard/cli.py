@@ -191,8 +191,11 @@ def cmd_solve(cfg: RunConfig):
     trace = result.ps_trace
     results = {
         "level": result.level,
+        "path_level": result.path_level,
         "residual": result.residual,
         "iterations": result.iterations,
+        "newton_steps": result.newton_steps,
+        "hessian_products": result.hessian_products,
         "converged": result.converged,
         "status": result.status,
         "delta0": result.delta0,

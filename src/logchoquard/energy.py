@@ -87,14 +87,10 @@ def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
     return quadratic - frak / FOUR_PI
 
 
-def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
-                    potential: PeriodicCoefficient) -> grids.GridField:
-    """Grid representation of the first variation of I_V.
-
-    Pairing the result with any test field phi through the quadrature
-    weights reproduces the directional derivative of energy_IV; nodes with
-    zero quadrature weight (outside the truncation disc) carry zero.
-    """
+def _gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
+              potential: PeriodicCoefficient):
+    """(I_V'(u), B0 * c F(u), c f(u)): the gradient with the two pieces of
+    it that the second variation reuses."""
     grid = u.grid
     a = grids.stiffness_matrix(grid)
     flat = u.values.ravel()
@@ -105,9 +101,61 @@ def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
     grad[positive] = stiff_term[positive] / w[positive]
     grad += potential.on_grid(grid) * u.values
     conv = kernel.b0_potential(grid, compose_density(u, spec))
-    grad -= conv * compose_f(u, spec) / TWO_PI
+    cf = compose_f(u, spec)
+    grad -= conv * cf / TWO_PI
     grad[~positive] = 0.0
-    return grids.GridField(grid, grad)
+    return grids.GridField(grid, grad), conv, cf
+
+
+def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
+                    potential: PeriodicCoefficient) -> grids.GridField:
+    """Grid representation of the first variation of I_V.
+
+    Pairing the result with any test field phi through the quadrature
+    weights reproduces the directional derivative of energy_IV; nodes with
+    zero quadrature weight (outside the truncation disc) carry zero.
+    """
+    return _gradient(u, spec, potential)[0]
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """I_V'(u) and the pieces of I_V''(u) that do not depend on the
+    direction, so that each ``hessian_product`` costs one B0 convolution."""
+
+    gradient: grids.GridField
+    mass: np.ndarray            # w V: the potential's mass diagonal
+    cf: np.ndarray              # c f(u)
+    cf_prime_conv: np.ndarray   # (B0 * c F(u)) c f'(u)
+
+
+def linearize(u: grids.GridField, spec: nl.NonlinearitySpec,
+              potential: PeriodicCoefficient) -> Linearization:
+    """I_V'(u) (one B0 convolution, as ``energy_gradient``) together with
+    the direction-free parts of the second variation at u."""
+    gradient, conv, cf = _gradient(u, spec, potential)
+    c = spec.c_profile.on_grid(u.grid)
+    return Linearization(
+        gradient=gradient, mass=u.grid.weights * potential.on_grid(u.grid),
+        cf=cf, cf_prime_conv=conv * c * nl.eval_f_prime(spec, u.values))
+
+
+def hessian_product(lin: Linearization, v: np.ndarray) -> np.ndarray:
+    """The covector of I_V''(u) v, for v on the grid and zero off the disc:
+
+        A v + w V v - (w / 2 pi) [c f(u) (B0 * c f(u) v) + (B0 * c F(u)) c f'(u) v],
+
+    with A the stiffness matrix and w the quadrature weights, so that
+    sum(z * hessian_product(lin, v)) is the second variation in the
+    directions v and z.  The operator is symmetric in the plain dot
+    product.  Nodes with zero weight carry zero."""
+    grid = lin.gradient.grid
+    w = grid.weights
+    out = (grids.stiffness_matrix(grid) @ v.ravel()).reshape(grid.shape)
+    conv = kernel.b0_potential(grid, lin.cf * v)
+    out += lin.mass * v - w * (lin.cf * conv + lin.cf_prime_conv * v) / TWO_PI
+    out[w == 0] = 0.0
+    return out
 
 
 def pair_gradient(gradient: grids.GridField, phi: grids.GridField) -> float:

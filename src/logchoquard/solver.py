@@ -16,6 +16,12 @@ are computed once per live path node, and the one at the path maximum is
 the one the descent step uses.  Slopes at a saturated endpoint (clamped
 exponential) decide nothing, so such a segment is always searched.
 
+Once the residual at the path maximum falls below NEWTON_SWITCH, inexact
+Newton on I_V'(u) = 0 takes over from there: each step solves the second
+variation system by preconditioned MINRES with the same K.  A run that
+does not reach the tolerance is discarded and the path phase goes on; it
+is tried again when the path residual has halved.
+
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
 direction of weighted norm one; a fixed seeded set of 20 such directions
@@ -40,6 +46,10 @@ from .spaces import PeriodicCoefficient, norm_1qw_sq
 
 N_TEST_DIRECTIONS = 20      # seeded test directions checked on the accepted state
 TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
+NEWTON_SWITCH = 1e-2        # path residual below which Newton is tried
+NEWTON_MAX_STEPS = 8        # Newton steps allowed to reach the tolerance
+NEWTON_FORCING = 1e-3       # relative MINRES residual of each Newton step
+MINRES_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -73,17 +83,20 @@ class SolverConfig:
 @dataclass
 class SolverResult:
     field: grids.GridField
-    level: float
+    level: float                        # I_V at the accepted state
+    path_level: float                   # the path maximum the solve ended on
     residual: float
-    iterations: int
+    iterations: int                     # path iterations
+    newton_steps: int                   # over every Newton run, kept or not
+    hessian_products: int
     vanishing_indicator: float
     recentering_shift: tuple
-    ps_trace: list                      # (level, residual) per iteration
+    ps_trace: list                      # (level, residual) per path iteration
     converged: bool
     status: str                         # "converged" | "budget-exhausted"
     delta0: float
     recentering_energy_delta: float
-    field_trace: list = dc_field(default_factory=list)
+    field_trace: list = dc_field(default_factory=list)   # a PS sequence
     restarts: list = dc_field(default_factory=list)
 
 
@@ -184,6 +197,108 @@ def _dual_estimate(grid, potential, gradient_values):
     direction = _apply_preconditioner(grid, potential, gradient_values)
     slope = float(np.sum(grid.weights * gradient_values * direction))
     return math.sqrt(max(slope, 0.0)), direction, slope
+
+
+# ---------------------------------------------------------------------------
+# Newton-MINRES terminal phase
+# ---------------------------------------------------------------------------
+
+def _minres(apply, precondition, rhs, rtol, maxiter):
+    """Preconditioned MINRES (Paige & Saunders 1975) for the symmetric,
+    possibly indefinite system apply(x) = rhs, with a symmetric positive
+    definite ``precondition`` (the inverse of M).  Stops once the residual
+    in the M^{-1} norm has fallen to ``rtol`` times its start.  Inner
+    products are ``np.sum`` so that no BLAS call rounds them.  Returns
+    (x, products, relative residual)."""
+    def dot(a, b):
+        return float(np.sum(a * b))
+    x = np.zeros_like(rhs)
+    y = precondition(rhs)
+    beta1 = math.sqrt(max(dot(rhs, y), 0.0))
+    if beta1 == 0.0:
+        return x, 0, 0.0
+    r1 = r2 = rhs
+    beta, old_beta = beta1, 0.0
+    dbar = epsilon = 0.0
+    phibar = beta1
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros_like(rhs)
+    products = 0
+    while products < maxiter and phibar > rtol * beta1:
+        v = y / beta
+        y = apply(v)
+        products += 1
+        if products > 1:
+            y = y - (beta / old_beta) * r1
+        alpha = dot(v, y)
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        old_beta, beta = beta, math.sqrt(max(dot(r2, y), 0.0))
+        # the previous rotation, then the one that annihilates beta
+        old_epsilon = epsilon
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        epsilon, dbar = sn * beta, -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - old_epsilon * w1 - delta * w2) / gamma
+        x = x + phi * w
+    return x, products, phibar / beta1
+
+
+@dataclass(frozen=True)
+class NewtonRun:
+    iterates: tuple     # the state after each step
+    level: float        # I_V at the last state, once the tolerance is met
+    residual: float
+    products: int       # Hessian products of all the MINRES solves
+    accepted: bool
+
+
+def _newton(u, spec, potential, tolerance):
+    """Inexact Newton on I_V'(u) = 0 from u.  Each step solves the second
+    variation system I_V''(u) d = -I_V'(u) on the nodes of positive weight
+    by MINRES, preconditioned by the quadratic-part LU, to the relative
+    residual NEWTON_FORCING (Dembo, Eisenstat & Steihaug 1982), then
+    projects u + d onto u >= 0, as the descent step does.
+
+    The run is accepted when it meets the tolerance within NEWTON_MAX_STEPS
+    steps, at a state where no node saturates and whose level lies in the
+    compactness window (0, 1/2)."""
+    grid = u.grid
+    interior, lu = _quadratic_preconditioner(grid, potential)
+    iterates = []
+    products = 0
+    while True:
+        lin = energy.linearize(u, spec, potential)
+        residual, _, _ = _dual_estimate(grid, potential, lin.gradient.values)
+        if residual <= tolerance or len(iterates) == NEWTON_MAX_STEPS:
+            break
+
+        def apply(x):
+            full = np.zeros(grid.num_nodes)
+            full[interior] = x
+            return energy.hessian_product(
+                lin, full.reshape(grid.shape)).ravel()[interior]
+        rhs = -(grid.weights * lin.gradient.values).ravel()[interior]
+        step, used, _ = _minres(apply, lu.solve, rhs, NEWTON_FORCING,
+                                MINRES_MAX_ITERATIONS)
+        products += used
+        vals = u.values.ravel().copy()
+        vals[interior] += step
+        u = grids.GridField(grid, np.maximum(vals, 0.0).reshape(grid.shape))
+        iterates.append(u)
+        if (not np.all(np.isfinite(u.values))
+                or np.any(nl.saturation_mask(spec, u.values))):
+            residual = math.inf
+            break
+    level = (energy.total_energy(u, spec, potential)
+             if residual <= tolerance else math.nan)
+    return NewtonRun(tuple(iterates), level, residual, products,
+                     accepted=residual <= tolerance and 0.0 < level < 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +410,8 @@ def _resample_path(path, target, spec, potential):
 
 
 def solve_mountain_pass(config: SolverConfig) -> SolverResult:
-    """Path relaxation + constrained descent of the path maximum.
+    """Path relaxation + constrained descent of the path maximum, finished
+    by the Newton phase.
 
     Deterministic for a fixed seed in serial mode.  Returns the best
     available state with status "budget-exhausted" when the iteration
@@ -324,6 +440,10 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     iterations = 0
     residual = math.inf
     w_flat = grid.weights
+    newton = None               # the accepted Newton run
+    newton_below = NEWTON_SWITCH
+    newton_steps = hessian_products = 0
+    trace_residual = math.inf
 
     def state_norm(values):
         return math.sqrt(float(np.sum(w_flat * values**2)))
@@ -339,14 +459,27 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         grad = _node_gradient(u, gradients, spec, potential)
         residual, direction, slope = _dual_estimate(grid, potential, grad.values)
         ps_trace.append((float(levels[k]), float(residual)))
-        # reservoir trace: decimation keeps ~TRACE_FIELDS states spread over
-        # the realized iterations, always retaining the most recent one
-        field_trace.append(u)
-        if len(field_trace) > 2 * TRACE_FIELDS:
-            del field_trace[-2::-2]
+        # the field trace is a Palais-Smale sequence: a path maximum joins
+        # it only when its residual is a new low.  Decimation keeps
+        # ~TRACE_FIELDS of them, always retaining the most recent one.
+        if residual < trace_residual:
+            trace_residual = residual
+            field_trace.append(u)
+            if len(field_trace) > 2 * TRACE_FIELDS:
+                del field_trace[-2::-2]
         if residual <= config.residual_tolerance:
             converged = True
             break
+        if residual < newton_below:
+            run = _newton(u, spec, potential, config.residual_tolerance)
+            newton_steps += len(run.iterates)
+            hessian_products += run.products
+            if run.accepted:
+                newton, converged = run, True
+                break
+            # discarded: the path phase goes on, and Newton is tried again
+            # once the path residual has halved
+            newton_below = residual / 2
         # trust region: a node may not teleport across the ridge zone
         cap = max(0.2 * state_norm(u.values), 1e-3)
         step_norm = state_norm(direction)
@@ -371,7 +504,11 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
 
     k = int(np.argmax(levels))
     final = path[k]
-    level = float(levels[k])
+    level = path_level = float(levels[k])
+    if newton is not None:
+        final, level, residual = (newton.iterates[-1], newton.level,
+                                  newton.residual)
+        field_trace.extend(newton.iterates)
     final_grad = energy.energy_gradient(final, spec, potential)
     certificate, _, _ = _dual_estimate(grid, potential, final_grad.values)
     if converged and abs(certificate - residual) > 1e-10 * (1 + certificate):
@@ -396,8 +533,10 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     if not field_trace or field_trace[-1] is not final:
         field_trace.append(final)
     return SolverResult(
-        field=rec.field, level=level, residual=float(residual),
-        iterations=iterations, vanishing_indicator=float(vanish),
+        field=rec.field, level=level, path_level=path_level,
+        residual=float(residual), iterations=iterations,
+        newton_steps=newton_steps, hessian_products=hessian_products,
+        vanishing_indicator=float(vanish),
         recentering_shift=rec.shift, ps_trace=ps_trace,
         converged=converged,
         status="converged" if converged else "budget-exhausted",

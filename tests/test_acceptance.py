@@ -35,6 +35,11 @@ def accepted_solve():
     return result, time.time() - start
 
 
+# level of the default 128^2 solve when the path phase alone drives the
+# residual to 1e-4 (182 iterations)
+DEFAULT_PATH_LEVEL = 0.0777016888
+
+
 def test_c01_kernel_split_identity():
     start = time.time()
     r = np.geomspace(1e-6, 1e6, 100_000)
@@ -189,13 +194,17 @@ def test_c09_geometry_and_solve(accepted_solve):
     assert result.residual <= 1e-4
     assert 0.0 < result.level < 0.5
     assert np.min(result.field.values) >= 0.0
+    # the path phase hands over at residual 1e-2 and Newton finishes
+    assert result.iterations <= 60 and result.newton_steps <= 4
+    assert abs(result.level - DEFAULT_PATH_LEVEL) <= 1e-7 * DEFAULT_PATH_LEVEL
     # 20-direction weak-residual check on the final field
     grad = energy.energy_gradient(result.field, F1, V1)
     directions = solver._test_directions(result.field.grid, F1, V1, 20, seed=1)
     worst = max(abs(energy.pair_gradient(grad, phi)) for phi in directions)
     assert worst <= 1e-4 * (1 + 1e-9)
     print(f"ACCEPTANCE 9 PASS: 128^2 solve converged in {result.iterations} "
-          f"iterations ({elapsed:.0f} s), level {result.level:.4f} in (0, 1/2), "
+          f"iterations and {result.newton_steps} Newton steps "
+          f"({elapsed:.0f} s), level {result.level:.4f} in (0, 1/2), "
           f"residual {result.residual:.2e} <= 1e-4, field nonnegative, "
           f"20-direction pairing {worst:.2e}")
 
@@ -242,14 +251,15 @@ residual_tolerance = 2e-4
 """
 # F1, V = 1, R = 16: the radial P1 (compact edge form) level at 1024 nodes
 RADIAL_P1_LEVEL = 0.078195
-# total_energy calls of the C12 solve: 2,516 measured with numpy 2.4 /
-# scipy 1.17 before hump searches were gated by endpoint slopes; the budget
-# leaves 7% for other library rounding
-C12_ENERGY_BUDGET = 2700
-# total_energy + energy_gradient calls with gated hump searches: 444 + 123 =
-# 567 measured, with the same 7% margin (410 + 123 = 533 since the PS
-# diagnostics stopped evaluating I_V on each trace field)
-C12_EVALUATION_BUDGET = 608
+# Call budgets of the C12 solve, each 7% over a count measured with numpy 2.4
+# / scipy 1.17 to leave room for other library rounding.  The path phase
+# alone took 2,516 total_energy calls before hump searches were gated by
+# endpoint slopes (budget 2,700), then 410 + 123 gradients = 533
+# evaluations (budget 608).  With the Newton phase it takes 322
+# total_energy calls, and 322 + 98 gradients + 3 linearizations + 18
+# Hessian products = 441 evaluations.
+C12_ENERGY_BUDGET = 345
+C12_EVALUATION_BUDGET = 472
 
 
 def test_c12_solve_determinism(tmp_path):
@@ -285,6 +295,8 @@ def test_c12_level_and_energy_budget(tmp_path, monkeypatch):
         monkeypatch.setattr(energy, name, counted)
     counting("total_energy")
     counting("energy_gradient")
+    counting("linearize")
+    counting("hessian_product")
     out = tmp_path / "c12.json"
     assert cli.main(["solve", "--config", str(cfg_path), "--seed", "11",
                      "--output", str(out)]) == 0
@@ -293,17 +305,22 @@ def test_c12_level_and_energy_budget(tmp_path, monkeypatch):
     rel = abs(res["level"] - RADIAL_P1_LEVEL) / RADIAL_P1_LEVEL
     assert rel <= 0.01
     assert calls["total_energy"] <= C12_ENERGY_BUDGET
-    evaluations = calls["total_energy"] + calls["energy_gradient"]
+    evaluations = sum(calls.values())
     assert evaluations <= C12_EVALUATION_BUDGET
+    assert res["newton_steps"] <= 4
+    assert res["hessian_products"] == calls["hessian_product"]
     print(f"ACCEPTANCE 12b PASS: h = 0.25 lattice level {res['level']:.6f} "
           f"within {100 * rel:.2f}% of the radial P1 level {RADIAL_P1_LEVEL}; "
           f"{calls['total_energy']} energy evaluations <= {C12_ENERGY_BUDGET}, "
-          f"{evaluations} with gradients <= {C12_EVALUATION_BUDGET}")
+          f"{evaluations} with gradients and Hessian products <= "
+          f"{C12_EVALUATION_BUDGET}")
 
 
-def test_c12_solve_independent_of_blas_threads(tmp_path):
-    cfg_path = tmp_path / "c12.cfg"
-    cfg_path.write_text(C12_CONFIG)
+def _solve_at_blas_threads(tmp_path, config_text, seed):
+    """(report lines without field_file, .field bytes) of one CLI solve
+    per BLAS thread count, 1 and 2, each in a fresh interpreter."""
+    cfg_path = tmp_path / "threads.cfg"
+    cfg_path.write_text(config_text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -313,14 +330,59 @@ def test_c12_solve_independent_of_blas_threads(tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
         subprocess.run([sys.executable, "-m", "logchoquard.cli", "solve",
-                        "--config", str(cfg_path), "--seed", "11",
+                        "--config", str(cfg_path), "--seed", seed,
                         "--output", str(out)],
                        env=env, check=True, capture_output=True)
         report = [line for line in out.read_bytes().splitlines()
                   if b'"field_file"' not in line]
         outputs.append((report, (tmp_path / f"threads{threads}.json.field").read_bytes()))
-    (report1, field1), (report2, field2) = outputs
+    return outputs
+
+
+def test_c12_solve_independent_of_blas_threads(tmp_path):
+    (report1, field1), (report2, field2) = _solve_at_blas_threads(
+        tmp_path, C12_CONFIG, "11")
     assert report1 == report2
     assert field1 == field2
     print("ACCEPTANCE 12c PASS: the solve report and field file are "
           "byte-identical at one and two BLAS threads")
+
+
+def test_default_solve_independent_of_blas_threads(tmp_path):
+    # R = 16, 128^2: 13,572 interior nodes, enough for OpenBLAS to split
+    # a level-1 or level-2 kernel across threads (48^2 has about 1,800)
+    (report1, field1), (report2, field2) = _solve_at_blas_threads(
+        tmp_path, "[nonlinearity]\nq = 2\n", "1")
+    assert report1 == report2
+    assert field1 == field2
+    assert b'    "converged": true,' in report1
+    print("ACCEPTANCE 12d PASS: the default 128^2 solve report and field "
+          "file are byte-identical at one and two BLAS threads")
+
+
+POWER_EXP_RADIAL_CONFIG = """
+[nonlinearity]
+kind = power_exp
+q = 2
+
+[solver]
+grid_kind = radial
+resolution = 512
+"""
+
+
+def test_power_exp_radial_solve_converges(tmp_path):
+    # the path phase alone stalls at residual 1e-3 and exhausts its 20,000
+    # iterations on this config; the Newton phase finishes it
+    cfg_path = tmp_path / "power_exp.cfg"
+    cfg_path.write_text(POWER_EXP_RADIAL_CONFIG)
+    out = tmp_path / "power_exp.json"
+    assert cli.main(["solve", "--config", str(cfg_path), "--seed", "1",
+                     "--output", str(out)]) == 0
+    res = json.loads(out.read_text())["results"]
+    assert res["converged"] is True and res["residual"] <= 1e-4
+    assert res["field_nonnegative"] is True
+    assert 0.0 < res["level"] < 0.5
+    print(f"ACCEPTANCE 12e PASS: power_exp on 512 radial nodes converges in "
+          f"{res['iterations']} iterations and {res['newton_steps']} Newton "
+          f"steps at level {res['level']:.7f}")

@@ -114,6 +114,54 @@ def test_gradient_consistency_cartesian():
     assert abs(pair - fd) <= 1e-5 * (1 + abs(pair))
 
 
+def _second_variation_case(kind):
+    """A positive state and two directions on the grids the Newton phase
+    runs on: R = 6 with a periodic V and c on the 48^2 lattice, and 512
+    radial nodes.  The directions are u times a smooth field, so u +- h v
+    stays positive and the finite differences never cross the kink of f
+    at zero."""
+    if kind == "cartesian":
+        grid = grids.build_grid("cartesian", 6.0, 48)
+        spec = nl.NonlinearitySpec("exp_minus_one",
+                                   c_profile=PeriodicCoefficient(1.0, 0.5))
+        potential = PeriodicCoefficient(1.0, 0.5)
+    else:
+        grid = grids.build_grid("radial", 6.0, 512)
+        spec, potential = F1, V1
+    rng = np.random.default_rng(5)
+    u = families.gaussian(grid, 1.0, amplitude=0.4)
+    v, z = (np.where(grid.weights > 0,
+                     u.values * families.random_smooth(grid, rng).values, 0.0)
+            for _ in range(2))
+    return u, v, z, spec, potential
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "radial"])
+def test_hessian_product_matches_gradient_differences(kind):
+    u, v, _, spec, potential = _second_variation_case(kind)
+    hv = energy.hessian_product(energy.linearize(u, spec, potential), v)
+    w = u.grid.weights
+
+    def difference(h):
+        up, um = (energy.energy_gradient(u.with_values(u.values + s * v),
+                                         spec, potential).values
+                  for s in (h, -h))
+        return np.max(np.abs(w * (up - um) / (2 * h) - hv)) / np.max(np.abs(hv))
+    coarse, fine = difference(1e-3), difference(1e-4)
+    assert coarse < 1e-5
+    assert fine < 2e-2 * coarse      # O(h^2): a tenth of h, a hundredth of the error
+    assert np.all(hv[w == 0] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "radial"])
+def test_hessian_product_is_symmetric(kind):
+    u, v, z, spec, potential = _second_variation_case(kind)
+    lin = energy.linearize(u, spec, potential)
+    hv_z = np.sum(energy.hessian_product(lin, v) * z)
+    v_hz = np.sum(v * energy.hessian_product(lin, z))
+    assert abs(hv_z - v_hz) <= 1e-12 * abs(hv_z)
+
+
 def test_moser_cap_plateau_and_support():
     n, rho = 16, 0.5
     g = energy.moser_grid(n, rho, 10.0, 1024)

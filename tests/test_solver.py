@@ -284,3 +284,61 @@ def test_gradients_are_kept_for_live_path_nodes_only(monkeypatch):
     cfg = solver.SolverConfig(spec=F1, potential=V1, **C12_SETTINGS)
     assert solver.solve_mountain_pass(cfg).converged
     assert max(cached) > 0
+
+
+@pytest.mark.parametrize("kind, resolution, amplitude",
+                         [("cartesian", 48, 0.5), ("radial", 512, 0.0)])
+def test_minres_meets_the_forcing_term(kind, resolution, amplitude):
+    grid = grids.build_grid(kind, 6.0, resolution)
+    potential = PeriodicCoefficient(1.0, amplitude)
+    spec = nl.NonlinearitySpec("exp_minus_one",
+                               c_profile=PeriodicCoefficient(1.0, amplitude))
+    lin = energy.linearize(families.gaussian(grid, 1.0, amplitude=0.4),
+                           spec, potential)
+    interior, lu = solver._quadratic_preconditioner(grid, potential)
+
+    def apply(x):
+        full = np.zeros(grid.num_nodes)
+        full[interior] = x
+        return energy.hessian_product(lin, full.reshape(grid.shape)).ravel()[interior]
+    rhs = -(grid.weights * lin.gradient.values).ravel()[interior]
+    x, products, estimate = solver._minres(apply, lu.solve, rhs,
+                                           solver.NEWTON_FORCING, 200)
+
+    def dual_norm(r):
+        return np.sqrt(np.sum(r * lu.solve(r)))
+    achieved = dual_norm(rhs - apply(x)) / dual_norm(rhs)
+    assert 0 < products < 200
+    assert achieved <= solver.NEWTON_FORCING
+    assert abs(achieved - estimate) <= 1e-6 * estimate
+
+
+@pytest.mark.parametrize("spec, potential", [
+    (F1, V1), (F1, PeriodicCoefficient(1.0, 0.5))], ids=["C12", "periodic-V"])
+def test_solve_without_newton_reaches_the_same_level(spec, potential,
+                                                     monkeypatch):
+    cfg = solver.SolverConfig(spec=spec, potential=potential, **C12_SETTINGS)
+    newton = solver.solve_mountain_pass(cfg)
+    monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)   # every run fails
+    path = solver.solve_mountain_pass(cfg)
+    assert newton.converged and 1 <= newton.newton_steps <= 4
+    assert newton.hessian_products > 0
+    # the path phase hands over below the switch, and Newton moves the
+    # path maximum by about the square of its residual
+    assert newton.ps_trace[-1][1] < solver.NEWTON_SWITCH
+    assert len(newton.ps_trace) == newton.iterations
+    assert abs(newton.level - newton.path_level) <= solver.NEWTON_SWITCH ** 2
+    assert path.converged and path.newton_steps == path.hessian_products == 0
+    assert path.level == path.path_level
+    assert path.iterations > newton.iterations
+    assert abs(path.level - newton.level) <= 1e-6 * newton.level
+
+
+def test_radial_solve_level_with_newton():
+    cfg = solver.SolverConfig(spec=F1, potential=V1, grid_kind="radial",
+                              domain_radius=16.0, resolution=512, seed=1)
+    res = solver.solve_mountain_pass(cfg)
+    assert res.converged and res.newton_steps <= 4
+    # the level the path phase alone converges to, in 227 iterations
+    assert abs(res.level - 0.0633537647) <= 1e-7 * 0.0633537647
+    assert np.min(res.field.values) >= 0.0
