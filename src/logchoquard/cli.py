@@ -206,7 +206,6 @@ def cmd_solve(cfg: RunConfig):
         "field_nonnegative": bool(np.min(result.field.values) >= 0.0),
         "field_max": float(np.max(result.field.values)),
         "ps_trace_tail": [[lvl, res] for lvl, res in trace[-10:]],
-        "restarts": len(result.restarts),
         "ps_diagnostics": {
             "sup_norm_V_sq": diag.sup_norm_V_sq,
             "sup_abs_frak": diag.sup_abs_frak,

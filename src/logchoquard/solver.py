@@ -1,26 +1,20 @@
 """Numerical mountain-pass solver and Palais-Smale-style diagnostics.
 
-The solver discretizes a path from 0 to a negative-energy witness and
-alternates (a) locating the path maximum with (b) preconditioned descent
-of that node: the descent direction solves K d = I_V'(u) where K is the
-(positive) quadratic-part Hessian, so the linear physics is handled
-exactly (the iteration count still grows as the mesh is refined).  The
-path endpoints pin the node ensemble across the mountain ridge, which is
-what makes descent of the maximum converge to the pass instead of
-sliding to 0.
+The ray t -> t u from 0 through a negative-energy point is a mountain-pass
+path, so the solver keeps a single state u that maximizes I_V along its own
+ray and descends that maximum: the local minimax method of Li & Zhou
+(2001) with support {0}.  The descent direction solves K d = I_V'(u) where
+K is the (positive) quadratic-part Hessian, so the linear physics is
+handled exactly (the iteration count still grows as the mesh is refined).
+Each trial u - eta d, projected onto u >= 0, is replaced by the maximum
+along its own ray, which is what keeps the state on the mountain ridge
+instead of sliding to 0.
 
-A segment [a, b] of the path is searched for an interior hump only when
-its endpoint slopes prove one: <I_V'(a), b - a> > 0 > <I_V'(b), b - a>,
-with the zero field counted as rising.  The gradients behind the slopes
-are computed once per live path node, and the one at the path maximum is
-the one the descent step uses.  Slopes at a saturated endpoint (clamped
-exponential) decide nothing, so such a segment is always searched.
-
-Once the residual at the path maximum falls below NEWTON_SWITCH, inexact
+Once the residual at the ray maximum falls below NEWTON_SWITCH, inexact
 Newton on I_V'(u) = 0 takes over from there: each step solves the second
 variation system by preconditioned MINRES with the same K.  A run that
-does not reach the tolerance is discarded and the path phase goes on; it
-is tried again when the path residual has halved.
+does not reach the tolerance is discarded and the descent goes on; it is
+tried again when the descent residual has halved.
 
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
@@ -46,10 +40,11 @@ from .spaces import PeriodicCoefficient, norm_1qw_sq
 
 N_TEST_DIRECTIONS = 20      # seeded test directions checked on the accepted state
 TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
-NEWTON_SWITCH = 1e-2        # path residual below which Newton is tried
+NEWTON_SWITCH = 1e-2        # descent residual below which Newton is tried
 NEWTON_MAX_STEPS = 8        # Newton steps allowed to reach the tolerance
 NEWTON_FORCING = 1e-3       # relative MINRES residual of each Newton step
 MINRES_MAX_ITERATIONS = 100
+RAY_BRACKET = (0.5, 1.5)    # ray scales searched for a trial's maximum
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,6 @@ class SolverConfig:
     grid_kind: str = "cartesian"
     domain_radius: float = 16.0
     resolution: int = 128
-    path_nodes: int = 16
     descent_step: float = 1.0
     max_iterations: int = 20000
     residual_tolerance: float = 1e-4
@@ -70,7 +64,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.grid_kind not in ("cartesian", "radial"):
             raise InvalidParameterError("grid_kind must be cartesian or radial")
-        for name, least in (("resolution", grids.MIN_RESOLUTION), ("path_nodes", 8),
+        for name, least in (("resolution", grids.MIN_RESOLUTION),
                             ("max_iterations", 1)):
             if getattr(self, name) < least:
                 raise InvalidParameterError(f"{name} must be >= {least}")
@@ -84,20 +78,19 @@ class SolverConfig:
 class SolverResult:
     field: grids.GridField
     level: float                        # I_V at the accepted state
-    path_level: float                   # the path maximum the solve ended on
+    path_level: float                   # the ray maximum the descent ended on
     residual: float
-    iterations: int                     # path iterations
+    iterations: int                     # descent iterations
     newton_steps: int                   # over every Newton run, kept or not
     hessian_products: int
     vanishing_indicator: float
     recentering_shift: tuple
-    ps_trace: list                      # (level, residual) per path iteration
+    ps_trace: list                      # (level, residual) per descent iteration
     converged: bool
     status: str                         # "converged" | "budget-exhausted"
     delta0: float
     recentering_energy_delta: float
     field_trace: list = dc_field(default_factory=list)   # a PS sequence
-    restarts: list = dc_field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -305,113 +298,25 @@ def _newton(u, spec, potential, tolerance):
 # the solver
 # ---------------------------------------------------------------------------
 
-def _segment_max(a, b, spec, potential):
-    """(s*, level) maximizing I_V over the segment from a to b.
+def _ray_max(v, lo, hi, xatol, spec, potential):
+    """(t*, level) maximizing I_V(t v) over t in [lo, hi] to within xatol.
 
-    I_V overflows to a non-finite value near a saturating endpoint b, and a
+    I_V overflows to a non-finite value where t v saturates strongly, and a
     search whose first trials all land there never reaches the finite
-    part, so a non-finite result halves the interval [0, top] and searches
-    again, while the halved interval still reaches past the s = 1e-3 below
-    which no hump is accepted."""
-    def negative(s):
-        vals = (1.0 - s) * a.values + s * b.values
-        return -energy.total_energy(a.with_values(vals), spec, potential)
-    top = 1.0
-    s, value = minimize_bounded(negative, 0.0, top, 1e-3)
-    while not math.isfinite(value) and 0.5 * top > 1e-3:
-        top *= 0.5
-        s, value = minimize_bounded(negative, 0.0, top, 1e-3)
-    return s, -value
-
-
-def _node_gradient(u, gradients, spec, potential):
-    """I_V'(u), computed once per path node: ``gradients`` is keyed by the
-    node object (GridField hashes by identity) and holds live nodes only."""
-    if u not in gradients:
-        gradients[u] = energy.energy_gradient(u, spec, potential)
-    return gradients[u]
-
-
-def _may_have_hump(a, b, spec, potential, gradients):
-    """Whether the segment from a to b needs a hump search: an endpoint
-    saturates, or the slopes of s -> I_V(a + s (b - a)) at s = 0 and 1 are
-    positive and negative, which proves an interior maximum above both
-    endpoints.  I_V'(0) = 0, but I_V rises quadratically from the zero
-    field, so a zero ``a`` counts as a positive slope."""
-    if (np.any(nl.saturation_mask(spec, a.values))
-            or np.any(nl.saturation_mask(spec, b.values))):
-        return True
-    step = b.with_values(b.values - a.values)
-    rising = (not np.any(a.values) or energy.pair_gradient(
-        _node_gradient(a, gradients, spec, potential), step) > 0)
-    return rising and energy.pair_gradient(
-        _node_gradient(b, gradients, spec, potential), step) < 0
-
-
-def _insert_segment_humps(path, levels, segments, spec, potential, gradients):
-    """Maximize I_V along the given segments and promote interior humps to
-    nodes.  Keeping the piecewise-linear path maximum represented by a node
-    is what stops the node ensemble from sliding off the mountain ridge
-    into the two basins.  Returns True if a node was inserted."""
-    inserted = False
-    for seg in sorted(set(segments), reverse=True):
-        if seg < 0 or seg + 1 >= len(path):
-            continue
-        if not _may_have_hump(path[seg], path[seg + 1], spec, potential,
-                              gradients):
-            continue
-        s_star, lvl = _segment_max(path[seg], path[seg + 1], spec, potential)
-        floor = max(levels[seg], levels[seg + 1])
-        if lvl > floor + 1e-12 * (1 + abs(floor)) and 1e-3 < s_star < 1 - 1e-3:
-            vals = (1.0 - s_star) * path[seg].values \
-                + s_star * path[seg + 1].values
-            path.insert(seg + 1, path[seg].with_values(vals))
-            levels.insert(seg + 1, lvl)
-            inserted = True
-    return inserted
-
-
-def _scan_all_segments(path, levels, spec, potential, gradients,
-                       rounds: int = 4):
-    """Insert polyline humps anywhere along the path (used at startup and
-    after arclength resampling, which forgets where the ridge was).
-
-    A segment whose two endpoint objects were searched in an earlier round
-    is still a segment only because that search found no hump, and it would
-    find none again, so each endpoint pair is searched at most once."""
-    searched = set()
-    for _ in range(rounds):
-        fresh = [i for i in range(len(path) - 1)
-                 if (path[i], path[i + 1]) not in searched]
-        searched.update((path[i], path[i + 1]) for i in fresh)
-        if not _insert_segment_humps(path, levels, fresh, spec, potential,
-                                     gradients):
-            break
-
-
-def _resample_path(path, target, spec, potential):
-    """Arclength (L2-weighted) resampling of the polyline to ``target``
-    nodes, endpoints pinned; the last is the nonzero witness, so the
-    length is positive."""
-    w = path[0].grid.weights
-    gaps = [math.sqrt(float(np.sum(w * (b.values - a.values) ** 2)))
-            for a, b in zip(path[:-1], path[1:])]
-    cum = np.concatenate(([0.0], np.cumsum(gaps)))
-    targets = np.linspace(0.0, cum[-1], target)
-    new_path, new_levels = [], []
-    for t in targets:
-        j = min(int(np.searchsorted(cum, t, side="right")) - 1, len(gaps) - 1)
-        frac = (t - cum[j]) / gaps[j] if gaps[j] > 0 else 0.0
-        vals = (1.0 - frac) * path[j].values + frac * path[j + 1].values
-        state = path[0].with_values(vals)
-        new_path.append(state)
-        new_levels.append(energy.total_energy(state, spec, potential))
-    return new_path, new_levels
+    part, so a non-finite result halves the interval [lo, top] and searches
+    again, while the halved interval is still wider than xatol."""
+    def negative(t):
+        return -energy.total_energy(v.with_values(t * v.values), spec, potential)
+    top = hi
+    t, value = minimize_bounded(negative, lo, top, xatol)
+    while not math.isfinite(value) and 0.5 * (top - lo) > xatol:
+        top = lo + 0.5 * (top - lo)
+        t, value = minimize_bounded(negative, lo, top, xatol)
+    return t, -value
 
 
 def solve_mountain_pass(config: SolverConfig) -> SolverResult:
-    """Path relaxation + constrained descent of the path maximum, finished
-    by the Newton phase.
+    """Descent of the ray maximum, finished by the Newton phase.
 
     Deterministic for a fixed seed in serial mode.  Returns the best
     available state with status "budget-exhausted" when the iteration
@@ -423,18 +328,12 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     delta0, witness = check_mp_geometry(
         spec, potential, grid, rho_sphere=config.rho_sphere,
         witness_radius=config.witness_radius)
-
-    m = config.path_nodes
-    ts = np.linspace(0.0, 1.0, m)
-    path = [witness.with_values(t * witness.values) for t in ts]
-    levels = [energy.total_energy(u, spec, potential) for u in path]
-    gradients = {}
-    _scan_all_segments(path, levels, spec, potential, gradients)
+    t, level = _ray_max(witness, 0.0, 1.0, 1e-3, spec, potential)
+    u = witness.with_values(t * witness.values)
     directions = _test_directions(grid, spec, potential, N_TEST_DIRECTIONS,
                                   config.seed)
 
     ps_trace = []
-    restarts = []
     field_trace = []
     converged = False
     iterations = 0
@@ -444,22 +343,16 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     newton_below = NEWTON_SWITCH
     newton_steps = hessian_products = 0
     trace_residual = math.inf
+    lo, hi = RAY_BRACKET
 
     def state_norm(values):
         return math.sqrt(float(np.sum(w_flat * values**2)))
 
     for iterations in range(1, config.max_iterations + 1):
-        if len(path) > 2 * m:
-            gradients.clear()
-            path, levels = _resample_path(path, m, spec, potential)
-            _scan_all_segments(path, levels, spec, potential, gradients)
-            restarts.append(iterations)
-        k = int(np.argmax(levels))
-        u = path[k]
-        grad = _node_gradient(u, gradients, spec, potential)
+        grad = energy.energy_gradient(u, spec, potential)
         residual, direction, slope = _dual_estimate(grid, potential, grad.values)
-        ps_trace.append((float(levels[k]), float(residual)))
-        # the field trace is a Palais-Smale sequence: a path maximum joins
+        ps_trace.append((float(level), float(residual)))
+        # the field trace is a Palais-Smale sequence: a descent state joins
         # it only when its residual is a new low.  Decimation keeps
         # ~TRACE_FIELDS of them, always retaining the most recent one.
         if residual < trace_residual:
@@ -477,34 +370,31 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
             if run.accepted:
                 newton, converged = run, True
                 break
-            # discarded: the path phase goes on, and Newton is tried again
-            # once the path residual has halved
+            # discarded: the descent goes on, and Newton is tried again
+            # once the descent residual has halved
             newton_below = residual / 2
-        # trust region: a node may not teleport across the ridge zone
+        # trust region: a state may not teleport across the ridge zone
         cap = max(0.2 * state_norm(u.values), 1e-3)
         step_norm = state_norm(direction)
         eta = min(config.descent_step, cap / max(step_norm, 1e-300))
+        # the ray maximum is located to a scale error whose slope error is
+        # small against the residual
+        xatol = min(1e-3, 1e-2 * residual)
         for _ in range(40):
             trial_vals = np.maximum(u.values - eta * direction, 0.0)
             trial_vals[grid.weights == 0] = 0.0
             trial = grids.GridField(grid, trial_vals)
-            trial_level = energy.total_energy(trial, spec, potential)
-            if trial_level < levels[k] - 1e-4 * eta * max(slope, 0.0):
-                path[k] = trial
-                levels[k] = trial_level
+            t, trial_level = _ray_max(trial, lo, hi, xatol, spec, potential)
+            # a maximum on the bracket edge is not a ray maximum
+            if (math.isfinite(trial_level) and lo + xatol < t < hi - xatol
+                    and trial_level < level - 1e-4 * eta * max(slope, 0.0)):
+                u = trial.with_values(t * trial_vals)
+                level = trial_level
                 break
             eta *= 0.5
-        if path[k] is not u:
-            del gradients[u]        # u has left the path
-        # re-expose the polyline maximum around the moved node; an insertion
-        # refines the path (counted as a restart for trace monotonicity)
-        if _insert_segment_humps(path, levels, (k - 1, k), spec, potential,
-                                 gradients):
-            restarts.append(iterations + 1)
 
-    k = int(np.argmax(levels))
-    final = path[k]
-    level = path_level = float(levels[k])
+    final = u
+    level = path_level = float(level)
     if newton is not None:
         final, level, residual = (newton.iterates[-1], newton.level,
                                   newton.residual)
@@ -543,7 +433,6 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         delta0=float(delta0),
         recentering_energy_delta=float(rec.energy_delta),
         field_trace=field_trace,
-        restarts=restarts,
     )
 
 

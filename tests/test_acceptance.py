@@ -35,8 +35,8 @@ def accepted_solve():
     return result, time.time() - start
 
 
-# level of the default 128^2 solve when the path phase alone drives the
-# residual to 1e-4 (182 iterations)
+# level of the default 128^2 solve when the 16-node path phase alone
+# drove the residual to 1e-4 (182 iterations)
 DEFAULT_PATH_LEVEL = 0.0777016888
 
 
@@ -194,7 +194,7 @@ def test_c09_geometry_and_solve(accepted_solve):
     assert result.residual <= 1e-4
     assert 0.0 < result.level < 0.5
     assert np.min(result.field.values) >= 0.0
-    # the path phase hands over at residual 1e-2 and Newton finishes
+    # the descent hands over at residual 1e-2 and Newton finishes
     assert result.iterations <= 60 and result.newton_steps <= 4
     assert abs(result.level - DEFAULT_PATH_LEVEL) <= 1e-7 * DEFAULT_PATH_LEVEL
     # 20-direction weak-residual check on the final field
@@ -255,11 +255,14 @@ RADIAL_P1_LEVEL = 0.078195
 # / scipy 1.17 to leave room for other library rounding.  The path phase
 # alone took 2,516 total_energy calls before hump searches were gated by
 # endpoint slopes (budget 2,700), then 410 + 123 gradients = 533
-# evaluations (budget 608).  With the Newton phase it takes 322
+# evaluations (budget 608).  With the Newton phase it took 322
 # total_energy calls, and 322 + 98 gradients + 3 linearizations + 18
-# Hessian products = 441 evaluations.
+# Hessian products = 441 evaluations (budget 472).  The descent on ray
+# maxima, which replaced the 16-node path, takes 20 iterations and 1 Newton
+# step: again 322 total_energy calls, and 322 + 21 gradients + 2
+# linearizations + 11 Hessian products = 356 evaluations.
 C12_ENERGY_BUDGET = 345
-C12_EVALUATION_BUDGET = 472
+C12_EVALUATION_BUDGET = 381
 
 
 def test_c12_solve_determinism(tmp_path):
@@ -372,8 +375,9 @@ resolution = 512
 
 
 def test_power_exp_radial_solve_converges(tmp_path):
-    # the path phase alone stalls at residual 1e-3 and exhausts its 20,000
-    # iterations on this config; the Newton phase finishes it
+    # the 16-node path phase alone stalled at residual 1e-3 and exhausted
+    # its 20,000 iterations on this config; the descent on ray maxima
+    # converges alone in 38, and with Newton in 16 and 3 Newton steps
     cfg_path = tmp_path / "power_exp.cfg"
     cfg_path.write_text(POWER_EXP_RADIAL_CONFIG)
     out = tmp_path / "power_exp.json"

@@ -133,7 +133,7 @@ def test_a_search_around_a_non_finite_first_trial_finds_the_finite_minimum(
 
 
 def counting_searches(monkeypatch):
-    """The bounded searches ``solver._segment_max`` starts, as (lo, hi)."""
+    """The bounded searches ``solver._ray_max`` starts, as (lo, hi)."""
     searches = []
 
     def search(func, lo, hi, xatol):
@@ -145,14 +145,14 @@ def counting_searches(monkeypatch):
 
 @pytest.mark.parametrize("kind, resolution, top", [
     ("cartesian", 48, math.nan), ("radial", 512, -math.inf)])
-def test_segment_max_to_an_overflowing_bump_is_finite(monkeypatch, kind,
-                                                     resolution, top):
+def test_ray_max_to_an_overflowing_bump_is_finite(monkeypatch, kind,
+                                                 resolution, top):
     grid = grids.build_grid(kind, 6.0, resolution)
     bump = families.bump(grid, 0.5, amplitude=10.0)
     searches = counting_searches(monkeypatch)
     with np.errstate(all="ignore"):
         assert repr(energy.total_energy(bump, F1, V1)) == repr(top)
-        s, level = solver._segment_max(grids.zero_field(grid), bump, F1, V1)
+        s, level = solver._ray_max(bump, 0.0, 1.0, 1e-3, F1, V1)
         assert 0.0 < s < 1.0 and math.isfinite(level) and level > 0.0
         assert level == energy.total_energy(bump.with_values(s * bump.values),
                                             F1, V1)
@@ -160,7 +160,7 @@ def test_segment_max_to_an_overflowing_bump_is_finite(monkeypatch, kind,
 
 
 @pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
-def test_segment_max_halves_the_segment_past_non_finite_first_trials(
+def test_ray_max_halves_the_interval_past_non_finite_first_trials(
         monkeypatch, kind, resolution):
     # the amplitude-30 bump: I_V is finite only up to s ~ 0.2, so the first
     # trials of a search over [0, 1] (0.382, 0.618, 0.236) all overflow
@@ -173,7 +173,7 @@ def test_segment_max_halves_the_segment_past_non_finite_first_trials(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in (0.236, 0.382, 0.618):
             assert not math.isfinite(level_at(t))
-        s, level = solver._segment_max(grids.zero_field(grid), bump, F1, V1)
+        s, level = solver._ray_max(bump, 0.0, 1.0, 1e-3, F1, V1)
         ts = np.linspace(0.0, 1.0, 401)
         scan = np.array([level_at(t) for t in ts])
         assert level == level_at(s)

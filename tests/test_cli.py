@@ -103,7 +103,7 @@ def test_cli_unknown_nonlinearity_key_rejected(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("setting", ["path_nodes = 4",
+@pytest.mark.parametrize("setting", ["path_nodes = 16",
                                      "residual_tolerance = 0",
                                      "descent_step = 0",
                                      "grid_kind = hexagonal",
