@@ -193,6 +193,97 @@ def test_descent_states_are_ray_maxima(kind, resolution, monkeypatch):
         assert abs(ray_slope) <= 2 * xatol * abs(curvature)
 
 
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_ray_slope_matches_central_differences(kind, resolution, t):
+    # the slope of I_V(s v) at s = t is <I_V'(t v), v>; on the amplitude-0.6
+    # bump it is positive at 1/2 and negative at 1, so the ray has an
+    # interior maximum between them
+    grid = grids.build_grid(kind, 6.0, resolution)
+    v = families.bump(grid, 0.5, amplitude=0.6)
+    slope = energy.pair_gradient(
+        energy.energy_gradient(v.with_values(t * v.values), F1, V1), v)
+
+    def level(s):
+        return energy.total_energy(v.with_values(s * v.values), F1, V1)
+    h = 1e-4
+    assert abs(slope - (level(t + h) - level(t - h)) / (2 * h)) <= 1e-5 * abs(slope)
+    assert (slope > 0) == (t == 0.5)
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+def test_ray_max_of_the_witness_is_interior(kind, resolution):
+    grid = grids.build_grid(kind, 6.0, resolution)
+    delta0, witness = solver.check_mp_geometry(F1, V1, grid=grid)
+    xatol = 1e-6
+    t, level = solver._ray_max(witness, 0.0, 1.0, xatol, F1, V1)
+    # the ray crosses the sphere on which I_V >= delta0 before it reaches
+    # the negative energy at the witness
+    assert 0.0 + xatol < t < 1.0 - xatol and level >= delta0 > 0.0
+    u = witness.with_values(t * witness.values)
+    assert level == energy.total_energy(u, F1, V1)
+    for s in (t - 1e-2, t + 1e-2):
+        assert energy.total_energy(witness.with_values(s * witness.values),
+                                   F1, V1) < level
+    lin = energy.linearize(u, F1, V1)
+    curvature = float(np.sum(u.values * energy.hessian_product(lin, u.values)))
+    assert curvature < 0
+    # t is the maximizer of the witness ray to within xatol, so the slope
+    # along u = t witness is at most about |<I_V''(u) u, u>| xatol / t
+    assert abs(energy.pair_gradient(lin.gradient, u)) <= 2 * xatol * abs(curvature) / t
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+@pytest.mark.parametrize("peak", [0.4, 2.0])
+def test_ray_max_past_the_bracket_lands_on_its_edge(kind, resolution, peak):
+    # the ray through v peaks at t = peak, outside RAY_BRACKET, so the
+    # search over the bracket returns the edge nearest the peak, which the
+    # descent does not take as a ray maximum
+    grid = grids.build_grid(kind, 6.0, resolution)
+    _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
+    t_star, _ = solver._ray_max(witness, 0.0, 1.0, 1e-6, F1, V1)
+    v = witness.with_values(t_star / peak * witness.values)
+    lo, hi = solver.RAY_BRACKET
+    xatol = 1e-3
+    t, level = solver._ray_max(v, lo, hi, xatol, F1, V1)
+    edge = lo if peak < lo else hi
+    assert abs(t - edge) <= xatol
+    assert not lo + xatol < t < hi - xatol
+    assert level == energy.total_energy(v.with_values(t * v.values), F1, V1)
+
+
+@pytest.mark.parametrize("answer", [
+    lambda lo, hi, xatol: (lo, -1.0),
+    lambda lo, hi, xatol: (hi - 0.5 * xatol, -1.0),
+    lambda lo, hi, xatol: (1.0, -np.inf),
+    lambda lo, hi, xatol: (1.0, np.nan)],
+    ids=["lower-edge", "upper-edge", "minus-inf", "nan"])
+def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
+    # every trial search reports a level far below the current one, but on
+    # the bracket edge or non-finite: no trial is taken, each step halves
+    # eta through all of its 40 trials, and the state never moves
+    ray_max = solver._ray_max
+    calls = []
+
+    def searched(v, lo, hi, xatol, spec, potential):
+        calls.append((lo, hi))
+        if (lo, hi) == (0.0, 1.0):          # the start, on the witness ray
+            return ray_max(v, lo, hi, xatol, spec, potential)
+        return answer(lo, hi, xatol)
+    monkeypatch.setattr(solver, "_ray_max", searched)
+    monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)
+    cfg = solver.SolverConfig(spec=F1, potential=V1,
+                              **dict(C12_SETTINGS, max_iterations=3))
+    res = solver.solve_mountain_pass(cfg)
+    assert not res.converged and res.status == "budget-exhausted"
+    assert res.iterations == len(res.ps_trace) == 3
+    assert len(calls) == 1 + 3 * 40
+    assert all(pair == solver.RAY_BRACKET for pair in calls[1:])
+    start = res.ps_trace[0]
+    assert all(entry == start for entry in res.ps_trace)
+    assert res.level == res.path_level == start[0]
+
+
 @pytest.mark.parametrize("kind, resolution, amplitude",
                          [("cartesian", 48, 0.5), ("radial", 512, 0.0)])
 def test_minres_meets_the_forcing_term(kind, resolution, amplitude):
