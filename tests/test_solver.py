@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from logchoquard import energy, families, grids, solver
 from logchoquard import nonlinearity as nl
@@ -90,6 +91,40 @@ def test_vanishing_check_radial_profile():
     u = families.bump(g, radius=0.5)
     mass = grids.integrate(u, lambda s: s**2)
     assert abs(solver.vanishing_check(u, 1.0) - mass) < 1e-6 * (1 + mass)
+
+
+def _lattice_masses_on_the_whole_grid(u, r):
+    """The reference: one full-grid ball mask per lattice center."""
+    xx, yy = u.grid.meshgrid()
+    mass = u.grid.weights * u.values**2
+    return np.array([np.sum(mass[(xx - cx) ** 2 + (yy - cy) ** 2 <= r**2])
+                     for cx, cy in solver._lattice_centers(u.grid.domain_radius)])
+
+
+@pytest.mark.parametrize("radius, resolution, center, r", [
+    (8.0, 64, (0.0, 0.0), 1.0), (8.0, 64, (5.3, -2.7), 1.0),
+    (6.0, 48, (-4.5, 0.0), 2.5), (4.0, 16, (0.0, 0.0), 3.9)])
+def test_lattice_masses_match_the_whole_grid_masks(radius, resolution,
+                                                   center, r):
+    g = grids.build_grid("cartesian", radius, resolution)
+    u = families.gaussian(g, 1.5, center=center)
+    centers, masses = solver._lattice_masses(u, r)
+    reference = _lattice_masses_on_the_whole_grid(u, r)
+    assert np.array_equal(centers, solver._lattice_centers(radius))
+    # the same nodes, summed in another order: rounding only
+    assert np.all(np.abs(masses - reference)
+                  <= 16 * np.finfo(float).eps * reference)
+
+
+@pytest.mark.parametrize("center, shift", [
+    ((-3.3, 2.2), (3, -2)), ((2.5, -1.0), (-2, 1))],
+    ids=["off-center", "tie"])
+def test_recenter_off_center_bump(center, shift):
+    # at (2.5, -1) the centers (2, -1) and (3, -1) hold the same mass, and
+    # the first in lattice order is kept
+    g = grids.build_grid("cartesian", 8.0, 64)
+    u = families.bump(g, radius=1.5, center=center)
+    assert solver.recenter(u, V1, F1).shift == shift
 
 
 def test_recenter_centered_bump():
@@ -284,6 +319,46 @@ def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
     assert res.level == res.path_level == start[0]
 
 
+def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
+    # every trial search reports an interior maximum far below the current
+    # level, at a scale where t v saturates nodes: the clamp would decide
+    # such a trial, so none is taken and the state never moves
+    ray_max = solver._ray_max
+    saturates = []
+
+    def searched(v, lo, hi, xatol, spec, potential):
+        if (lo, hi) == (0.0, 1.0):          # the start, on the witness ray
+            return ray_max(v, lo, hi, xatol, spec, potential)
+        saturates.append(np.any(nl.saturation_mask(spec, 50.0 * v.values)))
+        return 50.0, -1.0
+    monkeypatch.setattr(solver, "_ray_max", searched)
+    monkeypatch.setattr(solver, "RAY_BRACKET", (0.5, 100.0))
+    monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)
+    cfg = solver.SolverConfig(spec=F1, potential=V1,
+                              **dict(C12_SETTINGS, max_iterations=3))
+    res = solver.solve_mountain_pass(cfg)
+    assert len(saturates) == 3 * 40 and all(saturates)
+    assert not res.converged and res.iterations == 3
+    start = res.ps_trace[0]
+    assert all(entry == start for entry in res.ps_trace)
+    assert res.level == res.path_level == start[0]
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 128),
+                                              ("radial", 512)])
+def test_preconditioner_lu_solves_the_quadratic_part(kind, resolution):
+    grid = grids.build_grid(kind, 16.0, resolution)
+    interior, lu = solver._quadratic_preconditioner(grid, V1)
+    w = grid.weights.ravel()
+    k = (grids.stiffness_matrix(grid) + sp.diags(w * V1.on_grid(grid).ravel())
+         ).tocsr()[interior][:, interior]
+    b = np.random.default_rng(0).standard_normal(len(interior))
+    assert np.linalg.norm(k @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    if kind == "cartesian":
+        # a symmetric minimum-degree ordering; COLAMD's LU held 986k
+        assert lu.L.nnz + lu.U.nnz < 600_000
+
+
 @pytest.mark.parametrize("kind, resolution, amplitude",
                          [("cartesian", 48, 0.5), ("radial", 512, 0.0)])
 def test_minres_meets_the_forcing_term(kind, resolution, amplitude):
@@ -315,7 +390,7 @@ POWER_EXP = nl.NonlinearitySpec("power_exp", p=2.0, q=2.0)
 
 
 # Newton moves the level it starts from by about r^2 / (2 lambda), with r
-# the residual it starts from (below NEWTON_SWITCH) and lambda the lowest
+# the residual it starts from (the descent's last) and lambda the lowest
 # positive eigenvalue of the pencil (I_V'', K): above 1/2 for F1, 0.25 for
 # power_exp on 512 radial nodes
 @pytest.mark.parametrize("spec, potential, settings, moves", [
@@ -332,11 +407,11 @@ def test_solve_without_newton_reaches_the_same_level(spec, potential, settings,
     assert newton.converged and 1 <= newton.newton_steps <= 4
     assert newton.hessian_products > 0
     # the descent hands over below the switch, and Newton moves the ray
-    # maximum by about the square of its residual
-    assert newton.ps_trace[-1][1] < solver.NEWTON_SWITCH
+    # maximum by about the square of the residual it hands over at
+    handover = newton.ps_trace[-1][1]
+    assert handover < solver.NEWTON_SWITCH
     assert len(newton.ps_trace) == newton.iterations
-    assert (abs(newton.level - newton.path_level)
-            <= moves * solver.NEWTON_SWITCH ** 2)
+    assert abs(newton.level - newton.path_level) <= moves * handover**2
     assert descent.converged
     assert descent.newton_steps == descent.hessian_products == 0
     assert descent.level == descent.path_level
