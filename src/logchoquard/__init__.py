@@ -4,7 +4,7 @@ Moser-sequence level estimates and a mountain-pass solver."""
 
 from .energy import (EnergyBreakdown, MoserCap, RayAnalysis,
                      delta_n_closed_form, energy_IV, energy_gradient,
-                     frak_functionals, moser_cap, moser_delta_n, moser_grid,
+                     moser_cap, moser_delta_n, moser_grid,
                      mp_level_upper_bound, ray_analysis, total_energy)
 from .grids import (Grid, GridField, build_grid, dirichlet_energy,
                     field_from_radial, field_from_xy, integrate, zero_field)
@@ -17,7 +17,7 @@ from .nonlinearity import (AssumptionReport, NonlinearitySpec, ScanPlan,
 from .solver import (PSDiagnostics, RecenterResult, SolverConfig,
                      SolverResult, check_mp_geometry, ps_diagnostics,
                      recenter, solve_mountain_pass, vanishing_check)
-from .spaces import (NormReport, PeriodicCoefficient, TMValue, WeightSpec,
+from .spaces import (PeriodicCoefficient, TMValue,
                      norm_1qw, norm_ruf_sq, norm_V_sq, norm_w0_sq,
                      radial_map_T, radial_map_T_inverse, radial_map_T_prime,
                      tm_functional, tm_sup_search, transform_to_unweighted)

@@ -109,12 +109,7 @@ def cmd_verify_embedding(cfg: RunConfig):
                                    rho=cfg.embedding["rho"],
                                    domain_radius=cfg.domain_radius,
                                    resolution=cfg.resolution)
-    # each member on the unit w0 sphere; the first largest value is the sup
-    tm_values = []
-    for params, field in family:
-        scaled = field.with_values(field.values / np.sqrt(spaces.norm_w0_sq(field)))
-        tm_values.append((params, spaces.tm_functional(scaled, alpha).value))
-    best_params, best = max(tm_values, key=lambda row: row[1])
+    best, best_params, tm_values = spaces.tm_sup_search(family, alpha)
 
     results = {
         "pointwise_bounds_ok": bounds_ok,
@@ -129,16 +124,11 @@ def cmd_verify_embedding(cfg: RunConfig):
     }
     if cfg.q > 2:
         alpha_q = 1.0 / np.sqrt(cfg.q)
-        q_values = []
-        for params, field in family:
-            nrm = spaces.norm_1qw(
-                field, cfg.q, (spaces.WeightSpec("log_e_weight"), None)).total_sq
-            scaled = field.with_values(field.values / np.sqrt(nrm))
-            q_values.append({"n": params["n"],
-                             "value": spaces.tm_functional(
-                                 scaled, alpha_q, q_cap=cfg.q).value})
-        results["orlicz_q_variant"] = {"alpha": float(alpha_q), "q": cfg.q,
-                                       "values": q_values}
+        _, _, q_values = spaces.tm_sup_search(family, alpha_q, q_cap=cfg.q)
+        results["orlicz_q_variant"] = {
+            "alpha": float(alpha_q), "q": cfg.q,
+            "values": [{"n": params["n"], "value": value}
+                       for params, value in q_values]}
     diagnostics = {"grid_nodes": cfg.resolution,
                    "truncation_radius": cfg.domain_radius}
     ok = bounds_ok and sandwich_ok and roundtrip <= 1e-10

@@ -44,7 +44,6 @@ class EnergyBreakdown:
     frakF1: float
     frakF2: float
     total: float
-    saturated: bool = False
 
 
 def compose_density(u: grids.GridField, spec: nl.NonlinearitySpec) -> np.ndarray:
@@ -56,25 +55,15 @@ def compose_f(u: grids.GridField, spec: nl.NonlinearitySpec) -> np.ndarray:
     return spec.c_profile.on_grid(u.grid) * nl.eval_f(spec, u.values)
 
 
-def frak_functionals(u: grids.GridField, spec: nl.NonlinearitySpec) -> EnergyBreakdown:
-    """The bilinear forms evaluated on the composed density c F(u);
-    quadratic and total are left at zero (see energy_IV)."""
-    density = grids.GridField(u.grid, compose_density(u, spec))
-    form = kernel.bilinear_fast(density, density)
-    saturated = bool(np.any(nl.saturation_mask(spec, u.values)))
-    return EnergyBreakdown(quadratic=0.0, frakF=form.b0, frakF1=form.b1,
-                           frakF2=form.b2, total=0.0, saturated=saturated)
-
-
 def energy_IV(u: grids.GridField, spec: nl.NonlinearitySpec,
               potential: PeriodicCoefficient) -> EnergyBreakdown:
-    """Full energy breakdown at u."""
-    frak = frak_functionals(u, spec)
+    """Full energy breakdown at u, with the near and far forms of c F(u)."""
+    density = grids.GridField(u.grid, compose_density(u, spec))
+    form = kernel.bilinear_fast(density, density)
     quadratic = 0.5 * norm_V_sq(u, potential)
-    total = quadratic - frak.frakF / FOUR_PI
-    return EnergyBreakdown(quadratic=quadratic, frakF=frak.frakF,
-                           frakF1=frak.frakF1, frakF2=frak.frakF2,
-                           total=total, saturated=frak.saturated)
+    return EnergyBreakdown(quadratic=quadratic, frakF=form.b0,
+                           frakF1=form.b1, frakF2=form.b2,
+                           total=quadratic - form.b0 / FOUR_PI)
 
 
 def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,

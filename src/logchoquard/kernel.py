@@ -14,15 +14,19 @@ Two evaluation routes are kept deliberately independent:
   evaluates a batch of pairs on one grid per pass: the node-pair distances
   and kernel tables (cartesian) or the oracle ring coupling (radial) are
   built once for the whole batch.
-* ``bilinear_fast``  -- zero-padded FFT convolution on uniform cartesian
-  grids; on radial grids a cached log(1+|x-y|) ring-coupling matrix for B1,
-  and Newton prefix sums for B0 (``b0_potential``).
+* ``bilinear_fast``  -- on uniform cartesian grids a Parseval pairing of
+  zero-padded spectra for each form; on radial grids a cached
+  log(1+|x-y|) ring-coupling matrix for B1, and Newton prefix sums for B0
+  (``b0_potential``).
 
-``b0_form`` (B0 alone, the energy's form) pairs spectra on cartesian grids:
-B0(u, v) = (1/m^2) sum_k c_k K_B0hat(k) Re(conj(uhat_k) vhat_k) over the
-rfft2 half spectrum, with no inverse FFT, and one forward FFT when v is u.
-The pad m >= 2n - 1 leaves no wrap-around terms.  Every forward transform
-is pruned to the n nonzero rows of the pad (``_spectrum``).
+Every cartesian form is paired by Parseval, with no inverse FFT:
+B(u, v) = (1/m^2) sum_k c_k K_hat(k) Re(conj(uhat_k) vhat_k) over the
+rfft2 half spectrum, and one forward FFT when v is u.  ``b0_form`` (B0
+alone, the energy's form) runs the same pairing.  The pad m >= 2n - 1
+leaves no wrap-around terms, and every forward transform is pruned to the
+n nonzero rows of the pad (``_spectrum``).  The one convolution is
+``convolve_kernel`` (B0), which the energy gradient and the Hessian
+products need as a nodal field.
 """
 
 from __future__ import annotations
@@ -116,10 +120,13 @@ def cell_average_log_kernels(h: float):
 # ---------------------------------------------------------------------------
 
 def _fft_kernels(grid: grids.Grid):
-    """(m, {"B1": ..., "B2": ..., "B0": ...}): rfft2 of the zero-padded
-    (2n-1)^2 displacement tables of log(1+d) and log(1+1/d), and of their
-    difference.  The zero displacement holds the exact self-cell averages.
-    Cached per grid."""
+    """(m, K_B0 hat, Parseval tables): the rfft2 of the zero-padded (2n-1)^2
+    displacement table of log(1/d) = log(1+1/d) - log(1+d), whose zero
+    displacement holds the exact self-cell average, and for each of "B1",
+    "B2" and "B0" the table c_k Re(K hat)_k / m^2 on the rfft2 half spectrum,
+    c_k = 1 on column 0 (and on the Nyquist column when m is even), 2
+    elsewhere.  Every kernel table depends on |offset| only, so its
+    transform is real.  Cached per grid."""
     def build():
         n, h = grid.resolution, grid.spacing
         m = spfft.next_fast_len(2 * n - 1)
@@ -139,44 +146,46 @@ def _fft_kernels(grid: grids.Grid):
                 q[np.abs(sl)[:, None], np.abs(sl)[None, :]]
             hats.append(spfft.rfft2(pad))
         k1hat, k2hat = hats
-        return m, {"B1": k1hat, "B2": k2hat, "B0": k2hat - k1hat}
+        k0hat = k2hat - k1hat
+        c = np.full(m // 2 + 1, 2.0)
+        c[0] = 1.0
+        if m % 2 == 0:
+            c[-1] = 1.0
+        tables = {name: c * khat.real / (m * m)
+                  for name, khat in (("B1", k1hat), ("B2", k2hat), ("B0", k0hat))}
+        return m, k0hat, tables
     return grid._cached("fft_kernels", build)
 
 
 def _spectrum(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
     """rfft2 of the m x m zero pad of the weighted nodal density, with the
     forward pass pruned to the n nonzero rows (bit-identical to rfft2)."""
-    m, _ = _fft_kernels(grid)
+    m = _fft_kernels(grid)[0]
     rows = spfft.rfft(grid.weights * density, n=m, axis=1)
     return spfft.fft(rows, n=m, axis=0)
 
 
-def _b0_pairing(grid: grids.Grid) -> np.ndarray:
-    """c_k Re(K_B0 hat)_k / m^2 on the rfft2 half spectrum, c_k = 1 on column 0
-    (and on the Nyquist column when m is even), 2 elsewhere: Parseval
-    weights of the B0 form.  The table depends on |offset| only, so its
-    transform is real.  Cached per grid."""
-    def build():
-        m, khats = _fft_kernels(grid)
-        c = np.full(m // 2 + 1, 2.0)
-        c[0] = 1.0
-        if m % 2 == 0:
-            c[-1] = 1.0
-        return c * khats["B0"].real / (m * m)
-    return grid._cached("b0_pairing", build)
+def _cross_spectrum(u: grids.GridField, v: grids.GridField) -> np.ndarray:
+    """Re(conj(uhat) vhat) on the rfft2 half spectrum: summed against a
+    Parseval table it gives that table's form B(u, v).  One forward
+    transform when ``v is u``."""
+    uhat = _spectrum(u.grid, u.values)
+    vhat = uhat if v is u else _spectrum(v.grid, v.values)
+    return uhat.real * vhat.real + uhat.imag * vhat.imag
 
 
-def convolve_kernel(grid: grids.Grid, density: np.ndarray, which: str = "B0"):
-    """(K * density) sampled at the nodes of a uniform cartesian grid,
-    density given as nodal values (quadrature weights applied internally)."""
+def convolve_kernel(grid: grids.Grid, density: np.ndarray):
+    """(log(1/|.|) * density) sampled at the nodes of a uniform cartesian
+    grid, density given as nodal values (quadrature weights applied
+    internally)."""
     if grid.kind != "cartesian":
         raise UnsupportedGridError("FFT convolution needs a cartesian grid")
-    m, khats = _fft_kernels(grid)
+    m, k0hat, _ = _fft_kernels(grid)
     n = grid.resolution
     dhat = _spectrum(grid, density)
     # irfft2 pruned to the n rows that are kept.  Like irfft2, both passes
     # run unscaled and the 1/m^2 is applied once, so the result is the same.
-    rows = spfft.ifft(khats[which] * dhat, axis=0, norm="forward")[:n]
+    rows = spfft.ifft(k0hat * dhat, axis=0, norm="forward")[:n]
     return spfft.irfft(rows, n=m, axis=1, norm="forward")[:, :n] * (1.0 / (m * m))
 
 
@@ -272,7 +281,7 @@ def b0_potential(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
     -log max(r_i, r_j) (Newton's theorem), so with m = w * density it is
     -log(r_i) sum_{j<=i} m_j - sum_{j>i} log(r_j) m_j: two prefix sums."""
     if grid.kind == "cartesian":
-        return convolve_kernel(grid, density, "B0")
+        return convolve_kernel(grid, density)
     m = grid.weights * density
     log_r = np.log(grid.nodes)
     outside = np.cumsum((log_r * m)[::-1])[::-1]        # sum_{j >= i}
@@ -287,10 +296,7 @@ def b0_form(u: grids.GridField, v: grids.GridField) -> float:
     grid = u.grid
     if grid.kind != "cartesian":
         return float(np.sum(grid.weights * u.values * b0_potential(grid, v.values)))
-    uhat = _spectrum(grid, u.values)
-    vhat = uhat if v is u else _spectrum(grid, v.values)
-    cross = uhat.real * vhat.real + uhat.imag * vhat.imag
-    return float(np.sum(_b0_pairing(grid) * cross))
+    return float(np.sum(_fft_kernels(grid)[2]["B0"] * _cross_spectrum(u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +311,12 @@ class KernelForm:
     b2: float
     b0: float
 
-    def value(self, which: str) -> float:
-        return {"B0": self.b0, "B1": self.b1, "B2": self.b2}[which]
+    def value(self, name: str) -> float:
+        return {"B0": self.b0, "B1": self.b1, "B2": self.b2}[name]
 
 
-def bilinear_direct(u: grids.GridField, v: grids.GridField,
-                    which: str = "B0") -> KernelForm:
+def bilinear_direct(u: grids.GridField, v: grids.GridField) -> KernelForm:
     """O(N^2) double quadrature over node pairs; the oracle route."""
-    _check_which(which)
     return bilinear_direct_many([(u, v)])[0]
 
 
@@ -341,28 +345,21 @@ def bilinear_direct_many(pairs) -> list[KernelForm]:
             for x1, x2 in zip(b1, b2)]
 
 
-def bilinear_fast(u: grids.GridField, v: grids.GridField,
-                  which: str = "B0") -> KernelForm:
-    """FFT convolution (cartesian) or cached ring couplings (radial)."""
+def bilinear_fast(u: grids.GridField, v: grids.GridField) -> KernelForm:
+    """Parseval pairings of the spectra (cartesian) or cached ring
+    couplings (radial)."""
     grids.require_same_grid(u, v)
-    _check_which(which)
     grid = u.grid
     if grid.kind == "cartesian":
-        t1 = convolve_kernel(grid, v.values, "B1")
-        t2 = convolve_kernel(grid, v.values, "B2")
-        a = grid.weights * u.values
-        b1 = float(np.sum(a * t1))
-        b2 = float(np.sum(a * t2))
+        tables = _fft_kernels(grid)[2]
+        cross = _cross_spectrum(u, v)
+        b1 = float(np.sum(tables["B1"] * cross))
+        b2 = float(np.sum(tables["B2"] * cross))
     else:
         a = grid.weights * u.values
         b1 = float(a @ (ring_c1(grid) @ (grid.weights * v.values)))
         b2 = b1 + b0_form(u, v)
     return KernelForm(b1=b1, b2=b2, b0=b2 - b1)
-
-
-def _check_which(which: str):
-    if which not in ("B0", "B1", "B2"):
-        raise DomainError(f"unknown form selector {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +424,7 @@ def log_hls_check(u: grids.GridField, v: grids.GridField) -> LogHLSReport:
         raise NegativeInputError("log-HLS needs nonzero densities")
     un = grids.GridField(u.grid, uu / mass_u)
     vn = grids.GridField(u.grid, vv / mass_v)
-    form = bilinear_fast(un, vn, "B0")
+    form = bilinear_fast(un, vn)
     lhs = 4.0 * form.b0
 
     def xlogx(t):

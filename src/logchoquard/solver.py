@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -555,10 +554,8 @@ class RecenterResult:
     energy_delta: float
 
 
-def recenter(u: grids.GridField,
-             potential: Optional[PeriodicCoefficient] = None,
-             spec: Optional[nl.NonlinearitySpec] = None,
-             r: float = 1.0) -> RecenterResult:
+def recenter(u: grids.GridField, potential: PeriodicCoefficient,
+             spec: nl.NonlinearitySpec, r: float = 1.0) -> RecenterResult:
     """Shift by the integer vector that moves the largest local mass to the
     origin.  On cartesian grids the unit cell must divide 1 so that integer
     shifts are whole-cell rolls (then the shift is exactly energy
@@ -582,12 +579,7 @@ def recenter(u: grids.GridField,
                                 shift[1] * cells_per_unit), axis=(0, 1))
     rolled[grid.weights == 0] = 0.0
     shifted = grids.GridField(grid, rolled)
-    delta = 0.0
-    if spec is not None and potential is not None:
-        before = energy.total_energy(u, spec, potential)
-        after = energy.total_energy(shifted, spec, potential)
-        delta = after - before
-    elif potential is not None:
-        from .spaces import norm_V_sq
-        delta = norm_V_sq(shifted, potential) - norm_V_sq(u, potential)
-    return RecenterResult(field=shifted, shift=shift, energy_delta=float(delta))
+    before = energy.total_energy(u, spec, potential)
+    after = energy.total_energy(shifted, spec, potential)
+    return RecenterResult(field=shifted, shift=shift,
+                          energy_delta=float(after - before))

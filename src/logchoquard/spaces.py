@@ -75,72 +75,34 @@ class PeriodicCoefficient:
         return float(np.max(vals))
 
 
-WEIGHT_KINDS = ("log_e_weight", "log_one_plus", "potential_V")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """One factor of a weighted norm: w0 = log(e+|x|), log(1+|x|), or V(x)."""
-
-    kind: str
-    potential: Optional[PeriodicCoefficient] = None
-
-    def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise InvalidParameterError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "potential_V" and self.potential is None:
-            raise InvalidParameterError("potential_V weight needs a potential")
-
-    def on_grid(self, grid: grids.Grid) -> np.ndarray:
-        if self.kind == "log_e_weight":
-            return np.log(np.e + grid.radii())
-        if self.kind == "log_one_plus":
-            return np.log1p(grid.radii())
-        return self.potential.on_grid(grid)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Breakdown of a weighted Sobolev norm (squared)."""
-
-    dirichlet: float        # gradient part plus potential mass, when present
-    weighted_mass: float    # int |u|^q w dx, before the 2/q power
-    total_sq: float
-    q_exponent: float
-    grad_sq: float
-    potential_mass: float
-
-
-def norm_1qw(u: grids.GridField, q: float, weights) -> NormReport:
-    """Weighted norm ||u||^2 = ||grad u||^2 [+ int V u^2] + (int |u|^q w)^{2/q}.
-
-    ``weights`` is a pair (mass WeightSpec, potential WeightSpec or None).
-    """
+def norm_1qw(u: grids.GridField, q: float, weight: np.ndarray,
+             potential: Optional[PeriodicCoefficient] = None) -> float:
+    """The squared weighted norm
+    ||u||^2 = ||grad u||^2 [+ int V u^2] + (int |u|^q w)^{2/q}
+    for the nodal weight w; the V term only when ``potential`` is given."""
     if q < 2:
         raise InvalidParameterError("q must be >= 2")
-    mass_spec, pot_spec = weights
     grad_sq = grids.dirichlet_energy(u)
     pot_mass = 0.0
-    if pot_spec is not None:
-        pot_mass = grids.integrate(u, lambda s: s**2, weight=pot_spec.on_grid(u.grid))
-    w = mass_spec.on_grid(u.grid)
-    weighted_mass = grids.integrate(u, lambda s: np.abs(s) ** q, weight=w)
-    dirichlet = grad_sq + pot_mass
-    total_sq = dirichlet + weighted_mass ** (2.0 / q)
-    return NormReport(dirichlet, weighted_mass, total_sq, q, grad_sq, pot_mass)
+    if potential is not None:
+        pot_mass = grids.integrate(u, lambda s: s**2,
+                                   weight=potential.on_grid(u.grid))
+    mass = grids.integrate(u, lambda s: np.abs(s) ** q, weight=weight)
+    return (grad_sq + pot_mass) + mass ** (2.0 / q)
 
 
 def norm_1qw_sq(u: grids.GridField, q: float,
                 potential: PeriodicCoefficient) -> float:
     """||u||_{1,q(w)}^2 with w = log(1+|x|) and the potential V: the norm of
     the mountain-pass sphere and of the Moser expansion."""
-    return norm_1qw(u, q, (WeightSpec("log_one_plus"),
-                           WeightSpec("potential_V", potential))).total_sq
+    return norm_1qw(u, q, np.log1p(u.grid.radii()), potential)
 
 
-def norm_w0_sq(u: grids.GridField) -> float:
-    """||u||_{w0}^2 = ||grad u||^2 + int u^2 log(e+|x|) dx."""
-    return norm_1qw(u, 2.0, (WeightSpec("log_e_weight"), None)).total_sq
+def norm_w0_sq(u: grids.GridField, q: float = 2.0) -> float:
+    """||u||_{w0}^2 = ||grad u||^2 + (int |u|^q log(e+|x|) dx)^{2/q}; q = 2
+    is the w0 norm of the change of variables, q > 2 the q-growth sphere of
+    the Orlicz variant."""
+    return norm_1qw(u, q, np.log(np.e + u.grid.radii()))
 
 
 def norm_ruf_sq(u: grids.GridField) -> float:
@@ -304,25 +266,23 @@ def tm_functional(u: grids.GridField, alpha: float, weighted: bool = True,
     return TMValue(value, saturated)
 
 
-def tm_sup_search(family: Sequence, alpha: float, constraint: str = "w0",
-                  weighted: bool = True, q_cap: Optional[float] = None):
-    """Maximize the TM functional over a parametric family projected onto
-    the unit ball of the chosen norm ("w0" or "ruf").
+def tm_sup_search(family: Sequence, alpha: float,
+                  q_cap: Optional[float] = None):
+    """The TM functional (q-growth with ``q_cap``) over a parametric family,
+    each member scaled to the unit sphere of ||.||_{w0} with exponent
+    ``q_cap`` or 2.
 
-    Returns (best TMValue, parameters of the maximizer).
+    Returns (the first largest value, its parameters, [(params, value)]
+    for every member in order).
     """
     family = list(family)
     if not family:
         raise EmptyFamilyError("tm_sup_search needs a nonempty family")
-    if constraint not in ("w0", "ruf"):
-        raise InvalidParameterError(f"unknown constraint {constraint!r}")
-    best: Optional[TMValue] = None
-    best_params = None
+    rows = []
     for params, field in family:
-        norm_sq = norm_w0_sq(field) if constraint == "w0" else norm_ruf_sq(field)
+        norm_sq = norm_w0_sq(field, q_cap or 2.0)
         if norm_sq > 0:
             field = field.with_values(field.values / math.sqrt(norm_sq))
-        val = tm_functional(field, alpha, weighted=weighted, q_cap=q_cap)
-        if best is None or val.value > best.value:
-            best, best_params = val, params
-    return best, best_params
+        rows.append((params, tm_functional(field, alpha, q_cap=q_cap).value))
+    best_params, best = max(rows, key=lambda row: row[1])
+    return best, best_params, rows

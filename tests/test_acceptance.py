@@ -274,15 +274,13 @@ C12_EVALUATION_BUDGET = 165
 def test_c12_solve_determinism(tmp_path):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(C12_CONFIG)
-    out = str(tmp_path / "det.json")
+    out, field = tmp_path / "det.json", tmp_path / "det.json.field"
     code1 = cli.main(["solve", "--config", str(cfg_path), "--seed", "11",
-                      "--output", out])
-    bytes1 = open(out, "rb").read()
-    field1 = open(out + ".field", "rb").read()
+                      "--output", str(out)])
+    bytes1, field1 = out.read_bytes(), field.read_bytes()
     code2 = cli.main(["solve", "--config", str(cfg_path), "--seed", "11",
-                      "--output", out])
-    bytes2 = open(out, "rb").read()
-    field2 = open(out + ".field", "rb").read()
+                      "--output", str(out)])
+    bytes2, field2 = out.read_bytes(), field.read_bytes()
     assert code1 == 0 and code2 == 0
     assert bytes1 == bytes2
     assert field1 == field2

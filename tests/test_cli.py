@@ -71,11 +71,11 @@ def test_cli_check_assumptions(tmp_path, capsys):
 
 def test_cli_check_assumptions_csv(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
-    out_path = str(tmp_path / "report.csv")
+    out_path = tmp_path / "report.csv"
     code = cli.main(["check-assumptions", "--config", path,
-                     "--format", "csv", "--output", out_path])
+                     "--format", "csv", "--output", str(out_path)])
     assert code == 0
-    text = open(out_path).read()
+    text = out_path.read_text()
     assert text.startswith("key,value")
     assert "results.f2_ok,true" in text
 
@@ -334,8 +334,8 @@ def test_verify_embedding_orlicz_variant_at_q_3(tmp_path):
     # the n = 16 value, evaluated directly on the cap scaled to the unit
     # q-growth sphere
     [(_, cap)] = families.moser_family((16,), rho=0.5)
-    nrm = spaces.norm_1qw(cap, 3.0, (spaces.WeightSpec("log_e_weight"), None))
-    scaled = cap.with_values(cap.values / math.sqrt(nrm.total_sq))
+    nrm = spaces.norm_w0_sq(cap, 3.0)
+    scaled = cap.with_values(cap.values / math.sqrt(nrm))
     assert values[2] == spaces.tm_functional(scaled, alpha, q_cap=3.0).value
 
 
@@ -374,14 +374,14 @@ residual_tolerance = 2e-4
 def test_cli_solve_small_and_determinism(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, BASE + SMALL_SOLVE)
-    out = str(tmp_path / "run.json")
-    code1 = cli.main(["solve", "--config", path, "--seed", "7", "--output", out])
-    bytes1 = open(out, "rb").read()
-    code2 = cli.main(["solve", "--config", path, "--seed", "7", "--output", out])
-    bytes2 = open(out, "rb").read()
+    out = tmp_path / "run.json"
+    code1 = cli.main(["solve", "--config", path, "--seed", "7", "--output", str(out)])
+    bytes1 = out.read_bytes()
+    code2 = cli.main(["solve", "--config", path, "--seed", "7", "--output", str(out)])
+    bytes2 = out.read_bytes()
     assert code1 == 0 and code2 == 0
     assert bytes1 == bytes2
-    assert os.path.exists(out + ".field")
+    assert (tmp_path / "run.json.field").exists()
 
 
 def reject_constant(name):

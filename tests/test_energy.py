@@ -37,7 +37,7 @@ def test_energy_decomposition_identity(rgrid):
 
 def test_frak_positive_parts(rgrid):
     u = families.gaussian(rgrid, 1.0, amplitude=0.5)
-    bd = energy.frak_functionals(u, F1)
+    bd = energy.energy_IV(u, F1, V1)
     assert bd.frakF1 >= 0 and bd.frakF2 >= 0
 
 
@@ -60,7 +60,7 @@ def test_large_ray_goes_negative(rgrid):
 def test_small_support_frak_lower_bound(rgrid):
     # supports in B_{1/4}: frakF >= log(2) (int c F(u))^2
     u = families.bump(rgrid, radius=0.2, amplitude=0.6)
-    bd = energy.frak_functionals(u, F1)
+    bd = energy.energy_IV(u, F1, V1)
     mass = grids.integrate(grids.GridField(rgrid, energy.compose_density(u, F1)))
     assert bd.frakF >= np.log(2) * mass**2 * (1 - 1e-9)
 
@@ -69,7 +69,7 @@ def test_frak_nonnegative_in_half_ball(rgrid):
     # any direction supported in B_rho, rho <= 1/2, has frakF >= 0
     for radius in (0.3, 0.5):
         u = families.bump(rgrid, radius=radius, amplitude=0.8)
-        assert energy.frak_functionals(u, F1).frakF >= 0
+        assert energy.energy_IV(u, F1, V1).frakF >= 0
 
 
 def test_gradient_zero_field(rgrid):

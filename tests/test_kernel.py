@@ -365,12 +365,11 @@ def test_log_hls_negative_input():
 
 
 @pytest.mark.parametrize("n", [16, 33, 128])
-@pytest.mark.parametrize("which", ["B0", "B1", "B2"])
-def test_convolve_kernel_bit_identical_to_full_inverse_fft(n, which):
+def test_convolve_kernel_bit_identical_to_full_inverse_fft(n):
     # the pruned inverse transform must equal irfft2 cropped to n x n
     import scipy.fft as spfft
     grid = grids.build_grid("cartesian", 4.0, n)
-    m, khats = kernel._fft_kernels(grid)
+    m, k0hat, _ = kernel._fft_kernels(grid)
     rng = np.random.default_rng(n)
     for _ in range(3):
         density = rng.normal(size=grid.shape)
@@ -378,8 +377,63 @@ def test_convolve_kernel_bit_identical_to_full_inverse_fft(n, which):
         pad[:n, :n] = grid.weights * density
         dhat = spfft.rfft2(pad)   # named, as in convolve_kernel: the product's
         # operand order (and hence its rounding) changes with an elided temporary
-        ref = spfft.irfft2(khats[which] * dhat, s=(m, m))[:n, :n]
-        assert np.array_equal(kernel.convolve_kernel(grid, density, which), ref)
+        ref = spfft.irfft2(k0hat * dhat, s=(m, m))[:n, :n]
+        assert np.array_equal(kernel.convolve_kernel(grid, density), ref)
+
+
+def _reference_kernel_spectra(grid):
+    """(m, rfft2 of the zero-padded far table log(1+d), of the near table
+    log(1+1/d)), built independently of ``kernel._fft_kernels``."""
+    import scipy.fft as spfft
+    n, h = grid.resolution, grid.spacing
+    m = spfft.next_fast_len(2 * n - 1)
+    _, d1, d2 = kernel.cell_average_log_kernels(h)
+    off = np.arange(-(n - 1), n)
+    dist = h * np.hypot(off[:, None], off[None, :])
+    hats = []
+    for kern, diag in ((np.log1p, d1), (lambda d: np.log1p(1.0 / d), d2)):
+        table = np.full(dist.shape, diag)
+        table[dist > 0] = kern(dist[dist > 0])
+        pad = np.zeros((m, m))
+        pad[off[:, None] % m, off[None, :] % m] = table
+        hats.append(spfft.rfft2(pad))
+    return m, hats[0], hats[1]
+
+
+def _reference_forms(u, v):
+    """(B1, B2, magnitude) by real-space convolution with a full inverse
+    FFT, the route that the Parseval pairings replaced.  The magnitude is
+    sum |w u| ((K1 + K2) * |v|), which bounds each form's terms."""
+    import scipy.fft as spfft
+    grid = u.grid
+    n = grid.resolution
+    m, k1hat, k2hat = _reference_kernel_spectra(grid)
+
+    def convolve(khat, density):
+        pad = np.zeros((m, m))
+        pad[:n, :n] = grid.weights * density
+        return spfft.irfft2(khat * spfft.rfft2(pad), s=(m, m))[:n, :n]
+
+    wu = grid.weights * u.values
+    b1 = np.sum(wu * convolve(k1hat, v.values))
+    b2 = np.sum(wu * convolve(k2hat, v.values))
+    mag = np.sum(np.abs(wu) * convolve(k1hat + k2hat, np.abs(v.values)))
+    return b1, b2, mag
+
+
+@pytest.mark.parametrize("n", [8, 33, 128])
+def test_cartesian_fast_forms_match_convolution_route(n):
+    grid = grids.build_grid("cartesian", 4.0, n)
+    rng = np.random.default_rng(n)
+    u = grids.GridField(grid, rng.normal(size=grid.shape))
+    v = grids.GridField(grid, rng.normal(size=grid.shape))
+    for a, b in ((u, u), (u, v), (v, u)):
+        b1, b2, mag = _reference_forms(a, b)
+        form = kernel.bilinear_fast(a, b)
+        assert abs(form.b1 - b1) <= 1e-13 * mag
+        assert abs(form.b2 - b2) <= 1e-13 * mag
+        assert abs(form.b0 - (b2 - b1)) <= 1e-13 * mag
+        assert form.b0 == form.b2 - form.b1
 
 
 SPECTRAL_SIZES = [8, 16, 33, 64, 128, 256]   # n = 8 pads to odd m = 15
@@ -389,7 +443,7 @@ SPECTRAL_SIZES = [8, 16, 33, 64, 128, 256]   # n = 8 pads to odd m = 15
 def test_spectrum_bit_identical_to_rfft2_of_zero_pad(n):
     import scipy.fft as spfft
     grid = grids.build_grid("cartesian", 4.0, n)
-    m, _ = kernel._fft_kernels(grid)
+    m = kernel._fft_kernels(grid)[0]
     density = np.random.default_rng(n).normal(size=grid.shape)
     pad = np.zeros((m, m))
     pad[:n, :n] = grid.weights * density
@@ -400,25 +454,26 @@ def test_spectrum_bit_identical_to_rfft2_of_zero_pad(n):
 def test_b0_kernel_spectrum_is_real(n):
     # the table depends on |offset| only, so its transform is real; the
     # Parseval pairing of b0_form drops the imaginary part
-    _, khats = kernel._fft_kernels(grids.build_grid("cartesian", 4.0, n))
-    k0 = khats["B0"]
+    _, k0, _ = kernel._fft_kernels(grids.build_grid("cartesian", 4.0, n))
     assert np.max(np.abs(k0.imag)) <= 1e-15 * np.max(np.abs(k0))
 
 
 @pytest.mark.parametrize("n", SPECTRAL_SIZES)
 def test_spectral_b0_form_matches_convolution(n):
     # reference: sum w u (K * v) by the real-space convolution.  The bound is
-    # 1e-13 of the terms' magnitudes, sum |w u| ((K1 + K2) * |v|) >= the
-    # absolute sum, since |log(1/d)| <= log(1+d) + log(1+1/d).
+    # 1e-13 of the terms' magnitudes, sum |w u| ((K1 + K2) * |v|) =
+    # (B1 + B2)(|u|, |v|) >= the absolute sum, since
+    # |log(1/d)| <= log(1+d) + log(1+1/d).
     grid = grids.build_grid("cartesian", 4.0, n)
     rng = np.random.default_rng(n)
     u = grids.GridField(grid, rng.normal(size=grid.shape))
     v = grids.GridField(grid, rng.normal(size=grid.shape))
     for a, b in ((u, u), (u, v), (v, u)):
         wa = grid.weights * a.values
-        ref = np.sum(wa * kernel.convolve_kernel(grid, b.values, "B0"))
-        mag = np.sum(np.abs(wa) * (kernel.convolve_kernel(grid, np.abs(b.values), "B1")
-                                   + kernel.convolve_kernel(grid, np.abs(b.values), "B2")))
+        ref = np.sum(wa * kernel.convolve_kernel(grid, b.values))
+        size = kernel.bilinear_fast(a.with_values(np.abs(a.values)),
+                                    b.with_values(np.abs(b.values)))
+        mag = size.b1 + size.b2
         assert abs(kernel.b0_form(a, b) - ref) <= 1e-13 * mag
     assert kernel.b0_form(u, v) == kernel.b0_form(v, u)
 
@@ -440,6 +495,12 @@ def test_cartesian_total_energy_runs_one_forward_fft_and_no_inverse(monkeypatch)
     value = energy.total_energy(u, spec, spaces.PeriodicCoefficient(1.0))
     assert np.isfinite(value)
     assert calls == ["rfft", "fft"]      # B0(cF, cF): one pruned forward pass
+    calls.clear()
+    kernel.bilinear_fast(u, u)           # all three forms: one forward pass
+    assert calls == ["rfft", "fft"]
+    calls.clear()
+    kernel.bilinear_fast(u, families.gaussian(grid, 0.5))
+    assert calls == ["rfft", "fft"] * 2
     calls.clear()
     kernel.convolve_kernel(grid, u.values)    # the counters do see a convolution
     assert calls == ["rfft", "fft", "ifft", "irfft"]

@@ -80,9 +80,25 @@ def test_transform_roundtrip(rgrid):
 
 
 def test_norm_1qw_zero(rgrid):
-    rep = spaces.norm_1qw(grids.zero_field(rgrid), 2.0,
-                          (spaces.WeightSpec("log_e_weight"), None))
-    assert rep.total_sq == 0.0 and rep.weighted_mass == 0.0
+    weight = np.log(np.e + rgrid.radii())
+    assert spaces.norm_1qw(grids.zero_field(rgrid), 2.0, weight) == 0.0
+    assert spaces.norm_1qw(grids.zero_field(rgrid), 3.0, weight,
+                           spaces.PeriodicCoefficient(1.0)) == 0.0
+
+
+def test_norm_1qw_sums_gradient_potential_and_mass(rgrid):
+    u = families.gaussian(rgrid, 1.0)
+    weight = np.log1p(rgrid.radii())
+    potential = spaces.PeriodicCoefficient(1.5)
+    grad_sq = grids.dirichlet_energy(u)
+    pot_mass = grids.integrate(u, lambda s: s**2, weight=potential.on_grid(rgrid))
+    mass = grids.integrate(u, lambda s: np.abs(s) ** 3.0, weight=weight)
+    assert spaces.norm_1qw(u, 3.0, weight, potential) \
+        == (grad_sq + pot_mass) + mass ** (2.0 / 3.0)
+    assert spaces.norm_1qw_sq(u, 3.0, potential) \
+        == spaces.norm_1qw(u, 3.0, weight, potential)
+    assert spaces.norm_w0_sq(u) == grad_sq + grids.integrate(
+        u, lambda s: s**2, weight=np.log(np.e + rgrid.radii()))
 
 
 def test_weighted_mass_exceeds_plain(rgrid):
@@ -133,21 +149,33 @@ def test_tm_sup_search_empty():
 
 
 def test_tm_sup_search_trivial(rgrid):
-    best, params = spaces.tm_sup_search([("zero", grids.zero_field(rgrid))],
-                                        alpha=2 * np.pi)
-    assert best.value == 0.0 and params == "zero"
+    best, params, rows = spaces.tm_sup_search([("zero", grids.zero_field(rgrid))],
+                                              alpha=2 * np.pi)
+    assert best == 0.0 and params == "zero" and rows == [("zero", 0.0)]
 
 
 def test_tm_sup_search_moser_bounded_at_2pi():
     family = families.moser_family((4, 8, 16, 32, 64))
-    best, _ = spaces.tm_sup_search(family, alpha=2 * np.pi, constraint="w0")
-    values = []
-    for params, field in family:
-        nrm = spaces.norm_w0_sq(field)
-        scaled = field.with_values(field.values / np.sqrt(nrm))
-        values.append(spaces.tm_functional(scaled, 2 * np.pi).value)
-    assert best.value == max(values)
+    best, _, rows = spaces.tm_sup_search(family, alpha=2 * np.pi)
+    values = [value for _, value in rows]
+    assert best == max(values)
     assert max(values) / min(values) < 5.0  # no blow-up trend at alpha = 2 pi
+
+
+@pytest.mark.parametrize("q_cap", [None, 3.0])
+def test_tm_sup_search_values_are_direct_tm_evaluations(q_cap):
+    # each member scaled to the unit w0 sphere of exponent q_cap (or 2)
+    family = families.moser_family((4, 16, 64), rho=0.5)
+    alpha = 2 * np.pi if q_cap is None else 1.0 / np.sqrt(q_cap)
+    best, best_params, rows = spaces.tm_sup_search(family, alpha, q_cap=q_cap)
+    direct = []
+    for params, field in family:
+        nrm = spaces.norm_w0_sq(field, 2.0 if q_cap is None else q_cap)
+        scaled = field.with_values(field.values / np.sqrt(nrm))
+        direct.append((params, spaces.tm_functional(scaled, alpha, q_cap=q_cap).value))
+    assert rows == direct
+    first = max(range(len(direct)), key=lambda i: direct[i][1])
+    assert (best_params, best) == direct[first]
 
 
 def test_tm_moser_blowup_at_16pi():
