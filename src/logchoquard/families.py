@@ -69,9 +69,12 @@ def random_smooth(grid: grids.Grid, rng: np.random.Generator,
             r = grid.radii()
             vals += amp * np.exp(-((r - c) / sigma) ** 2)
         else:
+            # the Gaussian is separable: an outer product of two axis factors
+            # costs 2n exponentials instead of n^2
             cx, cy = rng.uniform(-max_center, max_center, size=2)
-            xx, yy = grid.meshgrid()
-            vals += amp * np.exp(-(((xx - cx) ** 2 + (yy - cy) ** 2) / sigma**2))
+            x = grid.nodes
+            vals += amp * np.outer(np.exp(-((x - cx) / sigma) ** 2),
+                                   np.exp(-((x - cy) / sigma) ** 2))
     return grids.GridField(grid, vals)
 
 

@@ -204,8 +204,11 @@ def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
             raise ZeroDivisionError("f vanishes inside the scan range")
         out = eval_F(spec, s) * eval_f_prime(spec, s) / f**2
     else:
-        out = _by_piece(spec, s, lambda c, p, a: _poly(p, a, 2, s)
-                        / _poly(p, a, 1, s) ** 2)
+        # P_1^2 overflows once p passes ~1e154: the ratio is then inf / inf,
+        # a nan that fails (f2) in the report
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _by_piece(spec, s, lambda c, p, a: _poly(p, a, 2, s)
+                            / _poly(p, a, 1, s) ** 2)
     return out if out.ndim else float(out)
 
 
@@ -385,7 +388,9 @@ def growth_bracket(q: float, V_bound: float, rho):
 def script_V_integrand(rho, q: float, V_half: float):
     """(1/pi^3) rho^-4 exp(rho^2 * growth_bracket(q, V_half, rho))."""
     rho = np.asarray(rho, dtype=float)
-    return rho ** (-4.0) * np.exp(rho**2 * growth_bracket(q, V_half, rho)) / np.pi**3
+    with np.errstate(over="ignore"):          # +inf where the exponent is huge
+        return (rho ** (-4.0) * np.exp(rho**2 * growth_bracket(q, V_half, rho))
+                / np.pi**3)
 
 
 def compute_script_V(q: float, V_half: float, scan_points: int = 200_001):

@@ -111,10 +111,14 @@ def save_field(field: grids.GridField, path: str):
     with open(path, "w") as handle:
         handle.write(f"{grid.kind} {format_float(grid.domain_radius)} "
                      f"{grid.resolution}\n")
-        flat = field.values.ravel()
-        for start in range(0, len(flat), 8):
-            handle.write(" ".join(format_float(v)
-                                  for v in flat[start:start + 8]) + "\n")
+        # rows of 8 through one %-template: a GridField is finite, and on
+        # finite floats "%.17g" writes what format_float writes
+        flat = field.values.ravel().tolist()
+        body = len(flat) - len(flat) % 8
+        handle.write(("%.17g " * 7 + "%.17g\n") * (body // 8) % tuple(flat[:body]))
+        if body < len(flat):
+            handle.write(" ".join(["%.17g"] * (len(flat) - body))
+                         % tuple(flat[body:]) + "\n")
 
 
 def load_field(path: str) -> grids.GridField:

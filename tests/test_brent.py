@@ -6,19 +6,13 @@
 import math
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from logchoquard import energy, families, grids, solver
-from logchoquard import nonlinearity as nl
 from logchoquard.brent import GOLDEN_MEAN, minimize_bounded
 from logchoquard.errors import InvalidParameterError
-from logchoquard.spaces import PeriodicCoefficient
 
-F1 = nl.NonlinearitySpec("exp_minus_one")
-V1 = PeriodicCoefficient(1.0)
 XATOLS = [1e-3, 1e-10, 1e-14]
 
 
@@ -130,55 +124,3 @@ def test_a_search_around_a_non_finite_first_trial_finds_the_finite_minimum(
     func, _ = windowed(quadratic(1.0, m, 0.0), start, stop, bad)
     x, fx = minimize_bounded(func, 0.0, 1.0, xatol)
     assert abs(x - m) <= xatol + 1e-7 and fx == (x - m) * (x - m)
-
-
-def counting_searches(monkeypatch):
-    """The bounded searches ``solver._ray_max`` starts, as (lo, hi)."""
-    searches = []
-
-    def search(func, lo, hi, xatol):
-        searches.append((lo, hi))
-        return minimize_bounded(func, lo, hi, xatol)
-    monkeypatch.setattr(solver, "minimize_bounded", search)
-    return searches
-
-
-@pytest.mark.parametrize("kind, resolution, top", [
-    ("cartesian", 48, math.nan), ("radial", 512, -math.inf)])
-def test_ray_max_to_an_overflowing_bump_is_finite(monkeypatch, kind,
-                                                 resolution, top):
-    grid = grids.build_grid(kind, 6.0, resolution)
-    bump = families.bump(grid, 0.5, amplitude=10.0)
-    searches = counting_searches(monkeypatch)
-    with np.errstate(all="ignore"):
-        assert repr(energy.total_energy(bump, F1, V1)) == repr(top)
-        s, level = solver._ray_max(bump, 0.0, 1.0, 1e-3, F1, V1)
-        assert 0.0 < s < 1.0 and math.isfinite(level) and level > 0.0
-        assert level == energy.total_energy(bump.with_values(s * bump.values),
-                                            F1, V1)
-    assert searches == [(0.0, 1.0)]     # a finite result costs one search
-
-
-@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
-def test_ray_max_halves_the_interval_past_non_finite_first_trials(
-        monkeypatch, kind, resolution):
-    # the amplitude-30 bump: I_V is finite only up to s ~ 0.2, so the first
-    # trials of a search over [0, 1] (0.382, 0.618, 0.236) all overflow
-    grid = grids.build_grid(kind, 6.0, resolution)
-    bump = families.bump(grid, 0.5, amplitude=30.0)
-    searches = counting_searches(monkeypatch)
-
-    def level_at(t):
-        return energy.total_energy(bump.with_values(t * bump.values), F1, V1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in (0.236, 0.382, 0.618):
-            assert not math.isfinite(level_at(t))
-        s, level = solver._ray_max(bump, 0.0, 1.0, 1e-3, F1, V1)
-        ts = np.linspace(0.0, 1.0, 401)
-        scan = np.array([level_at(t) for t in ts])
-        assert level == level_at(s)
-    finite = np.isfinite(scan)
-    assert 1e-3 < s <= ts[finite].max()
-    assert level > scan[finite].max() > 0.0
-    assert searches[0] == (0.0, 1.0) and len(searches) > 1
-    assert [hi for _, hi in searches] == [0.5**i for i in range(len(searches))]

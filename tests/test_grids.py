@@ -340,3 +340,24 @@ def test_grids_differing_in_any_defining_value_do_not_pair():
             grids.require_same_grid(u, v)
         with pytest.raises(GridMismatchError):
             energy.pair_gradient(u, v)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("resolution, positive", [(16, False), (128, False),
+                                                  (128, True)])
+def test_random_smooth_matches_the_full_grid_gaussians(seed, resolution, positive):
+    # the reference evaluates each Gaussian on the whole meshgrid, from the
+    # same draws in the same order
+    g = grids.build_grid("cartesian", 16.0, resolution)
+    rng = np.random.default_rng(seed)
+    field = families.random_smooth(g, rng, max_center=6.4, positive=positive)
+    ref_rng = np.random.default_rng(seed)
+    xx, yy = g.meshgrid()
+    reference = np.zeros(g.shape)
+    for _ in range(6):
+        amp = ref_rng.uniform(0.2, 1.0) if positive else ref_rng.uniform(-1.0, 1.0)
+        sigma = ref_rng.uniform(0.2, 1.0) * max(g.spacing * 4, 0.2)
+        cx, cy = ref_rng.uniform(-6.4, 6.4, size=2)
+        reference += amp * np.exp(-(((xx - cx) ** 2 + (yy - cy) ** 2) / sigma**2))
+    assert np.max(np.abs(field.values - reference)) <= 1e-15
+    assert rng.uniform() == ref_rng.uniform()

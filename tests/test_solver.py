@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from logchoquard import energy, families, grids, solver
 from logchoquard import nonlinearity as nl
+from logchoquard.brent import minimize_bounded
 from logchoquard.errors import GeometryFailureError, InvalidParameterError
 from logchoquard.spaces import PeriodicCoefficient
 
@@ -203,7 +204,7 @@ C12_SETTINGS = dict(domain_radius=6.0, resolution=48, max_iterations=2000,
 @pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
 def test_descent_states_are_ray_maxima(kind, resolution, monkeypatch):
     # every state the descent computes a gradient at is a ray maximum found
-    # by Brent to the scale error xatol, so the ray slope <I_V'(u), u> is at
+    # by the ray search to the scale error xatol, so the ray slope <I_V'(u), u> is at
     # most about |<I_V''(u) u, u>| xatol
     states = []
     gradient = energy.energy_gradient
@@ -251,7 +252,7 @@ def test_ray_max_of_the_witness_is_interior(kind, resolution):
     grid = grids.build_grid(kind, 6.0, resolution)
     delta0, witness = solver.check_mp_geometry(F1, V1, grid=grid)
     xatol = 1e-6
-    t, level = solver._ray_max(witness, 0.0, 1.0, xatol, F1, V1)
+    t, level = solver._ray_max(witness, 0.5, 0.0, 1.0, xatol, F1, V1)
     # the ray crosses the sphere on which I_V >= delta0 before it reaches
     # the negative energy at the witness
     assert 0.0 + xatol < t < 1.0 - xatol and level >= delta0 > 0.0
@@ -276,22 +277,113 @@ def test_ray_max_past_the_bracket_lands_on_its_edge(kind, resolution, peak):
     # descent does not take as a ray maximum
     grid = grids.build_grid(kind, 6.0, resolution)
     _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
-    t_star, _ = solver._ray_max(witness, 0.0, 1.0, 1e-6, F1, V1)
+    t_star, _ = solver._ray_max(witness, 0.5, 0.0, 1.0, 1e-6, F1, V1)
     v = witness.with_values(t_star / peak * witness.values)
     lo, hi = solver.RAY_BRACKET
     xatol = 1e-3
-    t, level = solver._ray_max(v, lo, hi, xatol, F1, V1)
+    t, level = solver._ray_max(v, 1.0, lo, hi, xatol, F1, V1)
     edge = lo if peak < lo else hi
     assert abs(t - edge) <= xatol
     assert not lo + xatol < t < hi - xatol
     assert level == energy.total_energy(v.with_values(t * v.values), F1, V1)
 
 
+def recording_scales(monkeypatch, v):
+    """The scales t at which ``energy.total_energy`` is called on t v."""
+    node = np.unravel_index(np.argmax(v.values), v.values.shape)
+    scales = []
+    total_energy = energy.total_energy
+
+    def recorded(u, spec, potential):
+        scales.append(float(u.values[node] / v.values[node]))
+        return total_energy(u, spec, potential)
+    monkeypatch.setattr(energy, "total_energy", recorded)
+    return scales
+
+
+@pytest.mark.parametrize("kind, resolution, top", [
+    ("cartesian", 48, np.nan), ("radial", 512, -np.inf)])
+def test_ray_max_to_an_overflowing_bump_is_finite(monkeypatch, kind,
+                                                 resolution, top):
+    grid = grids.build_grid(kind, 6.0, resolution)
+    bump = families.bump(grid, 0.5, amplitude=10.0)
+    with np.errstate(all="ignore"):
+        assert repr(energy.total_energy(bump, F1, V1)) == repr(top)
+        scales = recording_scales(monkeypatch, bump)
+        s, level = solver._ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
+        monkeypatch.undo()
+        assert 0.0 < s < 1.0 and np.isfinite(level) and level > 0.0
+        assert level == energy.total_energy(bump.with_values(s * bump.values),
+                                            F1, V1)
+    # the walk starts at t0 -+ 0.01 and never leaves [0, 1]
+    assert scales[:3] == pytest.approx([0.49, 0.5, 0.51], rel=1e-12)
+    assert all(0.0 <= t <= 1.0 for t in scales)
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+def test_ray_max_walks_toward_lo_past_non_finite_first_trials(
+        monkeypatch, kind, resolution):
+    # the amplitude-30 bump: I_V is finite only up to s ~ 0.2, so the
+    # first triple of a search from t0 = 1/2 (0.49, 0.5, 0.51) overflows
+    grid = grids.build_grid(kind, 6.0, resolution)
+    bump = families.bump(grid, 0.5, amplitude=30.0)
+
+    def level_at(t):
+        return energy.total_energy(bump.with_values(t * bump.values), F1, V1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (0.49, 0.5, 0.51):
+            assert not np.isfinite(level_at(t))
+        scales = recording_scales(monkeypatch, bump)
+        s, level = solver._ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
+        monkeypatch.undo()
+        ts = np.linspace(0.0, 1.0, 401)
+        scan = np.array([level_at(t) for t in ts])
+        assert level == level_at(s)
+        walk = [np.isfinite(level_at(t)) for t in scales]
+    finite = np.isfinite(scan)
+    assert 1e-3 < s <= ts[finite].max()
+    assert level > scan[finite].max() > 0.0
+    # past the first triple, the walk steps down until a level is finite
+    first = walk.index(True)
+    assert first > 3
+    assert all(np.diff(scales[2:first + 1]) < 0)
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
+@pytest.mark.parametrize("t0, lo, hi, peak, overflows", [
+    (1.3, 0.5, 1.5, 1.3, False),        # a good prediction
+    (0.55, 0.5, 1.5, 1.3, False),       # a poor one
+    (18.0, 0.5, 20.0, 1.0, True)],      # a first triple past the overflow
+    ids=["good-t0", "poor-t0", "non-finite-triple"])
+@pytest.mark.parametrize("xatol", [1e-3, 1e-5])
+def test_ray_max_agrees_with_brent(kind, resolution, t0, lo, hi, peak,
+                                   overflows, xatol):
+    # v is scaled from the witness so that its ray peaks at t = peak; the
+    # walk from t0 must find the maximum Brent finds over RAY_BRACKET
+    grid = grids.build_grid(kind, 6.0, resolution)
+    _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
+    t_star, _ = solver._ray_max(witness, 0.5, 0.0, 1.0, 1e-9, F1, V1)
+    v = witness.with_values(t_star / peak * witness.values)
+
+    def level_at(t):
+        return energy.total_energy(v.with_values(t * v.values), F1, V1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        triple = [level_at(t) for t in (t0 - 0.01, t0, t0 + 0.01)]
+        assert np.all(np.isfinite(triple)) != overflows
+        assert np.any(np.isfinite(triple)) != overflows
+        t, level = solver._ray_max(v, t0, lo, hi, xatol, F1, V1)
+    reference, _ = minimize_bounded(lambda s: -level_at(s), *solver.RAY_BRACKET,
+                                    1e-2 * xatol)
+    assert abs(t - reference) <= 2 * xatol
+    assert abs(reference - peak) <= 1e-3
+    assert level == level_at(t)
+
+
 @pytest.mark.parametrize("answer", [
-    lambda lo, hi, xatol: (lo, -1.0),
-    lambda lo, hi, xatol: (hi - 0.5 * xatol, -1.0),
-    lambda lo, hi, xatol: (1.0, -np.inf),
-    lambda lo, hi, xatol: (1.0, np.nan)],
+    lambda t0, lo, hi, xatol: (lo, -1.0),
+    lambda t0, lo, hi, xatol: (hi - 0.5 * xatol, -1.0),
+    lambda t0, lo, hi, xatol: (1.0, -np.inf),
+    lambda t0, lo, hi, xatol: (1.0, np.nan)],
     ids=["lower-edge", "upper-edge", "minus-inf", "nan"])
 def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
     # every trial search reports a level far below the current one, but on
@@ -300,11 +392,11 @@ def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
     ray_max = solver._ray_max
     calls = []
 
-    def searched(v, lo, hi, xatol, spec, potential):
+    def searched(v, t0, lo, hi, xatol, spec, potential):
         calls.append((lo, hi))
         if (lo, hi) == (0.0, 1.0):          # the start, on the witness ray
-            return ray_max(v, lo, hi, xatol, spec, potential)
-        return answer(lo, hi, xatol)
+            return ray_max(v, t0, lo, hi, xatol, spec, potential)
+        return answer(t0, lo, hi, xatol)
     monkeypatch.setattr(solver, "_ray_max", searched)
     monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)
     cfg = solver.SolverConfig(spec=F1, potential=V1,
@@ -326,9 +418,9 @@ def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
     ray_max = solver._ray_max
     saturates = []
 
-    def searched(v, lo, hi, xatol, spec, potential):
+    def searched(v, t0, lo, hi, xatol, spec, potential):
         if (lo, hi) == (0.0, 1.0):          # the start, on the witness ray
-            return ray_max(v, lo, hi, xatol, spec, potential)
+            return ray_max(v, t0, lo, hi, xatol, spec, potential)
         saturates.append(np.any(nl.saturation_mask(spec, 50.0 * v.values)))
         return 50.0, -1.0
     monkeypatch.setattr(solver, "_ray_max", searched)
