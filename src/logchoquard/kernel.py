@@ -10,10 +10,13 @@ Two evaluation routes are kept deliberately independent:
 * ``bilinear_direct`` -- O(N^2) double quadrature over node pairs, the
   oracle.  Diagonal (self-cell) entries integrate the kernel exactly over
   the cell pair against constant densities; radial grids use high-order
-  graded angular panels for the ring-ring coupling.  ``bilinear_direct_many``
-  evaluates a batch of pairs on one grid per pass: the node-pair distances
-  and kernel tables (cartesian) or the oracle ring coupling (radial) are
-  built once for the whole batch.
+  graded angular panels for the ring-ring coupling.  On cartesian lattices
+  the kernel depends on the lattice offset of a node pair only, so each
+  kernel is evaluated once on the n x n offsets and summed as a
+  block-Toeplitz matrix with Toeplitz blocks, by matmuls and without any
+  FFT (``_pair_sum``).  ``bilinear_direct_many`` evaluates a batch of pairs
+  on one grid per pass: the offset tables (cartesian) or the oracle ring
+  coupling (radial) are built once for the whole batch.
 * ``bilinear_fast``  -- on uniform cartesian grids a Parseval pairing of
   zero-padded spectra for each form; on radial grids a cached
   log(1+|x-y|) ring-coupling matrix for B1, and Newton prefix sums for B0
@@ -31,6 +34,7 @@ products need as a nodal field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +67,18 @@ def kernel_split(r):
 # exact diagonal (self-cell) kernel integrals, cartesian
 # ---------------------------------------------------------------------------
 
-def _gauss_panel(a, b, order=48):
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, built once
+    per order."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_panel(a, b, order=48):
+    x, w = _legendre_rule(order)
     return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
@@ -190,26 +204,36 @@ def convolve_kernel(grid: grids.Grid, density: np.ndarray):
 
 
 def _pair_sum(grid: grids.Grid, a: np.ndarray, b: np.ndarray, kernels):
-    """Blocked O(N^2) node-pair sums sum_ij a_ip K(|x_i - x_j|) b_jp on a
-    cartesian grid for every column p of the (N, P) weighted stacks a and b:
-    one (P,) array per (K, self-cell average of K) in ``kernels``.  Each row
-    block's distances and kernel tables are built once for all P columns.
-    K is only evaluated at positive distances."""
-    xx, yy = grid.meshgrid()
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    total = len(pts)
-    sums = [np.zeros(a.shape[1]) for _ in kernels]
-    block = max(1, 2**22 // total)
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        dx = pts[start:stop, 0, None] - pts[None, :, 0]
-        d = np.hypot(dx, pts[start:stop, 1, None] - pts[None, :, 1], out=dx)
-        zero = d == 0.0
-        d[zero] = 1.0
-        for i, (kern, diag) in enumerate(kernels):
-            k = kern(d)
-            k[zero] = diag
-            sums[i] += np.einsum("rp,rp->p", a[start:stop], k @ b)
+    """O(N^2) node-pair sums sum_ij a_ip K(|x_i - x_j|) b_jp on a cartesian
+    grid for every column p of the (N, P) weighted stacks a and b: one (P,)
+    array per (K, self-cell average of K) in ``kernels``.
+
+    K depends on the lattice offset (|i1 - j1|, |i2 - j2|) of a node pair
+    only, so each K is evaluated once, on the n x n offsets, at positive
+    distances; the zero offset holds the self-cell average.  The sum is then
+    block-Toeplitz with Toeplitz blocks: for each row offset s, one matmul
+    applies the block T_s[i2, j2] = table[s, |i2 - j2|] to every row j1 and
+    column p of b, paired with the rows i1 = j1 + s and j1 - s of a.  No
+    FFT is involved."""
+    n, cols = grid.resolution, a.shape[1]
+    offset = grid.nodes - grid.nodes[0]
+    d = np.hypot(offset[:, None], offset[None, :])
+    d[0, 0] = 1.0
+    band = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    # node (i1, i2) is row i1 * n + i2: reorder both stacks to (i2, i1, p)
+    a_t = a.reshape(n, n, cols).transpose(1, 0, 2)
+    b_t = b.reshape(n, n, cols).transpose(1, 0, 2).reshape(n, n * cols)
+    sums = []
+    for kern, diag in kernels:
+        table = kern(d)
+        table[0, 0] = diag
+        total = np.zeros(cols)
+        for s in range(n):
+            tb = (table[s][band] @ b_t).reshape(n, n, cols)    # (i2, j1, p)
+            total += np.einsum("ijp,ijp->p", a_t[:, s:], tb[:, :n - s])
+            if s:
+                total += np.einsum("ijp,ijp->p", a_t[:, :n - s], tb[:, s:])
+        sums.append(total)
     return sums
 
 
@@ -322,7 +346,7 @@ def bilinear_direct(u: grids.GridField, v: grids.GridField) -> KernelForm:
 
 def bilinear_direct_many(pairs) -> list[KernelForm]:
     """``bilinear_direct`` for every (u, v) in ``pairs``, all on one grid, in
-    one pass over the node-pair geometry (cartesian) or with one oracle
+    one pass over the lattice-offset tables (cartesian) or with one oracle
     ring coupling (radial)."""
     pairs = list(pairs)
     if not pairs:

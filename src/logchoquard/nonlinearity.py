@@ -204,11 +204,15 @@ def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
             raise ZeroDivisionError("f vanishes inside the scan range")
         out = eval_F(spec, s) * eval_f_prime(spec, s) / f**2
     else:
-        # P_1^2 overflows once p passes ~1e154: the ratio is then inf / inf,
-        # a nan that fails (f2) in the report
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _by_piece(spec, s, lambda c, p, a: _poly(p, a, 2, s)
-                            / _poly(p, a, 1, s) ** 2)
+        # P_2 / P_1^2 term by term over P_1 = p + x, x = 2 a s^2: with
+        # u = p / P_1 and v = x / P_1 it is u (p - 1) / P_1 + v (2u + 1 / P_1 + v).
+        # P_1^2 overflows once p passes ~1e154, and the equal
+        # 1 + (x - p) / P_1^2 cancels to rounding noise for p near 1 at small s
+        def ratio(c, p, a):
+            p1 = _poly(p, a, 1, s)
+            u, v = p / p1, 2 * a * s**2 / p1
+            return u * ((p - 1) / p1) + v * (2 * u + 1 / p1 + v)
+        out = _by_piece(spec, s, ratio)
     return out if out.ndim else float(out)
 
 

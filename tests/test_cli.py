@@ -296,8 +296,9 @@ def ini_files(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=ini_files())
-# a large q overflows the threshold integrand, and a power_exp q past 1e154
-# the (f2) ratio: both report +inf or nan without a RuntimeWarning
+# a large q overflows the threshold integrand to +inf, and a power_exp q past
+# 1e154 would overflow P_1^2 in the (f2) ratio: neither may raise a
+# RuntimeWarning
 @example(data=b"[nonlinearity]\nq = 10.0\n")
 @example(data=b"[nonlinearity]\nkind = power_exp\nq = 1.3407807929942597e+154\n")
 def test_fuzzed_ini_files_exit_with_a_documented_code(tmp_path, data):

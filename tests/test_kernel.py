@@ -72,60 +72,110 @@ def test_fast_matches_direct_radial():
         assert err <= 1e-6 * (1 + abs(ref.value(which))), which
 
 
-def _per_pair_sum(u, v, kernels):
-    """The one-pair blocked loop that the batched ``kernel._pair_sum``
-    replaced, kept as its reference: it rebuilds the distances and kernel
-    tables of every row block for each pair."""
-    grid = u.grid
+def _row_blocked_pair_sum(grid, a, b, kernels):
+    """The node-pair loop that the block-Toeplitz ``kernel._pair_sum``
+    replaced, kept as its reference: blocks of rows of the N x N table of
+    node distances, each kernel evaluated on every node pair (one hypot per
+    pair), paired with all P columns of a and b at once."""
     xx, yy = grid.meshgrid()
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    a = (grid.weights * u.values).ravel()
-    b = (grid.weights * v.values).ravel()
     total = len(pts)
-    sums = [0.0] * len(kernels)
+    sums = [np.zeros(a.shape[1]) for _ in kernels]
     block = max(1, 2**22 // total)
     for start in range(0, total, block):
         stop = min(start + block, total)
-        dx = pts[start:stop, 0, None] - pts[None, :, 0]
-        dy = pts[start:stop, 1, None] - pts[None, :, 1]
-        d = np.hypot(dx, dy)
+        d = np.hypot(pts[start:stop, 0, None] - pts[None, :, 0],
+                     pts[start:stop, 1, None] - pts[None, :, 1])
         zero = d == 0.0
         d[zero] = 1.0
         for i, (kern, diag) in enumerate(kernels):
             k = kern(d)
             k[zero] = diag
-            sums[i] += a[start:stop] @ (k @ b)
+            sums[i] += np.einsum("rp,rp->p", a[start:stop], k @ b)
     return sums
+
+
+RIESZ_MU = 1.0      # the kernel |x - y|^-mu of hls_check
+
+
+def _oracle_kernels(grid):
+    """B1's log(1+d), B2's log(1+1/d) and the Riesz d^-mu, each with its
+    self-cell average."""
+    _, d1, d2 = kernel.cell_average_log_kernels(grid.spacing)
+    riesz = kernel._cell_pair_average(
+        grid.spacing, lambda k, R: kernel._moment_power(k, R, RIESZ_MU))
+    return [(np.log1p, d1), (lambda d: np.log1p(1.0 / d), d2),
+            (lambda d: d ** (-RIESZ_MU), riesz)]
 
 
 @functools.lru_cache(maxsize=None)
 def _pairs_with_reference(n):
-    """20 random pairs on an n^2 lattice and their per-pair (b1, b2) sums."""
+    """20 random pairs on an n^2 lattice, their weighted stacks and the
+    row-blocked reference sums, (20, kernels)."""
     g = grids.build_grid("cartesian", 4.0, n)
     rng = np.random.default_rng(100 + n)
     pairs = [(families.random_smooth(g, rng), families.random_smooth(g, rng))
              for _ in range(20)]
-    _, d1, d2 = kernel.cell_average_log_kernels(g.spacing)
-    kernels = [(np.log1p, d1), (lambda d: np.log1p(1.0 / d), d2)]
-    ref = np.array([_per_pair_sum(u, v, kernels) for u, v in pairs])
-    return g, pairs, kernels, ref
+    a = kernel._weighted_stack(g, [u for u, _ in pairs])
+    b = kernel._weighted_stack(g, [v for _, v in pairs])
+    ref = np.column_stack(_row_blocked_pair_sum(g, a, b, _oracle_kernels(g)))
+    return g, a, b, ref
 
 
-# 16^2 is one row block, 48^2 two and 64^2 four
-@pytest.mark.parametrize("n", [16, 48, 64])
+# n = 33 is odd; 48^2 and 64^2 span two and four of the reference's row blocks
+@pytest.mark.parametrize("n", [16, 33, 48, 64])
 @pytest.mark.parametrize("batch", [1, 3, 20])
 def test_batched_pair_sum_matches_per_pair_loop(n, batch):
-    g, pairs, kernels, ref = _pairs_with_reference(n)
-    a = kernel._weighted_stack(g, [u for u, _ in pairs[:batch]])
-    b = kernel._weighted_stack(g, [v for _, v in pairs[:batch]])
-    got = np.column_stack(kernel._pair_sum(g, a, b, kernels))
+    g, a, b, ref = _pairs_with_reference(n)
+    kernels = _oracle_kernels(g)
+    got = np.column_stack(kernel._pair_sum(g, a[:, :batch], b[:, :batch], kernels))
     assert got.shape == (batch, len(kernels))
-    # Both are float64 sums of the same <= 4096^2 = 16.7M terms in another
-    # order, so they differ by rounding relative to the sum of the terms'
-    # magnitudes (both kernels are positive); relative to a sum that cancels
-    # to near 0 the same rounding can be large.
-    magnitude = np.column_stack(kernel._pair_sum(g, np.abs(a), np.abs(b), kernels))
+    # Both are float64 sums of the same <= 4096^2 = 16.7M terms, up to the
+    # rounding of each distance, in another order, so they differ by rounding
+    # relative to the sum of the terms' magnitudes (all three kernels are
+    # positive); relative to a sum that cancels to near 0 the same rounding
+    # can be large.
+    magnitude = np.column_stack(kernel._pair_sum(g, np.abs(a[:, :batch]),
+                                                 np.abs(b[:, :batch]), kernels))
     assert np.all(np.abs(got - ref[:batch]) <= 1e-13 * magnitude)
+
+
+@pytest.mark.parametrize("n", [16, 33])
+def test_pair_sum_evaluates_each_kernel_on_offsets_not_pairs(n):
+    # a translation-invariant kernel takes n^2 values on an n^2 lattice: each
+    # kernel is evaluated once, on n^2 offsets, never on the N^2 node pairs
+    g, a, b, _ = _pairs_with_reference(n)
+    seen = []
+
+    def counted(kern):
+        def wrapped(d):
+            seen.append((kern, d.size))
+            return kern(d)
+        return wrapped
+
+    kernels = _oracle_kernels(g)
+    kernel._pair_sum(g, a, b, [(counted(k), diag) for k, diag in kernels])
+    assert seen == [(k, n * n) for k, _ in kernels]
+
+
+def test_cartesian_direct_forms_use_no_fft(monkeypatch):
+    # the oracle must stay independent of the Parseval route it checks
+    import scipy.fft as spfft
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route called an FFT")
+    for module in (spfft, np.fft):
+        for name in dir(module):
+            if not name.startswith("_") and callable(getattr(module, name)):
+                monkeypatch.setattr(module, name, refuse)
+    g = grids.build_grid("cartesian", 4.0, 16)
+    rng = np.random.default_rng(2)
+    pairs = [(families.random_smooth(g, rng), families.random_smooth(g, rng))
+             for _ in range(3)]
+    forms = kernel.bilinear_direct_many(pairs)
+    assert all(np.isfinite(f.b0) for f in forms)
+    with pytest.raises(AssertionError, match="FFT"):
+        kernel.bilinear_fast(*pairs[0])
 
 
 @pytest.mark.parametrize("kind, radius, n", [("cartesian", 4.0, 16),
@@ -299,7 +349,7 @@ def test_hls_ratio_stable_under_refinement():
 
 
 def test_hls_matches_dense_unblocked_sum():
-    # 48^2 = 2304 nodes: the blocked pair sum runs in two blocks of rows
+    # the full 2304 x 2304 Riesz matrix of a 48^2 lattice, one product
     g = grids.build_grid("cartesian", 3.0, 48)
     u = families.gaussian(g, 1.0)
     v = families.gaussian(g, 0.5)

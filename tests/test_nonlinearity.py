@@ -102,6 +102,36 @@ def test_ratio_piecewise_constant_below_splice():
     assert np.allclose(nl.ratio_Ffprime_f2(F3, s), (F3.q - 1) / F3.q)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 5.0, 40.0])
+def test_power_exp_ratio_matches_quotient_of_polynomials(p):
+    # F f'/f^2 = P_2 / P_1^2, evaluated term by term over P_1 so that nothing
+    # overflows; it differs from the plain quotient by rounding only, also at
+    # p = 1, where the ratio falls to 0 like s^2
+    spec = nl.NonlinearitySpec("power_exp", p=p, q=max(p, 2.0))
+    s = np.geomspace(1e-8, 10.0, 400)
+    a = nl.A_CRIT
+    p1 = p + 2 * a * s**2
+    p2 = p * (p - 1) + 2 * a * (2 * p + 1) * s**2 + 4 * a**2 * s**4
+    assert np.allclose(nl.ratio_Ffprime_f2(spec, s), p2 / p1**2,
+                       rtol=1e-13, atol=0.0)
+
+
+def test_power_exp_f2_estimates_finite_past_the_square_overflow():
+    # p = q = 2^512: P_1^2 overflows, yet the (f2) and (f3) estimates stay
+    # finite and agree with those at p = q = 1e150, where nothing overflows
+    huge, large = (nl.check_assumptions(nl.NonlinearitySpec("power_exp", p=p, q=p))
+                   for p in (1.3407807929942597e+154, 1e150))
+    for report in (huge, large):
+        assert report.f2_ok and report.f3_ok
+        for value in (report.delta_estimate, report.C_estimate,
+                      report.f3_limit_estimate):
+            assert math.isfinite(value)
+    assert huge.delta_estimate == pytest.approx(large.delta_estimate, rel=1e-12)
+    assert huge.C_estimate == pytest.approx(large.C_estimate, rel=1e-12)
+    assert huge.f3_limit_estimate == pytest.approx(large.f3_limit_estimate,
+                                                   rel=1e-12)
+
+
 def test_ratio_within_f2_band():
     report = nl.check_assumptions(F1)
     s = np.geomspace(1e-3, 10.0, 500)
