@@ -4,9 +4,11 @@ Subcommands: check-assumptions, verify-embedding, moser-scan, solve,
 kernel-bench.  Exit codes: 0 success, 2 validation error, 3
 admissibility/geometry failure, 4 budget exhausted.
 
-The implementation is serial throughout, so a fixed ``--seed`` gives
-bit-reproducible reports.  Wall-clock timings appear only in kernel-bench
-reports, which keeps the other reports bit-identical across reruns.
+The implementation is serial throughout, so reruns give bit-reproducible
+reports.  Only kernel-bench draws random numbers (its pairs, from
+``--seed``); every command accepts ``--seed``, but a solve does not depend
+on it.  Wall-clock timings appear only in kernel-bench reports, which keeps
+the other reports bit-identical across reruns.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ DEFAULTS = {
                      "c_floor": 1.0, "c_amplitude": 0.0},
     "potential": {"floor": 1.0, "amplitude": 0.0},
     "solver": {f.name: f.default for f in fields(SolverConfig)
-               if f.name not in ("spec", "potential", "seed")},
+               if f.name not in ("spec", "potential")},
     # an unset alpha is 2 pi
     "embedding": {"alpha": None, "bound_points": 10000,
                   "moser_ns": (4, 8, 16, 32, 64), "rho": 0.5},
@@ -164,7 +164,7 @@ def load_config(path: Optional[str], command: str, output_path=None,
     return RunConfig(
         command=command, **values["grid"], spec=spec, potential=potential, q=q,
         solver=_build("solver", SolverConfig, spec=spec, potential=potential,
-                      seed=seed, **values["solver"]),
+                      **values["solver"]),
         embedding=values["embedding"], moser=values["moser"],
         kernel_bench=values["kernel_bench"],
         scan=_build("scan", nl.ScanPlan, s_max=values["scan"]["s_max"],

@@ -102,9 +102,12 @@ def _by_piece(spec: NonlinearitySpec, s, form, log: bool = False):
     return form(math.log(c) if log else c, p, A_CRIT)
 
 
-def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False):
-    """F^(k)(s) of a built-in kind (its log if ``log``) at s > 0; the value
-    form clamps its exponent at the guard."""
+def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False,
+                 power: float = 0.0):
+    """F^(k)(s) of a built-in kind at s > 0; the value form clamps its
+    exponent at the guard.  With ``log`` it is log(F^(k)(s) / s^power), the
+    powers of s cancelled on each piece c s^p e^{a s^2} (not in the F of
+    exp_minus_one): +-inf where (p - k - power) log s overflows."""
     if spec.kind == "exp_minus_one":
         if k == 0:
             x = A_CRIT * s**2
@@ -112,8 +115,10 @@ def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False):
                 else np.expm1(np.minimum(x, EXP_GUARD))
         k -= 1
     if log:
-        return _by_piece(spec, s, lambda log_c, p, a: log_c + (p - k) * np.log(s)
-                         + np.log(_poly(p, a, k, s)) + a * s**2, log=True)
+        with np.errstate(over="ignore"):
+            return _by_piece(spec, s, lambda log_c, p, a: log_c
+                             + (p - k - power) * np.log(s)
+                             + np.log(_poly(p, a, k, s)) + a * s**2, log=True)
     return _by_piece(spec, s, lambda c, p, a: c * s ** (p - k) * _poly(p, a, k, s)
                      * np.exp(np.minimum(a * s**2, EXP_GUARD)))
 
@@ -181,11 +186,21 @@ def log_f(spec: NonlinearitySpec, s):
     return _evaluate(spec, s, 1, log=True)
 
 
+def _log_over_power(spec: NonlinearitySpec, s, k: int, power: float):
+    """log(F^(k)(s) / s^power) at s > 0 for k = 0, 1.  The powers of s cancel
+    in the closed form, so p = q near 1e308 loses no digit; exp_minus_one
+    (p = 1, nothing cancels) and custom kinds divide in log space."""
+    if spec.kind in ("exp_minus_one", "custom"):
+        return (log_F, log_f)[k](spec, s) - power * np.log(s)
+    return _closed_form(spec, s, k, log=True, power=power)
+
+
 def log_s3fF_tail(spec: NonlinearitySpec, s):
     """log of s^3 f(s) F(s) e^{-8 pi s^2}, the liminf quantity of the
     growth-floor assumption, computed without overflow."""
     s = np.asarray(s, dtype=float)
-    return 3.0 * np.log(s) + log_f(spec, s) + log_F(spec, s) - 2 * A_CRIT * s**2
+    with np.errstate(over="ignore"):          # +inf for p near the float limit
+        return 3.0 * np.log(s) + log_f(spec, s) + log_F(spec, s) - 2 * A_CRIT * s**2
 
 
 # ratios and the auxiliary function G ---------------------------------------
@@ -297,12 +312,12 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
     nonneg = bool(np.all(f_vals >= 0))
     head = s <= min(10 * scan.s_min, 0.05)
     with np.errstate(over="ignore"):          # inf for a huge q; reported
-        small = np.exp(log_f(spec, s[head]) - (spec.q - 1) * np.log(s[head]))
+        small = np.exp(_log_over_power(spec, s[head], 1, spec.q - 1))
     q_limit = float(small[-1]) if small.size else float("nan")
     small_ok = bool(small.size and np.all(np.isfinite(small)) and np.all(small > 0)
-                    and small.max() < 100 * max(small.min(), 1e-12))
+                    and small.max() / max(small.min(), 1e-12) < 100)
     tail = s >= scan.s_max / 2
-    log_env = log_f(spec, s[tail]) - spec.p * np.log(s[tail]) - A_CRIT * s[tail]**2
+    log_env = _log_over_power(spec, s[tail], 1, spec.p) - A_CRIT * s[tail]**2
     f1_ok = nonneg and small_ok and bool(np.all(np.isfinite(log_env)))
 
     # (f2): two-sided bounds of the ratio, with a 1% safety margin
@@ -324,16 +339,20 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
     liminf_est = float(np.exp(min(np.min(tail_log), 690.0)))
     f4_ok = bool(liminf_est > script_v)
 
-    # Ambrosetti-Rabinowitz improvement F <= (1 - delta) s f, in log space
-    margin = log_F(spec, s) - (np.log(s) + log_f(spec, s))
+    # Ambrosetti-Rabinowitz improvement F <= (1 - delta) s f, in log space;
+    # F / (s f) = 1 / P_1 on a piece c s^p e^{a s^2}, free of cancellation
+    if spec.kind in ("exp_minus_one", "custom"):
+        margin = log_F(spec, s) - (np.log(s) + log_f(spec, s))
+    else:
+        margin = -np.log(_by_piece(spec, s, lambda c, p, a: _poly(p, a, 1, s)))
     ar_ok = bool(np.all(margin <= math.log(max(1.0 - delta_est, 1e-12)) + 1e-12))
 
     # two-branch growth envelope constant
     below = s <= spec.s0
     with np.errstate(over="ignore"):          # inf for a huge q; reported
-        env_low = np.exp(log_F(spec, s[below]) - spec.q * np.log(s[below])) \
+        env_low = np.exp(_log_over_power(spec, s[below], 0, spec.q)) \
             if np.any(below) else np.array([0.0])
-        env_high = np.exp(log_F(spec, s[~below]) - (spec.p - 1) * np.log(s[~below])
+        env_high = np.exp(_log_over_power(spec, s[~below], 0, spec.p - 1)
                           - A_CRIT * s[~below]**2) \
             if np.any(~below) else np.array([0.0])
     envelope_c = float(max(env_low.max(), env_high.max()))
@@ -381,7 +400,8 @@ def growth_bracket(q: float, V_bound: float, rho):
     is exact while lgamma shows it fits a float, and inf beyond."""
     rho = np.asarray(rho, dtype=float)
     fq = math.floor(q)
-    fits = math.lgamma(fq + 1) - (fq - 1) * math.log(2.0) < 709.0
+    # the first test keeps lgamma clear of its own overflow (from ~2.5e305)
+    fits = fq < 1e300 and math.lgamma(fq + 1) - (fq - 1) * math.log(2.0) < 709.0
     combinatorial = (math.factorial(fq) / 2 ** (fq - 1) if fits else math.inf) \
         * (1.0 + (fq + 1) / 2.0)
     out = V_bound + (2 * np.pi) ** (2.0 / q - 1.0) \

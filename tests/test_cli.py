@@ -296,11 +296,12 @@ def ini_files(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=ini_files())
-# a large q overflows the threshold integrand to +inf, and a power_exp q past
-# 1e154 would overflow P_1^2 in the (f2) ratio: neither may raise a
-# RuntimeWarning
+# a large q overflows the threshold integrand to +inf, a power_exp q past
+# 1e154 would overflow P_1^2 in the (f2) ratio, and one near the float limit
+# overflows p log s and lgamma([q] + 1): none may raise
 @example(data=b"[nonlinearity]\nq = 10.0\n")
 @example(data=b"[nonlinearity]\nkind = power_exp\nq = 1.3407807929942597e+154\n")
+@example(data=b"[nonlinearity]\nkind = power_exp\nq = 1e308\n")
 def test_fuzzed_ini_files_exit_with_a_documented_code(tmp_path, data):
     path = tmp_path / "fuzz.cfg"
     path.write_bytes(data)
@@ -377,16 +378,23 @@ residual_tolerance = 2e-4
 
 
 def test_cli_solve_small_and_determinism(tmp_path, capsys, monkeypatch):
+    # a rerun is byte-identical, and --seed, which only kernel-bench draws
+    # from, changes nothing of a solve but the report's "seed" line
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, BASE + SMALL_SOLVE)
     out = tmp_path / "run.json"
-    code1 = cli.main(["solve", "--config", path, "--seed", "7", "--output", str(out)])
-    bytes1 = out.read_bytes()
-    code2 = cli.main(["solve", "--config", path, "--seed", "7", "--output", str(out)])
-    bytes2 = out.read_bytes()
-    assert code1 == 0 and code2 == 0
-    assert bytes1 == bytes2
-    assert (tmp_path / "run.json.field").exists()
+    runs = []
+    for seed in ("0", "0", "11"):
+        assert cli.main(["solve", "--config", path, "--seed", seed,
+                         "--output", str(out)]) == 0
+        runs.append((out.read_bytes(), (tmp_path / "run.json.field").read_bytes()))
+    assert runs[0] == runs[1]
+    (report0, field0), (report11, field11) = runs[1:]
+    assert field11 == field0
+    lines0, lines11 = report0.splitlines(), report11.splitlines()
+    assert len(lines0) == len(lines11)
+    assert [(a.strip(), b.strip()) for a, b in zip(lines0, lines11) if a != b] \
+        == [(b'"seed": 0', b'"seed": 11')]
 
 
 def reject_constant(name):

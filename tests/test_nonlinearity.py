@@ -132,6 +132,21 @@ def test_power_exp_f2_estimates_finite_past_the_square_overflow():
                                                    rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [1e8, 1e16, 1e150])
+def test_power_exp_q_limit_and_ar_margin_cancel_in_closed_form(q):
+    # on F = s^q e^{a s^2}, f/s^(q-1) = P_1(s) e^{a s^2} -> q at 0 and
+    # F/(s f) = 1/P_1(s): the powers of s cancel exactly, where
+    # log f - (q - 1) log s keeps no digit once q |log s| passes 1/eps
+    report = nl.check_assumptions(nl.NonlinearitySpec("power_exp", p=q, q=q))
+    s = nl.ScanPlan().points()
+    s = s[s <= 1e-3][-1]                      # the last point of the head
+    a = nl.A_CRIT
+    assert report.q_limit_estimate == pytest.approx(
+        (q + 2 * a * s**2) * math.exp(a * s**2), rel=1e-12)
+    assert report.q_limit_estimate == pytest.approx(q, rel=1e-4)
+    assert report.ar_improved_ok
+
+
 def test_ratio_within_f2_band():
     report = nl.check_assumptions(F1)
     s = np.geomspace(1e-3, 10.0, 500)
