@@ -4,8 +4,8 @@ Moser-sequence level estimates and a mountain-pass solver."""
 
 from .energy import (EnergyBreakdown, MoserCap, RayAnalysis,
                      delta_n_closed_form, energy_IV, energy_gradient,
-                     moser_cap, moser_delta_n, moser_grid,
-                     mp_level_upper_bound, ray_analysis, total_energy)
+                     moser_cap, moser_grid, mp_level_upper_bound,
+                     ray_analysis, total_energy)
 from .grids import (Grid, GridField, build_grid, dirichlet_energy,
                     field_from_radial, field_from_xy, integrate, zero_field)
 from .kernel import (HLSReport, KernelForm, LogHLSReport, bilinear_direct,

@@ -62,7 +62,6 @@ def _tail_mass_fraction(field: grids.GridField) -> float:
 
 def cmd_check_assumptions(cfg: RunConfig):
     report = nl.check_assumptions(cfg.spec, cfg.scan, potential=cfg.potential)
-    value, argmin = nl.compute_script_V(cfg.q, cfg.potential.max_within(0.5))
     results = {
         "f1_ok": report.f1_ok, "f2_ok": report.f2_ok,
         "f3_ok": report.f3_ok, "f4_ok": report.f4_ok,
@@ -70,8 +69,8 @@ def cmd_check_assumptions(cfg: RunConfig):
         "C_estimate": report.C_estimate,
         "f3_limit_estimate": report.f3_limit_estimate,
         "f4_liminf_estimate": report.f4_liminf_estimate,
-        "script_V": value,
-        "script_V_argmin_rho": argmin,
+        "script_V": report.script_V,
+        "script_V_argmin_rho": report.script_V_argmin,
         "ambrosetti_rabinowitz_improved": report.ar_improved_ok,
         "envelope_constant": report.envelope_constant,
         "q_limit_estimate": report.q_limit_estimate,
@@ -107,10 +106,12 @@ def cmd_verify_embedding(cfg: RunConfig):
     alpha = cfg.embedding["alpha"]
     if alpha is None:
         alpha = 2 * np.pi
-    family = families.moser_family(cfg.embedding["moser_ns"],
-                                   rho=cfg.embedding["rho"],
-                                   domain_radius=cfg.domain_radius,
-                                   resolution=cfg.resolution)
+    rho = cfg.embedding["rho"]
+    family = []
+    for n in cfg.embedding["moser_ns"]:
+        cap_grid = energy.moser_grid(n, rho, cfg.domain_radius, cfg.resolution)
+        family.append(({"n": n, "rho": rho},
+                       energy.moser_cap(n, rho, cap_grid)[1]))
     best, best_params, tm_values = spaces.tm_sup_search(family, alpha)
 
     results = {
@@ -145,24 +146,21 @@ def cmd_moser_scan(cfg: RunConfig):
         grid = energy.moser_grid(n, rho, cfg.domain_radius, cfg.resolution)
         cap, w_plain = energy.moser_cap(n, rho, grid, q=cfg.q,
                                         potential=cfg.potential)
-        # the normalized cap, as moser_cap(..., normalized=True) scales it
-        w_norm = w_plain.with_values(w_plain.values / math.sqrt(1.0 + cap.delta_n))
-        ray = energy.ray_analysis(w_norm, cfg.spec, cfg.potential,
-                                  t_max=cfg.moser["t_max"],
-                                  samples=cfg.moser["ray_samples"])
         rows.append({
             "n": n, "rho": rho,
             "delta_n": cap.delta_n,
             "norm_1qw_sq": spaces.norm_1qw_sq(w_plain, cfg.q, cfg.potential),
             "dirichlet": grids.dirichlet_energy(w_plain),
-            "t_star": ray.t_star,
-            "ray_max": ray.max_value,
-            "identity_residuals": list(ray.derivative_identities),
         })
-        family.append(({"n": n}, w_norm))
-    bound, witness = energy.mp_level_upper_bound(
+        # the normalized cap, as moser_cap(..., normalized=True) scales it
+        family.append(({"n": n}, w_plain.with_values(
+            w_plain.values / math.sqrt(1.0 + cap.delta_n))))
+    bound, witness, rays = energy.mp_level_upper_bound(
         cfg.spec, cfg.potential, family, t_max=cfg.moser["t_max"],
         samples=cfg.moser["ray_samples"])
+    for row, ray in zip(rows, rays):
+        row.update(t_star=ray.t_star, ray_max=ray.max_value,
+                   identity_residuals=list(ray.derivative_identities))
     results = {
         "table": rows,
         "mp_level_upper_bound": bound,

@@ -28,7 +28,7 @@ from .brent import minimize_bounded
 from .errors import (EmptyFamilyError, InvalidParameterError,
                      NoInteriorMaxError)
 from .families import moser_profile
-from .spaces import PeriodicCoefficient, norm_1qw_sq, norm_V_sq
+from .spaces import PeriodicCoefficient, norm_V_sq
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
@@ -199,24 +199,6 @@ def moser_cap(n: int, rho: float, grid: grids.Grid, normalized: bool = False,
     return cap, grids.GridField(grid, values)
 
 
-@dataclass(frozen=True)
-class MoserDeltaReport:
-    delta_n: float
-    norm_quadrature_sq: float   # directly quadratured ||w_n||^2_{1,q(w)}
-
-
-def moser_delta_n(n: int, rho: float, q: float,
-                  potential: Optional[PeriodicCoefficient] = None,
-                  grid: Optional[grids.Grid] = None) -> MoserDeltaReport:
-    """Closed-form delta_n next to the directly quadratured weighted norm."""
-    pot = potential if potential is not None else PeriodicCoefficient(1.0)
-    if grid is None:
-        grid = moser_grid(n, rho)
-    cap, field = moser_cap(n, rho, grid, q=q, potential=pot)
-    return MoserDeltaReport(delta_n=cap.delta_n,
-                            norm_quadrature_sq=norm_1qw_sq(field, q, pot))
-
-
 # ---------------------------------------------------------------------------
 # ray analyses
 # ---------------------------------------------------------------------------
@@ -247,7 +229,8 @@ def ray_analysis(u: grids.GridField, spec: nl.NonlinearitySpec,
                  potential: PeriodicCoefficient, t_max: float = 4.0,
                  samples: int = 96) -> RayAnalysis:
     """Sample t -> I_V(t u) on a log-uniform grid, refine the maximum by
-    bounded golden-section search and record the stationarity residuals."""
+    Brent's method (``brent.minimize_bounded``) and record the stationarity
+    residuals."""
     if samples < MIN_RAY_SAMPLES:
         raise InvalidParameterError(
             f"ray analysis needs at least {MIN_RAY_SAMPLES} samples")
@@ -286,15 +269,13 @@ def mp_level_upper_bound(spec: nl.NonlinearitySpec,
     mountain-pass level of the discretized problem.
 
     ``directions`` is a sequence of (params, GridField).  Returns
-    (bound, params of the witness direction).
+    (bound, params of the first witness direction, the RayAnalysis of every
+    direction in input order).
     """
     directions = list(directions)
     if not directions:
         raise EmptyFamilyError("mp_level_upper_bound needs directions")
-    best = None
-    witness = None
-    for params, field in directions:
-        ray = ray_analysis(field, spec, potential, t_max=t_max, samples=samples)
-        if best is None or ray.max_value < best:
-            best, witness = ray.max_value, params
-    return best, witness
+    rays = [ray_analysis(field, spec, potential, t_max=t_max, samples=samples)
+            for _, field in directions]
+    k = min(range(len(rays)), key=lambda i: rays[i].max_value)
+    return rays[k].max_value, directions[k][0], rays

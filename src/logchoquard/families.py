@@ -1,5 +1,5 @@
-"""Built-in test field families: Gaussians, compact bumps, Moser caps,
-and seeded random smooth fields."""
+"""Built-in test field families: Gaussians, compact bumps, the Moser
+profile, and seeded random smooth fields."""
 
 from __future__ import annotations
 
@@ -91,15 +91,3 @@ def sandwich_family(grid: grids.Grid):
              grids.GridField(grid, moser_profile(grid.radii(), n, 0.5))))
     return members
 
-
-def moser_family(ns, rho: float = 0.5, domain_radius: float = 20.0,
-                 resolution: int = 2048):
-    """Moser caps on per-n grids whose nodes are aligned with the corners."""
-    members = []
-    for n in ns:
-        g = grids.build_grid("radial", domain_radius, resolution,
-                             anchors=(rho / n, rho))
-        grids.require_plateau_resolution(g, rho / n, 4)
-        field = grids.GridField(g, moser_profile(g.radii(), n, rho))
-        members.append(({"n": n, "rho": rho}, field))
-    return members

@@ -287,11 +287,12 @@ class AssumptionReport:
     f3_limit_estimate: float
     f4_liminf_estimate: float
     script_V: float
+    script_V_argmin: float        # the rho at which script_V is attained
     sample_range: tuple
     ar_improved_ok: bool          # F(s) <= (1 - delta) s f(s) on the scan
     envelope_constant: float      # fitted C of the two-branch growth envelope
     q_limit_estimate: float       # limit of f(s)/s^{q-1} at 0
-    s_epsilon: float              # onset of the (1 - eps) lower-bound regime
+    s_epsilon: float              # onset of the (1 - eps) regime; nan if unreached
     epsilon: float
 
     @property
@@ -313,7 +314,7 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
     head = s <= min(10 * scan.s_min, 0.05)
     with np.errstate(over="ignore"):          # inf for a huge q; reported
         small = np.exp(_log_over_power(spec, s[head], 1, spec.q - 1))
-    q_limit = float(small[-1]) if small.size else float("nan")
+    q_limit = float(small[0]) if small.size else float("nan")
     small_ok = bool(small.size and np.all(np.isfinite(small)) and np.all(small > 0)
                     and small.max() / max(small.min(), 1e-12) < 100)
     tail = s >= scan.s_max / 2
@@ -334,7 +335,7 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
 
     # (f4): liminf of s^3 f F e^{-8 pi s^2} compared with the threshold
     pot = potential if potential is not None else PeriodicCoefficient(1.0)
-    script_v, _ = compute_script_V(spec.q, pot.max_within(0.5))
+    script_v, script_v_argmin = compute_script_V(spec.q, pot.max_within(0.5))
     tail_log = log_s3fF_tail(spec, s[tail])
     liminf_est = float(np.exp(min(np.min(tail_log), 690.0)))
     f4_ok = bool(liminf_est > script_v)
@@ -357,16 +358,18 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
             if np.any(~below) else np.array([0.0])
     envelope_c = float(max(env_low.max(), env_high.max()))
 
-    # onset of sqrt(ratio) >= 1 - eps (used by the G lower bound)
+    # onset of sqrt(ratio) >= 1 - eps (used by the G lower bound): the point
+    # after the last failure, s[0] without failures, nan if the last fails
     good = np.sqrt(np.maximum(ratios, 0.0)) >= 1.0 - epsilon
     idx = np.nonzero(~good)[0]
-    s_eps = float(s[idx[-1] + 1]) if idx.size and idx[-1] + 1 < len(s) else float(s[0])
+    s_eps = float(np.append(s, np.nan)[idx[-1] + 1]) if idx.size else float(s[0])
 
     return AssumptionReport(
         f1_ok=f1_ok, f2_ok=f2_ok, f3_ok=f3_ok, f4_ok=f4_ok,
         delta_estimate=delta_est, C_estimate=c_est,
         f3_limit_estimate=f3_limit, f4_liminf_estimate=liminf_est,
-        script_V=script_v, sample_range=(float(s[0]), float(s[-1])),
+        script_V=script_v, script_V_argmin=script_v_argmin,
+        sample_range=(float(s[0]), float(s[-1])),
         ar_improved_ok=ar_ok, envelope_constant=envelope_c,
         q_limit_estimate=q_limit, s_epsilon=s_eps, epsilon=epsilon,
     )
@@ -377,7 +380,8 @@ def G_lower_bound_holds(spec: NonlinearitySpec, report: AssumptionReport,
     """Check G(s) >= delta * min(s, s_eps) + (1 - eps) (s - s_eps)_+ on a scan.
 
     This is the integrated form of the lower bound sqrt(F f')/f >= delta,
-    and >= 1 - eps past s_eps.
+    and >= 1 - eps past s_eps.  When the scan never reaches the (1 - eps)
+    regime, ``report.s_epsilon`` is nan and the check returns False.
     """
     s_values = np.asarray(s_values, dtype=float)
     fine = np.geomspace(1e-6, float(s_values.max()), 4000)

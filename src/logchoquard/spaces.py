@@ -193,19 +193,26 @@ def _augment_origin(nodes: np.ndarray, values: np.ndarray):
 def transform_to_unweighted(u: grids.GridField) -> grids.GridField:
     """Push a radial profile through T: returns v with v(T(r)) = u(r).
 
-    The image lives on a fresh radial grid over [0, T(R)]; resampling uses
+    The image lives on a radial grid over [0, T(R)], built once per source
+    grid together with the preimages T^{-1} of its nodes; resampling uses
     monotone cubic interpolation, which preserves positivity.
     """
     if u.grid.kind != "radial":
         raise GridMismatchError("transform_to_unweighted requires a radial profile")
-    s_radius = radial_map_T(u.grid.domain_radius)
-    image_grid = grids.build_grid("radial", s_radius, u.grid.resolution)
+
+    def build():
+        image = grids.build_grid("radial", radial_map_T(u.grid.domain_radius),
+                                 u.grid.resolution)
+        r_back = np.clip(radial_map_T_inverse(image.nodes), 0.0,
+                         u.grid.domain_radius)
+        r_back.flags.writeable = False
+        return image, r_back
+
+    image_grid, r_back = u.grid._cached("T_image", build)
     from scipy.interpolate import PchipInterpolator
     r_nodes, u_vals = _augment_origin(u.grid.nodes, u.values)
     with np.errstate(over="ignore", invalid="ignore"):   # flat segments
-        interp = PchipInterpolator(r_nodes, u_vals, extrapolate=False)
-        r_back = radial_map_T_inverse(image_grid.nodes)
-        v = interp(np.clip(r_back, 0.0, u.grid.domain_radius))
+        v = PchipInterpolator(r_nodes, u_vals, extrapolate=False)(r_back)
     return grids.GridField(image_grid, np.nan_to_num(v))
 
 

@@ -84,9 +84,9 @@ def test_c03_norm_sandwich_family():
 
 def test_c04_weighted_tm_uniform_bound_and_blowup():
     ns = list(range(4, 257, 4))
-    family = families.moser_family(ns, resolution=2048)
     vals_2pi, vals_16pi = [], []
-    for params, field in family:
+    for n in ns:
+        _, field = energy.moser_cap(n, 0.5, energy.moser_grid(n, 0.5))
         nrm = spaces.norm_w0_sq(field)
         scaled = field.with_values(field.values / math.sqrt(nrm))
         vals_2pi.append(spaces.tm_functional(scaled, 2 * np.pi).value)
@@ -158,9 +158,9 @@ def test_c07_moser_machinery():
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
     for n in (16, 32, 64):
-        rep = energy.moser_delta_n(n, 0.5, 2.0)
-        excess = rep.norm_quadrature_sq - 1.0
-        assert 0.0 <= excess <= rep.delta_n + 5.0 / math.log(n), n
+        cap, field = energy.moser_cap(n, 0.5, energy.moser_grid(n, 0.5))
+        excess = spaces.norm_1qw_sq(field, 2.0, V1) - 1.0
+        assert 0.0 <= excess <= cap.delta_n + 5.0 / math.log(n), n
     print(f"ACCEPTANCE 7 PASS: Moser cap Dirichlet energy {dirichlet:.4f} "
           f"(within 2%), closed-form delta_n exact at q=2, norm band holds "
           f"for n in (16, 32, 64)")
@@ -179,7 +179,7 @@ def test_c08_script_V_and_level_estimate():
         g = energy.moser_grid(n, 0.5)
         _, w = energy.moser_cap(n, 0.5, g, normalized=True)
         family.append(({"n": n}, w))
-    bound, witness = energy.mp_level_upper_bound(F1, V1, family)
+    bound, _, _ = energy.mp_level_upper_bound(F1, V1, family)
     assert 0.0 < bound < 0.5
     print(f"ACCEPTANCE 8 PASS: script-V {value:.6f} matches 1e6-point scan "
           f"oracle to 1e-6; mountain-pass upper bound {bound:.4f} in (0, 1/2) "

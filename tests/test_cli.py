@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from logchoquard import cli, families, grids, reports, spaces
+from logchoquard import cli, energy, families, grids, reports, spaces
+from logchoquard import nonlinearity as nl
 from logchoquard.config import DEFAULTS, load_config
 from logchoquard.errors import InvalidParameterError, ValidationError
 
@@ -78,6 +79,51 @@ def test_cli_check_assumptions_csv(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("key,value")
     assert "results.f2_ok,true" in text
+
+
+def test_cli_moser_scan_bound_is_the_least_ray_max(tmp_path):
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "scan.json"
+    assert cli.main(["moser-scan", "--config", path, "--output", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    rows = results["table"]
+    assert [row["n"] for row in rows] == list(DEFAULTS["moser"]["ns"])
+    maxima = [row["ray_max"] for row in rows]
+    assert results["mp_level_upper_bound"] == min(maxima)      # bit for bit
+    assert results["witness"] == {"n": rows[maxima.index(min(maxima))]["n"]}
+    # the quadratured ||w_n||^2_{1,q(w)} exceeds 1 by at most delta_n plus a
+    # discretization allowance
+    for row in rows:
+        excess = row["norm_1qw_sq"] - 1.0
+        assert 0.0 <= excess <= row["delta_n"] + 5.0 / math.log(row["n"]), row
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, module, name, expected", [
+    ("moser-scan", energy, "ray_analysis", len(DEFAULTS["moser"]["ns"])),
+    ("check-assumptions", nl, "compute_script_V", 1),
+    # the sandwich grid, its T-image and one anchored grid per Moser cap
+    ("verify-embedding", grids, "build_grid",
+     2 + len(DEFAULTS["embedding"]["moser_ns"])),
+], ids=["moser-scan", "check-assumptions", "verify-embedding"])
+def test_commands_compute_each_quantity_once(tmp_path, monkeypatch, command,
+                                             module, name, expected):
+    calls = count_calls(monkeypatch, module, name)
+    path = write_config(tmp_path, BASE)
+    assert cli.main([command, "--config", path,
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == expected
 
 
 def test_cli_kernel_bench(tmp_path, capsys):
@@ -339,7 +385,7 @@ def test_verify_embedding_orlicz_variant_at_q_3(tmp_path):
     assert all(a >= b for a, b in zip(values, values[1:]))
     # the n = 16 value, evaluated directly on the cap scaled to the unit
     # q-growth sphere
-    [(_, cap)] = families.moser_family((16,), rho=0.5)
+    _, cap = energy.moser_cap(16, 0.5, energy.moser_grid(16, 0.5))
     nrm = spaces.norm_w0_sq(cap, 3.0)
     scaled = cap.with_values(cap.values / math.sqrt(nrm))
     assert values[2] == spaces.tm_functional(scaled, alpha, q_cap=3.0).value
@@ -465,8 +511,9 @@ print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))
     ("kernel-bench", "\n[kernel_bench]\nsizes = 16\n"),
     ("solve", SMALL_SOLVE),
     ("verify-embedding", ""),
+    ("moser-scan", ""),
 ], ids=["import", "check-assumptions", "kernel-bench", "solve",
-        "verify-embedding"])
+        "verify-embedding", "moser-scan"])
 def test_commands_import_only_the_scipy_they_use(tmp_path, command, block):
     args = []
     if command is not None:

@@ -213,13 +213,6 @@ def test_delta_n_log_slope():
     assert abs(slope + 1.0) < 0.05
 
 
-@pytest.mark.parametrize("n", [16, 32, 64])
-def test_moser_norm_band(n):
-    rep = energy.moser_delta_n(n, 0.5, 2.0)
-    excess = rep.norm_quadrature_sq - 1.0
-    assert 0.0 <= excess <= rep.delta_n + 5.0 / math.log(n)
-
-
 def test_ray_analysis_moser():
     g = energy.moser_grid(16, 0.5)
     _, w = energy.moser_cap(16, 0.5, g, normalized=True)
@@ -251,9 +244,14 @@ def test_mp_level_upper_bound_family():
         g = energy.moser_grid(n, 0.5)
         _, w = energy.moser_cap(n, 0.5, g, normalized=True)
         family.append(({"n": n}, w))
-    bound, witness = energy.mp_level_upper_bound(F1, V1, family)
+    bound, witness, rays = energy.mp_level_upper_bound(F1, V1, family)
     assert 0.0 < bound < 0.5
-    smaller, _ = energy.mp_level_upper_bound(F1, V1, family[:1])
+    # one ray per direction, in input order; the witness attains the bound
+    assert [ray.direction for ray in rays] == [field for _, field in family]
+    maxima = [ray.max_value for ray in rays]
+    assert bound == min(maxima)
+    assert witness == family[maxima.index(bound)][0]
+    smaller, _, _ = energy.mp_level_upper_bound(F1, V1, family[:1])
     assert bound <= smaller + 1e-15
 
 

@@ -139,11 +139,11 @@ def test_power_exp_q_limit_and_ar_margin_cancel_in_closed_form(q):
     # log f - (q - 1) log s keeps no digit once q |log s| passes 1/eps
     report = nl.check_assumptions(nl.NonlinearitySpec("power_exp", p=q, q=q))
     s = nl.ScanPlan().points()
-    s = s[s <= 1e-3][-1]                      # the last point of the head
+    s = s[0]                                  # s_min, the first point of the head
     a = nl.A_CRIT
     assert report.q_limit_estimate == pytest.approx(
         (q + 2 * a * s**2) * math.exp(a * s**2), rel=1e-12)
-    assert report.q_limit_estimate == pytest.approx(q, rel=1e-4)
+    assert report.q_limit_estimate == pytest.approx(q, rel=1e-6)
     assert report.ar_improved_ok
 
 
@@ -185,6 +185,16 @@ def test_check_assumptions_F2_growth():
 def test_G_lower_bound_chain():
     report = nl.check_assumptions(F1)
     assert nl.G_lower_bound_holds(F1, report, np.geomspace(0.01, 8.0, 200))
+
+
+def test_s_epsilon_is_nan_when_the_scan_never_reaches_the_regime():
+    # with s0 = 20 the scan to s_max = 10 stays on the power piece s^2, where
+    # sqrt(F f' / f^2) = sqrt(1/2) < 1 - eps: no onset, and no G lower bound
+    spec = nl.NonlinearitySpec("piecewise", q=2.0, s0=20.0)
+    report = nl.check_assumptions(spec)
+    assert math.sqrt(nl.ratio_Ffprime_f2(spec, 10.0)) < 1.0 - report.epsilon
+    assert math.isnan(report.s_epsilon)
+    assert not nl.G_lower_bound_holds(spec, report, np.geomspace(0.01, 8.0, 200))
 
 
 def test_saturation_mask():

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from logchoquard import families, grids, spaces
+from logchoquard import energy, families, grids, spaces
 from logchoquard.errors import DomainError, EmptyFamilyError
 
 
 @pytest.fixture(scope="module")
 def rgrid():
     return grids.build_grid("radial", 10.0, 2048)
+
+
+def moser_caps(ns, rho=0.5):
+    """Moser caps on per-n grids anchored at their corners, as
+    verify-embedding builds them."""
+    return [({"n": n, "rho": rho},
+             energy.moser_cap(n, rho, energy.moser_grid(n, rho))[1])
+            for n in ns]
 
 
 def test_T_at_zero_and_one():
@@ -155,7 +163,7 @@ def test_tm_sup_search_trivial(rgrid):
 
 
 def test_tm_sup_search_moser_bounded_at_2pi():
-    family = families.moser_family((4, 8, 16, 32, 64))
+    family = moser_caps((4, 8, 16, 32, 64))
     best, _, rows = spaces.tm_sup_search(family, alpha=2 * np.pi)
     values = [value for _, value in rows]
     assert best == max(values)
@@ -165,7 +173,7 @@ def test_tm_sup_search_moser_bounded_at_2pi():
 @pytest.mark.parametrize("q_cap", [None, 3.0])
 def test_tm_sup_search_values_are_direct_tm_evaluations(q_cap):
     # each member scaled to the unit w0 sphere of exponent q_cap (or 2)
-    family = families.moser_family((4, 16, 64), rho=0.5)
+    family = moser_caps((4, 16, 64))
     alpha = 2 * np.pi if q_cap is None else 1.0 / np.sqrt(q_cap)
     best, best_params, rows = spaces.tm_sup_search(family, alpha, q_cap=q_cap)
     direct = []
@@ -179,7 +187,7 @@ def test_tm_sup_search_values_are_direct_tm_evaluations(q_cap):
 
 
 def test_tm_moser_blowup_at_16pi():
-    family = families.moser_family((4, 16, 64))
+    family = moser_caps((4, 16, 64))
     values = []
     for params, field in family:
         nrm = spaces.norm_w0_sq(field)
