@@ -7,13 +7,12 @@ from .energy import (EnergyBreakdown, MoserCap, RayAnalysis,
                      moser_cap, moser_grid, mp_level_upper_bound,
                      ray_analysis, total_energy)
 from .grids import (Grid, GridField, build_grid, dirichlet_energy,
-                    field_from_radial, field_from_xy, integrate, zero_field)
-from .kernel import (HLSReport, KernelForm, LogHLSReport, bilinear_direct,
-                     bilinear_direct_many, bilinear_fast, hls_check,
-                     kernel_split, log_hls_check)
+                    field_from_radial, integrate, zero_field)
+from .kernel import (KernelForm, bilinear_direct, bilinear_direct_many,
+                     bilinear_fast, kernel_split)
 from .nonlinearity import (AssumptionReport, NonlinearitySpec, ScanPlan,
-                           G_auxiliary, check_assumptions, compute_script_V,
-                           eval_F, eval_f, eval_f_prime, ratio_Ffprime_f2)
+                           check_assumptions, compute_script_V, eval_F,
+                           eval_f, eval_f_prime, ratio_Ffprime_f2)
 from .solver import (PSDiagnostics, RecenterResult, SolverConfig,
                      SolverResult, check_mp_geometry, ps_diagnostics,
                      recenter, solve_mountain_pass, vanishing_check)

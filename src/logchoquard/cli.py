@@ -152,7 +152,7 @@ def cmd_moser_scan(cfg: RunConfig):
             "norm_1qw_sq": spaces.norm_1qw_sq(w_plain, cfg.q, cfg.potential),
             "dirichlet": grids.dirichlet_energy(w_plain),
         })
-        # the normalized cap, as moser_cap(..., normalized=True) scales it
+        # the ray family takes the normalized caps w_n / sqrt(1 + delta_n)
         family.append(({"n": n}, w_plain.with_values(
             w_plain.values / math.sqrt(1.0 + cap.delta_n))))
     bound, witness, rays = energy.mp_level_upper_bound(

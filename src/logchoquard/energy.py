@@ -161,7 +161,6 @@ def pair_gradient(gradient: grids.GridField, phi: grids.GridField) -> float:
 class MoserCap:
     n: int
     rho: float
-    normalized: bool
     delta_n: float
 
 
@@ -177,8 +176,7 @@ def moser_grid(n: int, rho: float, domain_radius: float = 20.0,
                             anchors=(rho / n, rho))
 
 
-def moser_cap(n: int, rho: float, grid: grids.Grid, normalized: bool = False,
-              q: float = 2.0,
+def moser_cap(n: int, rho: float, grid: grids.Grid, q: float = 2.0,
               potential: Optional[PeriodicCoefficient] = None):
     """Sample the Moser cap on the grid.
 
@@ -192,11 +190,8 @@ def moser_cap(n: int, rho: float, grid: grids.Grid, normalized: bool = False,
     grids.require_plateau_resolution(grid, rho / n, 4)
     pot = potential if potential is not None else PeriodicCoefficient(1.0)
     delta = delta_n_closed_form(n, rho, q, pot.max_within(rho))
-    values = moser_profile(grid.radii(), n, rho)
-    if normalized:
-        values = values / math.sqrt(1.0 + delta)
-    cap = MoserCap(n=n, rho=rho, normalized=normalized, delta_n=delta)
-    return cap, grids.GridField(grid, values)
+    cap = MoserCap(n=n, rho=rho, delta_n=delta)
+    return cap, grids.GridField(grid, moser_profile(grid.radii(), n, rho))
 
 
 # ---------------------------------------------------------------------------

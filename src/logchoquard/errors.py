@@ -21,24 +21,12 @@ class NonConvergenceError(LogChoquardError, RuntimeError):
     """An iterative scalar solve failed to reach its tolerance."""
 
 
-class QuadratureFailureError(LogChoquardError, RuntimeError):
-    """An adaptive quadrature met a non-finite integrand."""
-
-
 class EmptyFamilyError(LogChoquardError, ValueError):
     """A search was asked to run over an empty field family."""
 
 
 class UnsupportedGridError(LogChoquardError, ValueError):
     """The requested fast path does not support this grid layout."""
-
-
-class ExponentMismatchError(LogChoquardError, ValueError):
-    """Exponents fail the scaling relation required by the inequality."""
-
-
-class NegativeInputError(LogChoquardError, ValueError):
-    """An operation requiring nonnegative fields received negative values."""
 
 
 class ResolutionFailureError(LogChoquardError, ValueError):

@@ -250,14 +250,6 @@ def field_from_radial(grid: Grid, profile) -> GridField:
     return GridField(grid, np.asarray(profile(grid.radii()), dtype=float))
 
 
-def field_from_xy(grid: Grid, fn) -> GridField:
-    """Sample ``fn(x, y)`` on a cartesian grid."""
-    if grid.kind != "cartesian":
-        raise GridMismatchError("field_from_xy requires a cartesian grid")
-    xx, yy = grid.meshgrid()
-    return GridField(grid, np.asarray(fn(xx, yy), dtype=float))
-
-
 def zero_field(grid: Grid) -> GridField:
     return GridField(grid, np.zeros(grid.shape))
 
@@ -267,14 +259,11 @@ def zero_field(grid: Grid) -> GridField:
 # ---------------------------------------------------------------------------
 
 def integrate(u: GridField, pointwise_map=None, weight=None) -> float:
-    """Return sum_i w_i * map(u_i) * weight_i over the truncated domain."""
+    """Return sum_i w_i * map(u_i) * weight_i over the truncated domain, for
+    a ``weight`` array in grid shape."""
     values = u.values if pointwise_map is None else pointwise_map(u.values)
     if weight is not None:
-        if isinstance(weight, GridField):
-            if weight.grid is not u.grid:
-                raise GridMismatchError("weight lives on a different grid")
-            weight = weight.values
-        elif np.shape(weight) != u.grid.shape:
+        if np.shape(weight) != u.grid.shape:
             raise GridMismatchError("weight array does not match the grid shape")
         values = values * weight
     return float(np.sum(u.grid.weights * values))

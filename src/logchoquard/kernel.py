@@ -1,4 +1,4 @@
-"""Sign-split logarithmic kernel, bilinear forms and HLS-type evaluators.
+"""Sign-split logarithmic kernel and its bilinear forms.
 
 The kernel is handled through the elementary split
 log(1/r) = log(1 + 1/r) - log(1 + r), giving the three bilinear forms
@@ -41,8 +41,7 @@ import numpy as np
 import scipy.fft as spfft
 
 from . import grids
-from .errors import (DomainError, ExponentMismatchError, InvalidParameterError,
-                     NegativeInputError, UnsupportedGridError)
+from .errors import DomainError, InvalidParameterError, UnsupportedGridError
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +97,6 @@ def _moment_log1p(k, R):
         return (R**4 / 4.0) * np.log1p(R) \
             - (R**4 / 4.0 - R**3 / 3.0 + R**2 / 2.0 - R + np.log1p(R)) / 4.0
     raise ValueError(k)
-
-
-def _moment_power(k, R, mu):
-    """int_0^R r^{k - mu} dr (mu < 2 keeps every exponent positive)."""
-    return R ** (k + 1 - mu) / (k + 1 - mu)
 
 
 def _cell_pair_average(h: float, moments) -> float:
@@ -384,85 +378,3 @@ def bilinear_fast(u: grids.GridField, v: grids.GridField) -> KernelForm:
         b1 = float(a @ (ring_c1(grid) @ (grid.weights * v.values)))
         b2 = b1 + b0_form(u, v)
     return KernelForm(b1=b1, b2=b2, b0=b2 - b1)
-
-
-# ---------------------------------------------------------------------------
-# HLS-type inequality evaluators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HLSReport:
-    lhs: float
-    norm_product: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.norm_product if self.norm_product else float("nan")
-
-
-def hls_check(u: grids.GridField, v: grids.GridField, mu: float,
-              s: float, r: float) -> HLSReport:
-    """Evaluate both sides of the Riesz-kernel inequality
-    int int |x-y|^{-mu} u(x) v(y) <= C(s, 2, mu, r) ||u||_s ||v||_r."""
-    grids.require_same_grid(u, v)
-    if not (0.0 < mu < 2.0) or s <= 1.0 or r <= 1.0:
-        raise ExponentMismatchError("need 0 < mu < 2 and s, r > 1")
-    if abs(1.0 / s + mu / 2.0 + 1.0 / r - 2.0) > 1e-12:
-        raise ExponentMismatchError("exponents must satisfy 1/s + mu/2 + 1/r = 2")
-    grid = u.grid
-    if grid.kind != "cartesian":
-        raise UnsupportedGridError("hls_check runs on cartesian grids")
-    diag = _cell_pair_average(grid.spacing,
-                              lambda k, R: _moment_power(k, R, mu))
-    a, b = (_weighted_stack(grid, [f]) for f in (u, v))
-    lhs, = _pair_sum(grid, a, b, [(lambda d: d ** (-mu), diag)])
-    norm_u = grids.integrate(u, lambda t: np.abs(t) ** s) ** (1.0 / s)
-    norm_v = grids.integrate(v, lambda t: np.abs(t) ** r) ** (1.0 / r)
-    return HLSReport(lhs=float(lhs[0]), norm_product=norm_u * norm_v)
-
-
-@dataclass(frozen=True)
-class LogHLSReport:
-    lhs: float                 # 2 N * B0(u, v), N = 2
-    entropy_u: float
-    entropy_v: float
-    weight_moment_u: float
-    weight_moment_v: float
-    c_n_required: float        # lhs - entropy_u - entropy_v
-    normalization_u: float     # L1 mass before auto-normalization
-    normalization_v: float
-
-
-def log_hls_check(u: grids.GridField, v: grids.GridField) -> LogHLSReport:
-    """Evaluate the logarithmic HLS inequality data for nonnegative unit-mass
-    densities; inputs are auto-normalized and the residual constant needed to
-    satisfy the inequality is reported."""
-    grids.require_same_grid(u, v)
-    if np.min(u.values) < -1e-12 or np.min(v.values) < -1e-12:
-        raise NegativeInputError("log-HLS needs nonnegative densities")
-    uu = np.maximum(u.values, 0.0)
-    vv = np.maximum(v.values, 0.0)
-    mass_u = float(np.sum(u.grid.weights * uu))
-    mass_v = float(np.sum(u.grid.weights * vv))
-    if mass_u <= 0 or mass_v <= 0:
-        raise NegativeInputError("log-HLS needs nonzero densities")
-    un = grids.GridField(u.grid, uu / mass_u)
-    vn = grids.GridField(u.grid, vv / mass_v)
-    form = bilinear_fast(un, vn)
-    lhs = 4.0 * form.b0
-
-    def xlogx(t):
-        tt = np.maximum(t, 1e-300)
-        return np.where(t > 0, t * np.log(tt), 0.0)
-
-    w = np.log1p(u.grid.radii())
-    ent_u = grids.integrate(un, xlogx)
-    ent_v = grids.integrate(vn, xlogx)
-    mom_u = grids.integrate(un, weight=w)
-    mom_v = grids.integrate(vn, weight=w)
-    return LogHLSReport(
-        lhs=lhs, entropy_u=ent_u, entropy_v=ent_v,
-        weight_moment_u=mom_u, weight_moment_v=mom_v,
-        c_n_required=lhs - ent_u - ent_v,
-        normalization_u=mass_u, normalization_v=mass_v,
-    )

@@ -1,5 +1,5 @@
-"""The nonlinearity family (f, F), assumption checkers, the auxiliary
-function G and the explicit level-estimate threshold constant.
+"""The nonlinearity family (f, F), assumption checkers and the explicit
+level-estimate threshold constant.
 
 Built-in kinds (a = 4 pi throughout):
 
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .brent import minimize_bounded
-from .errors import InvalidParameterError, QuadratureFailureError
+from .errors import InvalidParameterError
 from .spaces import EXP_GUARD, PeriodicCoefficient
 
 A_CRIT = 4.0 * np.pi
@@ -203,7 +203,7 @@ def log_s3fF_tail(spec: NonlinearitySpec, s):
         return 3.0 * np.log(s) + log_f(spec, s) + log_F(spec, s) - 2 * A_CRIT * s**2
 
 
-# ratios and the auxiliary function G ---------------------------------------
+# the ratio F f' / f^2 -------------------------------------------------------
 
 def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
     """F f' / f^2, with cancellation-safe closed forms for the built-ins."""
@@ -229,31 +229,6 @@ def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
             return u * ((p - 1) / p1) + v * (2 * u + 1 / p1 + v)
         out = _by_piece(spec, s, ratio)
     return out if out.ndim else float(out)
-
-
-def G_auxiliary(spec: NonlinearitySpec, t: float) -> float:
-    """G(t) = int_0^t sqrt(F f') / f ds = int_0^t sqrt(F f'/f^2) ds."""
-    if t < 0:
-        raise InvalidParameterError("G is defined for t >= 0")
-    if t == 0:
-        return 0.0
-
-    def integrand(s):
-        val = ratio_Ffprime_f2(spec, max(s, 1e-12))
-        if not np.isfinite(val) or val < 0:
-            raise QuadratureFailureError(f"non-finite ratio at s = {s}")
-        return math.sqrt(val)
-
-    from scipy.integrate import quad
-    val, _ = quad(integrand, 0.0, t, limit=200)
-    return float(val)
-
-
-def G_upper_bound_residual(spec: NonlinearitySpec, t: float) -> float:
-    """t^2 - t F(t)/f(t) - G(t)^2; nonnegative up to quadrature tolerance."""
-    g = G_auxiliary(spec, t)
-    ff = float(np.exp(log_F(spec, t) - log_f(spec, t)))
-    return t**2 - t * ff - g**2
 
 
 # assumption checking --------------------------------------------------------
@@ -358,8 +333,8 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
             if np.any(~below) else np.array([0.0])
     envelope_c = float(max(env_low.max(), env_high.max()))
 
-    # onset of sqrt(ratio) >= 1 - eps (used by the G lower bound): the point
-    # after the last failure, s[0] without failures, nan if the last fails
+    # onset of sqrt(ratio) >= 1 - eps: the point after the last failure,
+    # s[0] without failures, nan if the last fails
     good = np.sqrt(np.maximum(ratios, 0.0)) >= 1.0 - epsilon
     idx = np.nonzero(~good)[0]
     s_eps = float(np.append(s, np.nan)[idx[-1] + 1]) if idx.size else float(s[0])
@@ -373,26 +348,6 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
         ar_improved_ok=ar_ok, envelope_constant=envelope_c,
         q_limit_estimate=q_limit, s_epsilon=s_eps, epsilon=epsilon,
     )
-
-
-def G_lower_bound_holds(spec: NonlinearitySpec, report: AssumptionReport,
-                        s_values) -> bool:
-    """Check G(s) >= delta * min(s, s_eps) + (1 - eps) (s - s_eps)_+ on a scan.
-
-    This is the integrated form of the lower bound sqrt(F f')/f >= delta,
-    and >= 1 - eps past s_eps.  When the scan never reaches the (1 - eps)
-    regime, ``report.s_epsilon`` is nan and the check returns False.
-    """
-    s_values = np.asarray(s_values, dtype=float)
-    fine = np.geomspace(1e-6, float(s_values.max()), 4000)
-    sqrt_ratio = np.sqrt(np.maximum(np.asarray(ratio_Ffprime_f2(spec, fine)), 0.0))
-    g_cum = np.concatenate(([0.0], np.cumsum(
-        0.5 * (sqrt_ratio[1:] + sqrt_ratio[:-1]) * np.diff(fine))))
-    g_at = np.interp(s_values, fine, g_cum)
-    delta, eps, s_eps = report.delta_estimate, report.epsilon, report.s_epsilon
-    bound = delta * np.minimum(s_values, s_eps) \
-        + (1.0 - eps) * np.maximum(s_values - s_eps, 0.0)
-    return bool(np.all(g_at >= bound - 1e-6 * (1 + bound)))
 
 
 # the explicit threshold constant --------------------------------------------

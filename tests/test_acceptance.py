@@ -177,7 +177,8 @@ def test_c08_script_V_and_level_estimate():
     family = []
     for n in (8, 16, 32, 64):
         g = energy.moser_grid(n, 0.5)
-        _, w = energy.moser_cap(n, 0.5, g, normalized=True)
+        cap, w = energy.moser_cap(n, 0.5, g)
+        w = w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
         family.append(({"n": n}, w))
     bound, _, _ = energy.mp_level_upper_bound(F1, V1, family)
     assert 0.0 < bound < 0.5

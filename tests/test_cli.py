@@ -116,7 +116,10 @@ def count_calls(monkeypatch, module, name):
     # the sandwich grid, its T-image and one anchored grid per Moser cap
     ("verify-embedding", grids, "build_grid",
      2 + len(DEFAULTS["embedding"]["moser_ns"])),
-], ids=["moser-scan", "check-assumptions", "verify-embedding"])
+    # one gradient per descent iteration (11 on the default solve), none
+    # again for the converged state
+    ("solve", energy, "energy_gradient", 11),
+], ids=["moser-scan", "check-assumptions", "verify-embedding", "solve"])
 def test_commands_compute_each_quantity_once(tmp_path, monkeypatch, command,
                                              module, name, expected):
     calls = count_calls(monkeypatch, module, name)

@@ -215,7 +215,8 @@ def test_delta_n_log_slope():
 
 def test_ray_analysis_moser():
     g = energy.moser_grid(16, 0.5)
-    _, w = energy.moser_cap(16, 0.5, g, normalized=True)
+    cap, w = energy.moser_cap(16, 0.5, g)
+    w = w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
     ray = energy.ray_analysis(w, F1, V1)
     assert 0.0 < ray.max_value < 0.5
     assert ray.max_value == np.max(ray.energy_samples)
@@ -242,7 +243,8 @@ def test_mp_level_upper_bound_family():
     family = []
     for n in (8, 16, 32):
         g = energy.moser_grid(n, 0.5)
-        _, w = energy.moser_cap(n, 0.5, g, normalized=True)
+        cap, w = energy.moser_cap(n, 0.5, g)
+        w = w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
         family.append(({"n": n}, w))
     bound, witness, rays = energy.mp_level_upper_bound(F1, V1, family)
     assert 0.0 < bound < 0.5

@@ -1,4 +1,4 @@
-"""Nonlinearity families, assumption checkers, G and the threshold constant."""
+"""Nonlinearity families, assumption checkers and the threshold constant."""
 
 import math
 
@@ -155,19 +155,6 @@ def test_ratio_within_f2_band():
     assert np.all(vals <= report.C_estimate)
 
 
-def test_G_at_zero_and_monotone():
-    assert nl.G_auxiliary(F1, 0.0) == 0.0
-    g1 = nl.G_auxiliary(F1, 1.0)
-    g2 = nl.G_auxiliary(F1, 2.0)
-    assert 0.0 < g1 < g2
-
-
-def test_G_upper_bound():
-    #  G^2(t) <= t^2 - t F(t)/f(t)
-    for t in (0.5, 1.0, 2.0):
-        assert nl.G_upper_bound_residual(F1, t) > -1e-8
-
-
 def test_check_assumptions_F1():
     report = nl.check_assumptions(F1)
     assert report.f1_ok and report.f2_ok and report.f3_ok and report.f4_ok
@@ -182,19 +169,13 @@ def test_check_assumptions_F2_growth():
     assert report.f4_liminf_estimate > 1e3 * report.script_V
 
 
-def test_G_lower_bound_chain():
-    report = nl.check_assumptions(F1)
-    assert nl.G_lower_bound_holds(F1, report, np.geomspace(0.01, 8.0, 200))
-
-
 def test_s_epsilon_is_nan_when_the_scan_never_reaches_the_regime():
     # with s0 = 20 the scan to s_max = 10 stays on the power piece s^2, where
-    # sqrt(F f' / f^2) = sqrt(1/2) < 1 - eps: no onset, and no G lower bound
+    # sqrt(F f' / f^2) = sqrt(1/2) < 1 - eps: no onset
     spec = nl.NonlinearitySpec("piecewise", q=2.0, s0=20.0)
     report = nl.check_assumptions(spec)
     assert math.sqrt(nl.ratio_Ffprime_f2(spec, 10.0)) < 1.0 - report.epsilon
     assert math.isnan(report.s_epsilon)
-    assert not nl.G_lower_bound_holds(spec, report, np.geomspace(0.01, 8.0, 200))
 
 
 def test_saturation_mask():

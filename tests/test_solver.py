@@ -452,6 +452,19 @@ def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
     assert res.level == res.path_level == start[0]
 
 
+def test_budget_exhausted_residual_is_the_final_states():
+    # the last descent step moves u after its residual was computed, so the
+    # reported residual is recomputed at the state the run ends on
+    cfg = solver.SolverConfig(spec=F1, potential=V1,
+                              **dict(C12_SETTINGS, max_iterations=3))
+    res = solver.solve_mountain_pass(cfg)
+    assert not res.converged and res.newton_steps == 0
+    final = res.field_trace[-1]
+    grad = energy.energy_gradient(final, F1, V1)
+    residual, _, _ = solver._dual_estimate(final.grid, V1, grad.values)
+    assert res.residual == residual != res.ps_trace[-1][1]
+
+
 def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
     # every trial search reports an interior maximum far below the current
     # level, at a scale where t v saturates nodes: the clamp would decide
