@@ -83,6 +83,22 @@ def test_grid_mismatch_weight():
         grids.integrate(u, weight=np.ones(63))
 
 
+def test_integrate_weight_multiplies_the_mapped_values():
+    g = grids.build_grid("cartesian", 3.0, 24)
+    u = families.gaussian(g, 1.0, center=(0.5, -0.25))
+    w = np.log1p(g.radii())
+    weighted = grids.integrate(u, pointwise_map=np.square, weight=w)
+    assert weighted == grids.integrate(u.with_values(u.values ** 2 * w))
+
+
+def test_integrate_rejects_a_field_as_weight():
+    # weights are arrays in grid shape; a GridField is not one
+    g = grids.build_grid("radial", 5.0, 64)
+    u = families.gaussian(g, 1.0)
+    with pytest.raises(GridMismatchError):
+        grids.integrate(u, weight=u)
+
+
 def test_dirichlet_constant_is_zero():
     g = grids.build_grid("radial", 10.0, 256)
     u = grids.GridField(g, np.full(g.shape, 2.5))

@@ -1,6 +1,7 @@
 """Kernel split and bilinear forms (direct vs fast)."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,43 @@ def test_pair_sum_evaluates_each_kernel_on_offsets_not_pairs(n):
     assert seen == [(k, n * n) for k, _ in kernels]
 
 
+def test_riesz_pair_sum_matches_dense_unblocked_sum():
+    # the full 2304 x 2304 Riesz matrix of a 48^2 lattice, one product
+    g = grids.build_grid("cartesian", 3.0, 48)
+    u = families.gaussian(g, 1.0)
+    v = families.gaussian(g, 0.5)
+    xx, yy = g.meshgrid()
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    d = np.hypot(pts[:, 0, None] - pts[None, :, 0],
+                 pts[:, 1, None] - pts[None, :, 1])
+    riesz, diag = _oracle_kernels(g)[2]
+    kern = np.full(d.shape, diag)
+    off = d > 0
+    kern[off] = riesz(d[off])
+    a = kernel._weighted_stack(g, [u])
+    b = kernel._weighted_stack(g, [v])
+    (got,) = kernel._pair_sum(g, a, b, [(riesz, diag)])
+    assert got[0] == pytest.approx(a[:, 0] @ kern @ b[:, 0], rel=1e-12)
+
+
+def test_riesz_gaussian_self_energy_converges_to_closed_form():
+    # exp(-|x|^2 / s^2) of unit mass: x - y is Gaussian with variance s^2
+    # per coordinate, so the Riesz (mu = 1) self-energy E[1/|x - y|] is
+    # sqrt(pi / 2) / s.  The node values of 1/d next to the singularity
+    # make the error first order in the spacing.
+    s = 1.0
+    exact = math.sqrt(math.pi / 2) / s
+    errors = []
+    for n in (48, 96):
+        g = grids.build_grid("cartesian", 6.0, n)
+        u = families.gaussian(g, s)
+        a = kernel._weighted_stack(g, [u.with_values(u.values / grids.integrate(u))])
+        (got,) = kernel._pair_sum(g, a, a, [_oracle_kernels(g)[2]])
+        errors.append(abs(got[0] - exact))
+    assert errors[1] < 0.6 * errors[0]
+    assert errors[1] < 0.02 * exact
+
+
 def test_cartesian_direct_forms_use_no_fft(monkeypatch):
     # the oracle must stay independent of the Parseval route it checks
     import scipy.fft as spfft
@@ -310,6 +348,37 @@ def test_radial_disc_self_energy_oracle(kind, radius, n, tol):
     u = u.with_values(u.values / grids.integrate(u))
     form = kernel.bilinear_fast(u, u)
     assert abs(form.b0 - 0.25) < tol
+
+
+@pytest.mark.parametrize("kind, radius, n, tol", [
+    ("radial", 10.0, 512, 1e-4),
+    ("cartesian", 8.0, 128, 2e-3),
+], ids=["radial", "cartesian"])
+@pytest.mark.parametrize("s", [1.0, 1.5])
+def test_gaussian_self_energy_oracle(kind, radius, n, tol, s):
+    # exp(-|x|^2 / s^2) of unit mass: |x - y|^2 / s^2 is exponential with
+    # mean 2, so B0 = -E[log |x - y|] = (EULER_GAMMA - log(2 s^2)) / 2; a
+    # dilation by s shifts B0 by -log(s)
+    g = grids.build_grid(kind, radius, n)
+    u = families.gaussian(g, s)
+    u = u.with_values(u.values / grids.integrate(u))
+    exact = (np.euler_gamma - math.log(2.0 * s * s)) / 2.0
+    assert abs(kernel.bilinear_fast(u, u).b0 - exact) < tol
+
+
+@pytest.mark.parametrize("kind, radius, n", [("cartesian", 4.0, 32),
+                                             ("radial", 6.0, 128)])
+def test_fast_forms_are_bilinear(kind, radius, n):
+    g = grids.build_grid(kind, radius, n)
+    u, w, v = (families.gaussian(g, s) for s in (0.7, 1.3, 1.0))
+    alpha, beta = 3.7, -0.4
+    combo = u.with_values(alpha * u.values + beta * w.values)
+    lhs = kernel.bilinear_fast(combo, v)
+    fu, fw = kernel.bilinear_fast(u, v), kernel.bilinear_fast(w, v)
+    for name in ("B0", "B1", "B2"):
+        scale = abs(alpha * fu.value(name)) + abs(beta * fw.value(name))
+        expected = alpha * fu.value(name) + beta * fw.value(name)
+        assert abs(lhs.value(name) - expected) <= 1e-12 * scale
 
 
 def test_b1_grows_when_gaussian_translated_outward():

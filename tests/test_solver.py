@@ -44,6 +44,26 @@ def test_geometry_failure_for_inert_spec():
         solver.check_mp_geometry(ZERO_SPEC, V1, grid=g)
 
 
+def test_witness_search_stops_after_the_doubling_budget(monkeypatch):
+    # an inert nonlinearity never goes negative: the search evaluates the
+    # witness bump at t = 1, 2, ..., 2^(budget - 1) and gives up
+    g = grids.build_grid("cartesian", 8.0, 48)
+    monkeypatch.setattr(solver, "WITNESS_DOUBLINGS", 5)
+    calls = []
+    total_energy = energy.total_energy
+
+    def counted(u, spec, potential):
+        calls.append(float(np.max(u.values)))
+        return total_energy(u, spec, potential)
+
+    monkeypatch.setattr(energy, "total_energy", counted)
+    with pytest.raises(GeometryFailureError, match="doubling budget"):
+        solver.check_mp_geometry(ZERO_SPEC, V1, grid=g)
+    probes = len(solver._geometry_probes(g))
+    top = float(np.max(families.bump(g, 0.25).values))
+    assert calls[probes:] == [2.0 ** k * top for k in range(5)]
+
+
 def test_solver_converges_small(small_result):
     res = small_result
     assert res.converged and res.status == "converged"
@@ -463,6 +483,16 @@ def test_budget_exhausted_residual_is_the_final_states():
     grad = energy.energy_gradient(final, F1, V1)
     residual, _, _ = solver._dual_estimate(final.grid, V1, grad.values)
     assert res.residual == residual != res.ps_trace[-1][1]
+
+
+def test_converged_residual_is_the_accepted_states(small_result):
+    # a converged run reports the residual it computed at the state it
+    # accepted; recomputing it there gives the same number
+    assert small_result.converged
+    final = small_result.field_trace[-1]
+    grad = energy.energy_gradient(final, F1, V1)
+    residual, _, _ = solver._dual_estimate(final.grid, V1, grad.values)
+    assert small_result.residual == residual
 
 
 def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
