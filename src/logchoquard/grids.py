@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridMismatchError, InvalidParameterError, ResolutionFailureError
 
@@ -273,13 +272,14 @@ def integrate(u: GridField, pointwise_map=None, weight=None) -> float:
 # Dirichlet energy
 # ---------------------------------------------------------------------------
 
-def _radial_derivative_matrix(nodes: np.ndarray) -> sp.csr_matrix:
+def _radial_derivative_matrix(nodes: np.ndarray) -> scipy.sparse.csr_matrix:
     """First-derivative weights at every node from the quadratic through 3 nodes.
 
     Row i uses the nodes (i-1, i, i+1), one-sided at the two ends.  The
     coefficient at x_i is the negative sum of the other two, so that
     constants differentiate to exactly zero in floating point.
     """
+    import scipy.sparse as sp
     n = len(nodes)
     gap = np.diff(nodes)
     h1, h2 = gap[:-1], gap[1:]      # left and right gaps of nodes 1 .. n-2
@@ -315,7 +315,7 @@ def _edge_weights(grid: Grid):
     return grid._cached("edge_weights", build)
 
 
-def stiffness_matrix(grid: Grid) -> sp.csr_matrix:
+def stiffness_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     """Quadratic form of the Dirichlet energy: E(u) = u^T A u.
 
     Radial: D^T W D with D the 3-point derivative.  Cartesian: the sum of
@@ -324,6 +324,7 @@ def stiffness_matrix(grid: Grid) -> sp.csr_matrix:
     sums matrix-free.
     """
     def build():
+        import scipy.sparse as sp
         if grid.kind == "radial":
             d = _radial_derivative_matrix(grid.nodes)
             return (d.T @ sp.diags(grid.weights) @ d).tocsr()

@@ -38,7 +38,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as spfft
 
 from . import grids
 from .errors import DomainError, InvalidParameterError, UnsupportedGridError
@@ -136,6 +135,7 @@ def _fft_kernels(grid: grids.Grid):
     elsewhere.  Every kernel table depends on |offset| only, so its
     transform is real.  Cached per grid."""
     def build():
+        import scipy.fft as spfft
         n, h = grid.resolution, grid.spacing
         m = spfft.next_fast_len(2 * n - 1)
         idx = np.arange(n, dtype=float)
@@ -168,6 +168,7 @@ def _fft_kernels(grid: grids.Grid):
 def _spectrum(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
     """rfft2 of the m x m zero pad of the weighted nodal density, with the
     forward pass pruned to the n nonzero rows (bit-identical to rfft2)."""
+    import scipy.fft as spfft
     m = _fft_kernels(grid)[0]
     rows = spfft.rfft(grid.weights * density, n=m, axis=1)
     return spfft.fft(rows, n=m, axis=0)
@@ -188,6 +189,7 @@ def convolve_kernel(grid: grids.Grid, density: np.ndarray):
     internally)."""
     if grid.kind != "cartesian":
         raise UnsupportedGridError("FFT convolution needs a cartesian grid")
+    import scipy.fft as spfft
     m, k0hat, _ = _fft_kernels(grid)
     n = grid.resolution
     dhat = _spectrum(grid, density)

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import energy, families, grids
 from . import nonlinearity as nl
@@ -149,6 +147,8 @@ def _quadratic_preconditioner(grid, potential):
     key = ("precond", potential.floor, potential.amplitude)
 
     def build():
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
         w = grid.weights.ravel()
         interior = np.nonzero(w > 0)[0]
         a = grids.stiffness_matrix(grid)

@@ -190,6 +190,52 @@ def _augment_origin(nodes: np.ndarray, values: np.ndarray):
     return np.concatenate(([0.0], nodes)), np.concatenate(([u0], values))
 
 
+def _pchip(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Monotone piecewise cubic Hermite interpolant of (x, y) at xi, nan
+    outside [x[0], x[-1]] (Fritsch & Carlson 1980).
+
+    A port of scipy 1.17's ``PchipInterpolator(x, y, extrapolate=False)``
+    that takes scipy's floating-point steps, so its values are scipy's bit
+    for bit: weighted-harmonic-mean inner slopes, zero at a local extremum
+    or flat segment; the shape-preserving one-sided 3-point end slopes; and
+    on [x_i, x_i+1) the power sum c3 + c2 s + c1 s^2 + c0 s^3 in s = xi - x_i.
+    x is strictly increasing with at least 3 nodes.
+    """
+    if len(x) < 3:
+        raise InvalidParameterError("PCHIP needs at least 3 nodes")
+    # flat segments divide by zero in the harmonic mean, which then goes
+    # unused; overflow at extreme magnitudes gives inf or nan, as in scipy
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros(len(x))
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c0, c1 = t / h, (m - d[:-1]) / h - t
+        inside = (x[0] <= xi) & (xi <= x[-1])
+        i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
+        s = np.where(inside, xi - x[i], np.nan)
+        s2 = s * s
+        # scipy's order; the sum starts from 0, so a -0.0 term reads 0.0
+        return 0.0 + y[i] + d[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided 3-point end slope, set to 0 where its sign differs from
+    the end segment's and clipped to 3 m0 past a turn (Moler 2004, pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def transform_to_unweighted(u: grids.GridField) -> grids.GridField:
     """Push a radial profile through T: returns v with v(T(r)) = u(r).
 
@@ -209,24 +255,17 @@ def transform_to_unweighted(u: grids.GridField) -> grids.GridField:
         return image, r_back
 
     image_grid, r_back = u.grid._cached("T_image", build)
-    from scipy.interpolate import PchipInterpolator
     r_nodes, u_vals = _augment_origin(u.grid.nodes, u.values)
-    with np.errstate(over="ignore", invalid="ignore"):   # flat segments
-        v = PchipInterpolator(r_nodes, u_vals, extrapolate=False)(r_back)
-    return grids.GridField(image_grid, np.nan_to_num(v))
+    return grids.GridField(image_grid, np.nan_to_num(_pchip(r_nodes, u_vals, r_back)))
 
 
 def transform_from_unweighted(v: grids.GridField, target_grid: grids.Grid) -> grids.GridField:
     """Inverse resampling: u(r) = v(T(r)) on the given radial grid."""
     if v.grid.kind != "radial" or target_grid.kind != "radial":
         raise GridMismatchError("transform_from_unweighted requires radial grids")
-    from scipy.interpolate import PchipInterpolator
     s_nodes, v_vals = _augment_origin(v.grid.nodes, v.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        interp = PchipInterpolator(s_nodes, v_vals, extrapolate=False)
-        s = radial_map_T(target_grid.nodes)
-        u = interp(np.clip(s, 0.0, v.grid.domain_radius))
-    return grids.GridField(target_grid, np.nan_to_num(u))
+    s = np.clip(radial_map_T(target_grid.nodes), 0.0, v.grid.domain_radius)
+    return grids.GridField(target_grid, np.nan_to_num(_pchip(s_nodes, v_vals, s)))
 
 
 def sandwich_ratio(u: grids.GridField):

@@ -378,6 +378,19 @@ def test_default_solve_independent_of_blas_threads(tmp_path):
           "file are byte-identical at one and two BLAS threads")
 
 
+def test_radial_solve_independent_of_blas_threads(tmp_path):
+    # the radial Dirichlet energy is the one BLAS product (a ddot) on a
+    # solve trajectory, and the preconditioner solves run through SuperLU
+    (report1, field1), (report2, field2) = _solve_at_blas_threads(
+        tmp_path, "[nonlinearity]\nq = 2\n\n[solver]\ngrid_kind = radial\n"
+        "resolution = 512\n", "1")
+    assert report1 == report2
+    assert field1 == field2
+    assert b'    "converged": true,' in report1
+    print("ACCEPTANCE 12f PASS: the 512-node radial solve report and field "
+          "file are byte-identical at one and two BLAS threads")
+
+
 POWER_EXP_RADIAL_CONFIG = """
 [nonlinearity]
 kind = power_exp

@@ -1,5 +1,6 @@
 """CLI commands, configuration validation, report and field round trips."""
 
+import ast
 import json
 import math
 import os
@@ -499,25 +500,32 @@ def test_overflowing_threshold_gives_a_strict_report_and_a_quiet_search(
     assert noisy == []
 
 
-UNUSED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+# scipy itself, every subpackage the package imports, and the two it must
+# never import (its PCHIP and Brent search are in-package ports)
+PROBED_SCIPY = ("scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg",
+                "scipy.integrate", "scipy.interpolate", "scipy.optimize")
 IMPORT_PROBE = """
 import json, sys
 from logchoquard import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))
-""".format(modules=UNUSED_SCIPY)
+""".format(modules=PROBED_SCIPY)
 
 
-@pytest.mark.parametrize("command, block", [
-    (None, ""),
-    ("check-assumptions", ""),
-    ("kernel-bench", "\n[kernel_bench]\nsizes = 16\n"),
-    ("solve", SMALL_SOLVE),
-    ("verify-embedding", ""),
-    ("moser-scan", ""),
-], ids=["import", "check-assumptions", "kernel-bench", "solve",
+@pytest.mark.parametrize("command, block, loaded", [
+    (None, "", []),
+    ("check-assumptions", "", []),
+    ("kernel-bench", "\n[kernel_bench]\nsizes = 16\n", ["scipy", "scipy.fft"]),
+    ("solve", SMALL_SOLVE,
+     ["scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg"]),
+    ("solve", "\n[solver]\ngrid_kind = radial\nresolution = 256\n",
+     ["scipy", "scipy.sparse", "scipy.sparse.linalg"]),
+    ("verify-embedding", "", ["scipy", "scipy.sparse"]),
+    ("moser-scan", "", ["scipy", "scipy.sparse"]),
+], ids=["import", "check-assumptions", "kernel-bench", "solve", "radial-solve",
         "verify-embedding", "moser-scan"])
-def test_commands_import_only_the_scipy_they_use(tmp_path, command, block):
+def test_commands_import_only_the_scipy_they_use(tmp_path, command, block,
+                                                 loaded):
     args = []
     if command is not None:
         args = [command, "--config", write_config(tmp_path, BASE + block),
@@ -532,10 +540,30 @@ def test_commands_import_only_the_scipy_they_use(tmp_path, command, block):
                          capture_output=True, text=True)
     code, present = json.loads(run.stdout.splitlines()[-1])
     assert code == 0
-    if command == "verify-embedding":
-        assert "scipy.interpolate" in present     # PCHIP, loaded on demand
-    else:
-        assert present == []
+    assert sorted(present) == sorted(loaded)
+
+
+def test_no_module_imports_scipy_interpolate_or_optimize():
+    # checked on the source, so that a branch no command takes counts too;
+    # the PCHIP and the Brent search are in-package ports
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported = [node.module] + [f"{node.module}.{alias.name}"
+                                            for alias in node.names]
+            else:
+                continue
+            for module in imported:
+                assert module.split(".")[:2] not in (
+                    ["scipy", "interpolate"], ["scipy", "optimize"]), \
+                    f"{name}:{node.lineno} imports {module}"
 
 
 def test_field_roundtrip(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from logchoquard import energy, families, grids, spaces
-from logchoquard.errors import DomainError, EmptyFamilyError
+from logchoquard.errors import (DomainError, EmptyFamilyError,
+                                InvalidParameterError)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,42 @@ def test_transform_roundtrip(rgrid):
     back = spaces.transform_from_unweighted(v, rgrid)
     scale = np.max(np.abs(u.values))
     assert np.max(np.abs(back.values - u.values)) < 1e-3 * scale
+
+
+def _pchip_cases():
+    """(x, y, xi): random data at magnitudes 1e-300 to 1e290, integer data
+    with flat segments and sign changes, monotone data, a Gaussian on
+    radial nodes with the origin prepended, and the fewest nodes; queried
+    on every node and end, between nodes, just and far outside, at +-inf
+    and at nan."""
+    rng = np.random.default_rng(7)
+    nodes = grids.build_grid("radial", 10.0, 64).nodes
+    data = [spaces._augment_origin(nodes, np.exp(-nodes**2))]
+    for k in range(80):
+        n = 3 if k % 10 == 0 else int(rng.integers(4, 40))
+        x = np.cumsum(rng.uniform(0.01, 2.0, n)) - rng.uniform(0.0, 5.0)
+        data.append((x, (rng.normal(size=n) * 10.0 ** rng.integers(-300, 290),
+                         np.round(2.0 * rng.normal(size=n)),
+                         np.cumsum(rng.uniform(0.0, 1.0, n)))[k % 3]))
+    for x, y in data:
+        yield x, y, np.concatenate((
+            x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 40),
+            [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+             -np.inf, np.inf, np.nan]))
+
+
+def test_pchip_is_scipy_pchip_bit_for_bit():
+    from scipy.interpolate import PchipInterpolator
+    for x, y, xi in _pchip_cases():
+        expected = PchipInterpolator(x, y, extrapolate=False)(xi)
+        assert np.array_equal(spaces._pchip(x, y, xi), expected,
+                              equal_nan=True)
+
+
+def test_pchip_needs_three_nodes():
+    with pytest.raises(InvalidParameterError):
+        spaces._pchip(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                      np.array([0.5]))
 
 
 def test_norm_1qw_zero(rgrid):
