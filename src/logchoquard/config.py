@@ -54,7 +54,8 @@ def _least(bound):
 CHECKS = (
     ("grid", "domain_radius", lambda v: v > 0, "must be positive"),
     ("grid", "resolution", *_least(grids.MIN_RESOLUTION)),
-    ("nonlinearity", "kind", lambda v: v in P_BY_KIND, "is not configurable"),
+    ("nonlinearity", "kind", lambda v: v in P_BY_KIND,
+     f"must be one of {', '.join(P_BY_KIND)}"),
     ("nonlinearity", "q", lambda v: v is not None, "is required"),
     ("embedding", "alpha", lambda v: v is None or v > 0, "must be positive"),
     ("embedding", "bound_points", *_least(1)),

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import grids, kernel
 from . import nonlinearity as nl
-from .brent import minimize_bounded
 from .errors import (EmptyFamilyError, InvalidParameterError,
                      NoInteriorMaxError)
 from .families import moser_profile
@@ -33,6 +32,8 @@ from .spaces import PeriodicCoefficient, norm_V_sq
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
 MIN_RAY_SAMPLES = 64
+GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+RAY_WALK_STEP = 0.01        # first half-width of a ray search's bracket walk
 
 
 @dataclass(frozen=True)
@@ -220,12 +221,111 @@ def _stationarity_residuals(u: grids.GridField, spec, potential, t_star: float):
     return res1, res2
 
 
+def ray_max(v, t0, lo, hi, xatol, spec, potential):
+    """(t*, level) maximizing I_V(t v) over t in [lo, hi], searched from the
+    predicted scale t0; level is I_V(t* v) as ``total_energy`` gives it.
+
+    A walk brackets the maximum: it evaluates t0 - s, t0, t0 + s with
+    s = RAY_WALK_STEP and, while an end is higher than the middle, shifts
+    the triple that way and doubles s.  When the highest end is lo or hi,
+    the gap between it and the middle is halved until a trial beats the
+    edge; once the gap is at most xatol the edge is returned, so the caller
+    sees an edge maximum.  I_V overflows to a non-finite value where t v
+    saturates strongly: such a value ranks below every finite one, and a
+    triple with no finite value walks toward lo.  Inside the bracket,
+    safeguarded parabolic steps (Brent 1973, ch. 5) refine the best point;
+    every trial keeps xatol/2 from the best point and from the ends, and
+    the search stops once the bracket is at most 2 xatol wide."""
+    def level_at(t):
+        return total_energy(v.with_values(t * v.values), spec, potential)
+
+    def rank(level):
+        return level if math.isfinite(level) else -math.inf
+
+    step = min(RAY_WALK_STEP, 0.5 * (hi - lo))
+    mid = min(max(t0, lo + step), hi - step)
+    ts = [max(mid - step, lo), mid, min(mid + step, hi)]
+    levels = [level_at(t) for t in ts]
+    while not (rank(levels[1]) > -math.inf
+               and rank(levels[1]) >= max(rank(levels[0]), rank(levels[2]))):
+        step *= 2.0
+        right = rank(levels[2]) > rank(levels[0])
+        end = ts[2] if right else ts[0]
+        if end in (lo, hi):
+            # the highest end is an edge: halve the gap from the middle
+            # until a trial beats the edge or the gap is at most xatol
+            if abs(end - ts[1]) <= xatol:
+                return end, levels[2 if right else 0]
+            t = 0.5 * (ts[1] + end)
+            ts = [ts[1], t, end] if right else [end, t, ts[1]]
+            levels = ([levels[1], level_at(t), levels[2]] if right
+                      else [levels[0], level_at(t), levels[1]])
+        elif right:
+            t = min(ts[2] + step, hi)
+            ts, levels = ts[1:] + [t], levels[1:] + [level_at(t)]
+        else:
+            t = max(ts[0] - step, lo)
+            ts, levels = [t] + ts[:2], [level_at(t)] + levels[:2]
+
+    # x is the best point, w the second best and z the third; their ranks
+    # are fx, fw and fz
+    a, b = ts[0], ts[2]
+    x, fx = ts[1], levels[1]
+    (fz, z), (fw, w) = sorted([(rank(levels[0]), ts[0]),
+                               (rank(levels[2]), ts[2])])
+    tol = 0.5 * xatol
+    last = before = b - a       # the last step and the one before it
+    while b - a > 2.0 * xatol:
+        middle = 0.5 * (a + b)
+        parabolic = False
+        if abs(before) > tol and math.isfinite(fw) and math.isfinite(fz):
+            r = (x - w) * (fx - fz)
+            q = (x - z) * (fx - fw)
+            p = (x - z) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # the vertex lies inside the bracket, and the step is less than
+            # half the one before last
+            parabolic = (abs(p) < abs(0.5 * q * before)
+                         and q * (a - x) < p < q * (b - x))
+        if parabolic:
+            before, last = last, p / q
+            if x + last - a < xatol or b - (x + last) < xatol:
+                last = tol if middle >= x else -tol
+        else:
+            before = (a if x >= middle else b) - x
+            last = GOLDEN_MEAN * before
+        t = x + math.copysign(max(abs(last), tol), last)
+        level = level_at(t)
+        if rank(level) >= fx:
+            if t >= x:
+                a = x
+            else:
+                b = x
+            (fz, z), (fw, w), (fx, x) = (fw, w), (fx, x), (level, t)
+        else:
+            if t < x:
+                a = t
+            else:
+                b = t
+            if rank(level) >= fw or w == x:
+                (fz, z), (fw, w) = (fw, w), (rank(level), t)
+            elif rank(level) >= fz or z == x or z == w:
+                fz, z = rank(level), t
+    return x, fx
+
+
 def ray_analysis(u: grids.GridField, spec: nl.NonlinearitySpec,
                  potential: PeriodicCoefficient, t_max: float = 4.0,
                  samples: int = 96) -> RayAnalysis:
     """Sample t -> I_V(t u) on a log-uniform grid, refine the maximum by
-    Brent's method (``brent.minimize_bounded``) and record the stationarity
-    residuals."""
+    ``ray_max`` between the neighbours of the best sample and record the
+    stationarity residuals.  The refinement asks for 1e-7 in t: a search
+    by values alone places a maximum no closer than about
+    sqrt(rounding / curvature), near 1e-6 on the Moser rays, so a smaller
+    tolerance buys nothing."""
     if samples < MIN_RAY_SAMPLES:
         raise InvalidParameterError(
             f"ray analysis needs at least {MIN_RAY_SAMPLES} samples")
@@ -239,12 +339,9 @@ def ray_analysis(u: grids.GridField, spec: nl.NonlinearitySpec,
     if k == samples - 1 and energies[-1] > energies[-2]:
         raise NoInteriorMaxError(
             f"I_V(t u) is still increasing at t_max = {t_max}; raise t_max")
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, samples - 1)]
-    t_star, value = minimize_bounded(
-        lambda t: -total_energy(u.with_values(t * u.values), spec, potential),
-        lo, hi, 1e-10)
-    max_val = -value
+    lo, t0, hi = (float(ts[j])
+                  for j in (max(k - 1, 0), k, min(k + 1, samples - 1)))
+    t_star, max_val = ray_max(u, t0, lo, hi, 1e-7, spec, potential)
     if energies[k] > max_val:
         t_star, max_val = float(ts[k]), float(energies[k])
     ts = np.append(ts, t_star)

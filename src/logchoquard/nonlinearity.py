@@ -1,13 +1,12 @@
 """The nonlinearity family (f, F), assumption checkers and the explicit
 level-estimate threshold constant.
 
-Built-in kinds (a = 4 pi throughout):
+The kinds (a = 4 pi throughout):
 
 * ``exp_minus_one``  F(s) = e^{a s^2} - 1
 * ``power_exp``      F(s) = s^p e^{a s^2}
 * ``piecewise``      F(s) = s^q below the splice s0, c s^p e^{a s^2} above,
                      with c solved for continuity of F
-* ``custom``         user-supplied f and f'; F by adaptive quadrature
 
 f(s) = 0 for s <= 0 (only positive solutions are sought), F(0) = 0.
 Exponents a s^2 > 700 are clamped; query ``saturation_mask`` for the flag.
@@ -19,17 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .brent import minimize_bounded
 from .errors import InvalidParameterError
 from .spaces import EXP_GUARD, PeriodicCoefficient
 
 A_CRIT = 4.0 * np.pi
 
-KINDS = ("exp_minus_one", "power_exp", "piecewise", "custom")
+KINDS = ("exp_minus_one", "power_exp", "piecewise")
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,6 @@ class NonlinearitySpec:
     s0: float = 1.0
     c_profile: PeriodicCoefficient = field(
         default_factory=lambda: PeriodicCoefficient(1.0))
-    f_callable: Optional[Callable] = None
-    f_prime_callable: Optional[Callable] = None
-    F_callable: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -55,9 +50,6 @@ class NonlinearitySpec:
             raise InvalidParameterError("q must be >= 2")
         if not self.s0 > 0:
             raise InvalidParameterError("s0 must be positive")
-        if self.kind == "custom" and (self.f_callable is None
-                                      or self.f_prime_callable is None):
-            raise InvalidParameterError("custom specs need f and f' callables")
 
     @property
     def log_splice_constant(self) -> float:
@@ -75,9 +67,9 @@ def saturation_mask(spec: NonlinearitySpec, s) -> np.ndarray:
     return mask & (s > 0)
 
 
-# one closed form for the built-ins ------------------------------------------
+# one closed form for every kind ---------------------------------------------
 #
-# On each piece a built-in F is c s^p e^{a s^2}, whose k-th derivative is
+# On each piece F is c s^p e^{a s^2}, whose k-th derivative is
 # c s^{p-k} P_k(s) e^{a s^2}.  exp_minus_one lists f = 2a s e^{a s^2} instead
 # (its F = expm1(a s^2) keeps its own form), so its f^(k) is the (k-1)-th.
 
@@ -91,7 +83,7 @@ def _poly(p, a, k, s):
 
 
 def _by_piece(spec: NonlinearitySpec, s, form, log: bool = False):
-    """form(c, p, a) on each piece c s^p e^{a s^2} of a built-in kind,
+    """form(c, p, a) on each piece c s^p e^{a s^2} of the kind,
     joined at the splice s0 of piecewise; c is passed as log c if ``log``."""
     if spec.kind == "piecewise":
         with np.errstate(over="ignore"):      # c = inf when log c > 709
@@ -104,10 +96,10 @@ def _by_piece(spec: NonlinearitySpec, s, form, log: bool = False):
 
 def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False,
                  power: float = 0.0):
-    """F^(k)(s) of a built-in kind at s > 0; the value form clamps its
-    exponent at the guard.  With ``log`` it is log(F^(k)(s) / s^power), the
-    powers of s cancelled on each piece c s^p e^{a s^2} (not in the F of
-    exp_minus_one): +-inf where (p - k - power) log s overflows."""
+    """F^(k)(s) at s > 0; the value form clamps its exponent at the guard.
+    With ``log`` it is log(F^(k)(s) / s^power), the powers of s cancelled
+    on each piece c s^p e^{a s^2} (not in the F of exp_minus_one): +-inf
+    where (p - k - power) log s overflows."""
     if spec.kind == "exp_minus_one":
         if k == 0:
             x = A_CRIT * s**2
@@ -124,16 +116,11 @@ def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False,
 
 
 def _evaluate(spec: NonlinearitySpec, s, k: int, log: bool = False):
-    """F^(k)(s) for k = 0, 1, 2, or its log (overflow-free for the built-ins).
-    Values are zero for s <= 0; saturated built-in entries (see
-    saturation_mask) are exp(min(log form, EXP_GUARD))."""
+    """F^(k)(s) for k = 0, 1, 2, or its log (overflow-free).  Values are
+    zero for s <= 0; saturated entries (see saturation_mask) are
+    exp(min(log form, EXP_GUARD))."""
     s = np.asarray(s, dtype=float)
     sp = np.maximum(s, 1e-300 if k or log else 0.0)
-    if spec.kind == "custom":
-        with np.errstate(over="ignore", divide="ignore"):
-            out = _custom_F(spec, sp) if k == 0 else np.asarray(
-                (spec.f_callable, spec.f_prime_callable)[k - 1](sp), dtype=float)
-            return np.log(out) if log else np.where(s > 0, out, 0.0)
     if log:
         return _closed_form(spec, sp, k, log=True)
     with np.errstate(over="ignore"):
@@ -159,23 +146,6 @@ def eval_f_prime(spec: NonlinearitySpec, s):
     return _evaluate(spec, s, 2)
 
 
-def _custom_F(spec: NonlinearitySpec, sp):
-    if spec.F_callable is not None:
-        return np.asarray(spec.F_callable(sp), dtype=float)
-    from scipy.integrate import quad
-    flat = np.atleast_1d(sp).ravel()
-    order = np.argsort(flat)
-    out = np.empty_like(flat)
-    acc, prev = 0.0, 0.0
-    for idx in order:
-        val, _ = quad(spec.f_callable, prev, flat[idx], epsrel=1e-10,
-                      limit=200)
-        acc += val
-        out[idx] = acc
-        prev = flat[idx]
-    return out.reshape(np.shape(sp))
-
-
 # log-space closed forms for overflow-free tail checks ----------------------
 
 def log_F(spec: NonlinearitySpec, s):
@@ -189,8 +159,8 @@ def log_f(spec: NonlinearitySpec, s):
 def _log_over_power(spec: NonlinearitySpec, s, k: int, power: float):
     """log(F^(k)(s) / s^power) at s > 0 for k = 0, 1.  The powers of s cancel
     in the closed form, so p = q near 1e308 loses no digit; exp_minus_one
-    (p = 1, nothing cancels) and custom kinds divide in log space."""
-    if spec.kind in ("exp_minus_one", "custom"):
+    (p = 1, nothing cancels) divides in log space."""
+    if spec.kind == "exp_minus_one":
         return (log_F, log_f)[k](spec, s) - power * np.log(s)
     return _closed_form(spec, s, k, log=True, power=power)
 
@@ -206,18 +176,13 @@ def log_s3fF_tail(spec: NonlinearitySpec, s):
 # the ratio F f' / f^2 -------------------------------------------------------
 
 def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
-    """F f' / f^2, with cancellation-safe closed forms for the built-ins."""
+    """F f' / f^2 in cancellation-safe closed forms."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise InvalidParameterError("the ratio is defined for s > 0 only")
     if spec.kind == "exp_minus_one":
         x = A_CRIT * s**2
         out = -np.expm1(-x) * (1.0 + 1.0 / (2.0 * x))
-    elif spec.kind == "custom":
-        f = eval_f(spec, s)
-        if np.any(f == 0):
-            raise ZeroDivisionError("f vanishes inside the scan range")
-        out = eval_F(spec, s) * eval_f_prime(spec, s) / f**2
     else:
         # P_2 / P_1^2 term by term over P_1 = p + x, x = 2 a s^2: with
         # u = p / P_1 and v = x / P_1 it is u (p - 1) / P_1 + v (2u + 1 / P_1 + v).
@@ -317,7 +282,7 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
 
     # Ambrosetti-Rabinowitz improvement F <= (1 - delta) s f, in log space;
     # F / (s f) = 1 / P_1 on a piece c s^p e^{a s^2}, free of cancellation
-    if spec.kind in ("exp_minus_one", "custom"):
+    if spec.kind == "exp_minus_one":
         margin = log_F(spec, s) - (np.log(s) + log_f(spec, s))
     else:
         margin = -np.log(_by_piece(spec, s, lambda c, p, a: _poly(p, a, 1, s)))
@@ -379,9 +344,10 @@ def script_V_integrand(rho, q: float, V_half: float):
 def compute_script_V(q: float, V_half: float, scan_points: int = 200_001):
     """Minimize the threshold expression over rho in (0, 1/2].
 
-    Returns (value, argmin_rho); a dense scan locates the basin and a
-    bounded scalar minimization refines it.  The expression diverges like
-    rho^-4 at 0, so the minimizer is interior or the right endpoint.
+    Returns (value, argmin_rho); a dense scan locates the basin, and the
+    vertex of the parabola through the scan's least point and its two
+    neighbours refines it where that is lower.  The expression diverges
+    like rho^-4 at 0, so the minimizer is interior or the right endpoint.
     """
     if q < 2:
         raise InvalidParameterError("q must be >= 2")
@@ -390,12 +356,15 @@ def compute_script_V(q: float, V_half: float, scan_points: int = 200_001):
     rho = np.linspace(0.5 / scan_points, 0.5, scan_points)
     vals = script_V_integrand(rho, q, V_half)
     i = int(np.argmin(vals))
-    lo = rho[max(i - 1, 0)]
-    hi = rho[min(i + 1, len(rho) - 1)]
-    best_rho, best_val = minimize_bounded(
-        lambda x: script_V_integrand(x, q, V_half), lo, hi, 1e-14)
-    if vals[i] < best_val:
-        best_rho, best_val = float(rho[i]), float(vals[i])
+    best_rho, best_val = float(rho[i]), float(vals[i])
+    if 0 < i < scan_points - 1:
+        left, right = vals[i - 1], vals[i + 1]
+        curvature = left - 2.0 * vals[i] + right
+        if curvature > 0:
+            step = 0.5 * (rho[1] - rho[0]) * (left - right) / curvature
+            value = float(script_V_integrand(best_rho + step, q, V_half))
+            if value < best_val:
+                best_rho, best_val = float(best_rho + step), value
     # the endpoint is admissible and often the minimizer
     end_val = float(script_V_integrand(0.5, q, V_half))
     if end_val <= best_val:

@@ -9,7 +9,7 @@ handled exactly.  Each trial u - eta d, projected onto u >= 0, is replaced
 by the maximum along its own ray, which is what keeps the state on the
 mountain ridge instead of sliding to 0.  Accepted ray scales move slowly,
 so each ray search starts from the last one: a walk brackets the maximum
-around it and safeguarded parabolic steps refine it (``_ray_max``).
+around it and safeguarded parabolic steps refine it (``energy.ray_max``).
 
 Once the residual at the ray maximum falls below NEWTON_SWITCH, inexact
 Newton on I_V'(u) = 0 takes over from there: each step solves the second
@@ -36,7 +36,6 @@ import numpy as np
 
 from . import energy, families, grids
 from . import nonlinearity as nl
-from .brent import GOLDEN_MEAN
 from .errors import GeometryFailureError, InvalidParameterError
 from .spaces import PeriodicCoefficient, norm_1qw_sq
 
@@ -47,7 +46,6 @@ WITNESS_DOUBLINGS = 60      # doublings of the witness bump's amplitude
 NEWTON_FORCING = 1e-3       # relative MINRES residual of each Newton step
 MINRES_MAX_ITERATIONS = 100
 RAY_BRACKET = (0.5, 1.5)    # ray scales searched for a trial's maximum
-RAY_WALK_STEP = 0.01        # first half-width of a ray search's bracket walk
 
 
 @dataclass(frozen=True)
@@ -287,102 +285,6 @@ def _newton(u, spec, potential, tolerance):
 # the solver
 # ---------------------------------------------------------------------------
 
-def _ray_max(v, t0, lo, hi, xatol, spec, potential):
-    """(t*, level) maximizing I_V(t v) over t in [lo, hi], searched from the
-    predicted scale t0; level is I_V(t* v) as ``energy.total_energy`` gives it.
-
-    A walk brackets the maximum: it evaluates t0 - s, t0, t0 + s with
-    s = RAY_WALK_STEP and, while an end is higher than the middle, shifts
-    the triple that way and doubles s.  When the highest end is lo or hi,
-    the gap between it and the middle is halved until a trial beats the
-    edge; once the gap is at most xatol the edge is returned, so the caller
-    sees an edge maximum.  I_V overflows to a non-finite value where t v saturates strongly: such a
-    value ranks below every finite one, and a triple with no finite value
-    walks toward lo.  Inside the bracket, safeguarded parabolic steps
-    (Brent 1973, ch. 5) refine the best point; every trial keeps xatol/2
-    from the best point and from the ends, and the search stops once the
-    bracket is at most 2 xatol wide."""
-    def level_at(t):
-        return energy.total_energy(v.with_values(t * v.values), spec, potential)
-
-    def rank(level):
-        return level if math.isfinite(level) else -math.inf
-
-    step = min(RAY_WALK_STEP, 0.5 * (hi - lo))
-    mid = min(max(t0, lo + step), hi - step)
-    ts = [max(mid - step, lo), mid, min(mid + step, hi)]
-    levels = [level_at(t) for t in ts]
-    while not (rank(levels[1]) > -math.inf
-               and rank(levels[1]) >= max(rank(levels[0]), rank(levels[2]))):
-        step *= 2.0
-        right = rank(levels[2]) > rank(levels[0])
-        end = ts[2] if right else ts[0]
-        if end in (lo, hi):
-            # the highest end is an edge: halve the gap from the middle
-            # until a trial beats the edge or the gap is at most xatol
-            if abs(end - ts[1]) <= xatol:
-                return end, levels[2 if right else 0]
-            t = 0.5 * (ts[1] + end)
-            ts = [ts[1], t, end] if right else [end, t, ts[1]]
-            levels = ([levels[1], level_at(t), levels[2]] if right
-                      else [levels[0], level_at(t), levels[1]])
-        elif right:
-            t = min(ts[2] + step, hi)
-            ts, levels = ts[1:] + [t], levels[1:] + [level_at(t)]
-        else:
-            t = max(ts[0] - step, lo)
-            ts, levels = [t] + ts[:2], [level_at(t)] + levels[:2]
-
-    # x is the best point, w the second best and z the third; their ranks
-    # are fx, fw and fz
-    a, b = ts[0], ts[2]
-    x, fx = ts[1], levels[1]
-    (fz, z), (fw, w) = sorted([(rank(levels[0]), ts[0]),
-                               (rank(levels[2]), ts[2])])
-    tol = 0.5 * xatol
-    last = before = b - a       # the last step and the one before it
-    while b - a > 2.0 * xatol:
-        middle = 0.5 * (a + b)
-        parabolic = False
-        if abs(before) > tol and math.isfinite(fw) and math.isfinite(fz):
-            r = (x - w) * (fx - fz)
-            q = (x - z) * (fx - fw)
-            p = (x - z) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            # the vertex lies inside the bracket, and the step is less than
-            # half the one before last
-            parabolic = (abs(p) < abs(0.5 * q * before)
-                         and q * (a - x) < p < q * (b - x))
-        if parabolic:
-            before, last = last, p / q
-            if x + last - a < xatol or b - (x + last) < xatol:
-                last = tol if middle >= x else -tol
-        else:
-            before = (a if x >= middle else b) - x
-            last = GOLDEN_MEAN * before
-        t = x + math.copysign(max(abs(last), tol), last)
-        level = level_at(t)
-        if rank(level) >= fx:
-            if t >= x:
-                a = x
-            else:
-                b = x
-            (fz, z), (fw, w), (fx, x) = (fw, w), (fx, x), (level, t)
-        else:
-            if t < x:
-                a = t
-            else:
-                b = t
-            if rank(level) >= fw or w == x:
-                (fz, z), (fw, w) = (fw, w), (rank(level), t)
-            elif rank(level) >= fz or z == x or z == w:
-                fz, z = rank(level), t
-    return x, fx
-
-
 def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     """Descent of the ray maximum, finished by the Newton phase.
 
@@ -395,7 +297,7 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     delta0, witness = check_mp_geometry(
         spec, potential, grid, rho_sphere=config.rho_sphere,
         witness_radius=config.witness_radius)
-    t, level = _ray_max(witness, 0.5, 0.0, 1.0, 1e-3, spec, potential)
+    t, level = energy.ray_max(witness, 0.5, 0.0, 1.0, 1e-3, spec, potential)
     u = witness.with_values(t * witness.values)
 
     ps_trace = []
@@ -450,8 +352,8 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
             trial_vals = np.maximum(u.values - eta * direction, 0.0)
             trial_vals[grid.weights == 0] = 0.0
             trial = grids.GridField(grid, trial_vals)
-            t, trial_level = _ray_max(trial, scale, lo, hi, xatol, spec,
-                                      potential)
+            t, trial_level = energy.ray_max(trial, scale, lo, hi, xatol,
+                                            spec, potential)
             scaled = t * trial_vals
             # a maximum on the bracket edge is not a ray maximum, and one
             # that saturates a node is decided by the clamp: Newton rejects

@@ -99,6 +99,40 @@ def test_cli_moser_scan_bound_is_the_least_ray_max(tmp_path):
         assert 0.0 <= excess <= row["delta_n"] + 5.0 / math.log(row["n"]), row
 
 
+@pytest.mark.parametrize("block", ["", "kind = power_exp\n"],
+                         ids=["exp_minus_one", "power_exp"])
+def test_moser_scan_t_star_is_the_root_of_the_ray_slope(tmp_path, monkeypatch,
+                                                        block):
+    # the root of <I_V'(t w), w> by bisection is the oracle; a search by
+    # values of I_V alone cannot place t_star much closer than 1e-6
+    rays = []
+    upper_bound = energy.mp_level_upper_bound
+
+    def recorded(spec, potential, directions, **kwargs):
+        out = upper_bound(spec, potential, directions, **kwargs)
+        rays.extend((spec, potential, ray) for ray in out[2])
+        return out
+    monkeypatch.setattr(energy, "mp_level_upper_bound", recorded)
+    path = write_config(tmp_path, BASE.replace("kind = exp_minus_one\n", block))
+    out = tmp_path / "scan.json"
+    assert cli.main(["moser-scan", "--config", path, "--output", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]["table"]
+    assert [row["t_star"] for row in rows] == [ray.t_star for _, _, ray in rays]
+    for spec, potential, ray in rays:
+        w = ray.direction
+
+        def slope(t):
+            gradient = energy.energy_gradient(w.with_values(t * w.values),
+                                              spec, potential)
+            return energy.pair_gradient(gradient, w)
+        lo, hi = ray.t_star - 1e-3, ray.t_star + 1e-3
+        assert slope(lo) > 0.0 > slope(hi)
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+        assert abs(ray.t_star - 0.5 * (lo + hi)) <= 1e-6, ray.t_star
+
+
 def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -113,6 +147,8 @@ def count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("command, module, name, expected", [
     ("moser-scan", energy, "ray_analysis", len(DEFAULTS["moser"]["ns"])),
+    # per ray, 96 samples and the refining search
+    ("moser-scan", energy, "total_energy", 447),
     ("check-assumptions", nl, "compute_script_V", 1),
     # the sandwich grid, its T-image and one anchored grid per Moser cap
     ("verify-embedding", grids, "build_grid",
@@ -120,7 +156,8 @@ def count_calls(monkeypatch, module, name):
     # one gradient per descent iteration (11 on the default solve), none
     # again for the converged state
     ("solve", energy, "energy_gradient", 11),
-], ids=["moser-scan", "check-assumptions", "verify-embedding", "solve"])
+], ids=["moser-scan", "moser-scan-energies", "check-assumptions",
+        "verify-embedding", "solve"])
 def test_commands_compute_each_quantity_once(tmp_path, monkeypatch, command,
                                              module, name, expected):
     calls = count_calls(monkeypatch, module, name)
@@ -493,15 +530,16 @@ def test_overflowing_threshold_gives_a_strict_report_and_a_quiet_search(
                          "--output", str(out)]) == 3
     report = json.loads(out.read_text(), parse_constant=reject_constant)
     assert report["results"]["script_V"] is None
-    # scipy's search warned on inf - inf in its parabola; float arithmetic
-    # in the port does not
+    # the search for the threshold's minimum meets inf everywhere and
+    # warns on none of it
     noisy = [w for w in caught if issubclass(w.category, RuntimeWarning)
-             and ("brent" in w.filename or "scipy" in w.filename)]
+             and ("nonlinearity.py" in w.filename or "scipy" in w.filename)]
     assert noisy == []
 
 
-# scipy itself, every subpackage the package imports, and the two it must
-# never import (its PCHIP and Brent search are in-package ports)
+# scipy itself, every subpackage the package imports, and the three it must
+# never import (its PCHIP is an in-package port; its 1D searches and its
+# nonlinearities need neither a scipy optimizer nor quadrature)
 PROBED_SCIPY = ("scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg",
                 "scipy.integrate", "scipy.interpolate", "scipy.optimize")
 IMPORT_PROBE = """
@@ -543,9 +581,8 @@ def test_commands_import_only_the_scipy_they_use(tmp_path, command, block,
     assert sorted(present) == sorted(loaded)
 
 
-def test_no_module_imports_scipy_interpolate_or_optimize():
-    # checked on the source, so that a branch no command takes counts too;
-    # the PCHIP and the Brent search are in-package ports
+def test_no_module_imports_scipy_integrate_interpolate_or_optimize():
+    # checked on the source, so that a branch no command takes counts too
     package = os.path.dirname(os.path.abspath(cli.__file__))
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
@@ -562,7 +599,8 @@ def test_no_module_imports_scipy_interpolate_or_optimize():
                 continue
             for module in imported:
                 assert module.split(".")[:2] not in (
-                    ["scipy", "interpolate"], ["scipy", "optimize"]), \
+                    ["scipy", "integrate"], ["scipy", "interpolate"],
+                    ["scipy", "optimize"]), \
                     f"{name}:{node.lineno} imports {module}"
 
 

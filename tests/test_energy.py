@@ -229,14 +229,14 @@ def test_ray_analysis_moser():
     assert abs((up - um) / (2 * h)) < 1e-4 * (1 + abs(ray.max_value))
 
 
-def test_ray_analysis_no_interior_max(rgrid):
-    zero_spec = nl.NonlinearitySpec(
-        "custom", q=2.0, f_callable=lambda s: 0.0 * s,
-        f_prime_callable=lambda s: 0.0 * s, F_callable=lambda s: 0.0 * s)
+def test_ray_analysis_no_interior_max(rgrid, monkeypatch):
+    # an inert nonlinearity: c F(u) vanishes, so I_V(t u) grows like t^2
+    monkeypatch.setattr(energy, "compose_density",
+                        lambda u, spec: np.zeros(u.grid.shape))
     u = families.gaussian(rgrid, 1.0)
     from logchoquard.errors import NoInteriorMaxError
     with pytest.raises(NoInteriorMaxError):
-        energy.ray_analysis(u, zero_spec, V1, t_max=2.0)
+        energy.ray_analysis(u, F1, V1, t_max=2.0)
 
 
 def test_mp_level_upper_bound_family():

@@ -184,41 +184,20 @@ def test_saturation_mask():
     assert np.isfinite(nl.eval_F(F1, 10.0))
 
 
-def test_custom_spec_quadrature():
-    spec = nl.NonlinearitySpec(
-        "custom", q=4.0,
-        f_callable=lambda s: 4.0 * s**3,
-        f_prime_callable=lambda s: 12.0 * s**2)
-    s = np.array([0.3, 1.0, 1.7])
-    assert np.allclose(nl.eval_F(spec, s), s**4, rtol=1e-8)
-    assert np.allclose(nl.ratio_Ffprime_f2(spec, s), 0.75, rtol=1e-8)
-
-
-def test_custom_spec_requires_callables():
+@pytest.mark.parametrize("field, value", [
+    ("p", math.nan), ("q", math.nan), ("s0", math.nan),
+    ("kind", "custom")],                # not one of nl.KINDS
+    ids=["p", "q", "s0", "custom"])
+def test_spec_rejects_nan_parameters(field, value):
     with pytest.raises(InvalidParameterError):
-        nl.NonlinearitySpec("custom", q=2.0)
-
-
-@pytest.mark.parametrize("field", ["p", "q", "s0"])
-def test_spec_rejects_nan_parameters(field):
-    with pytest.raises(InvalidParameterError):
-        nl.NonlinearitySpec("power_exp", **{"p": 2.0, "q": 2.0, field: math.nan})
+        nl.NonlinearitySpec(**{"kind": "power_exp", "p": 2.0, "q": 2.0,
+                               field: value})
 
 
 @pytest.mark.parametrize("floor, amplitude", [(math.nan, 0.0), (1.0, math.nan)])
 def test_periodic_coefficient_rejects_nan(floor, amplitude):
     with pytest.raises(InvalidParameterError):
         PeriodicCoefficient(floor, amplitude)
-
-
-def test_ratio_signals_vanishing_f():
-    # f that dies above s = 1: the ratio must signal the division by zero
-    spec = nl.NonlinearitySpec(
-        "custom", q=2.0,
-        f_callable=lambda s: np.maximum(1.0 - s, 0.0) * s,
-        f_prime_callable=lambda s: np.where(s < 1.0, 1.0 - 2.0 * s, 0.0))
-    with pytest.raises(ZeroDivisionError):
-        nl.ratio_Ffprime_f2(spec, np.array([0.5, 2.0]))
 
 
 def test_script_V_q2_closed_form():
@@ -228,6 +207,20 @@ def test_script_V_q2_closed_form():
     assert abs(value - endpoint) < 1e-12 * endpoint
     assert argmin == 0.5
     assert abs(value - 0.85) < 0.01
+
+
+@pytest.mark.parametrize("q, V_half", [(6.0, 2.0), (5.0, 1.0), (8.0, 0.5)])
+def test_script_V_interior_minimum_matches_a_fine_scan(q, V_half):
+    # these minima lie inside (0, 1/2), where the parabola through the
+    # coarse scan's least point and its neighbours places them; a scan over
+    # 10^4 times finer around that argmin is the oracle
+    value, argmin = nl.compute_script_V(q, V_half)
+    assert argmin < 0.49
+    rho = np.linspace(argmin - 1e-4, argmin + 1e-4, 1_000_000)
+    vals = nl.script_V_integrand(rho, q, V_half)
+    j = int(np.argmin(vals))
+    assert abs(value - vals[j]) <= 1e-13 * vals[j]
+    assert abs(argmin - rho[j]) <= 1e-8
 
 
 def test_script_V_dense_scan_oracle():

@@ -59,8 +59,6 @@ ALLOWED = {
                       "identities on radial grids through it",
     "kernel._panel_nodes": "builds the angular panels of ring_c1",
     "kernel._ring_log1p_block": "fills the rows of ring_c1",
-    "nonlinearity._custom_F": "F of the custom kind, which tests use to "
-                              "build an inert nonlinearity",
     "spaces.transform_from_unweighted": "the inverse of the T resampling; "
                                         "tests check the round trip",
     "reports.load_field": "reads .field files back, for the tests and "

@@ -8,16 +8,18 @@ import scipy.sparse as sp
 
 from logchoquard import energy, families, grids, solver
 from logchoquard import nonlinearity as nl
-from logchoquard.brent import minimize_bounded
 from logchoquard.errors import GeometryFailureError, InvalidParameterError
 from logchoquard.spaces import PeriodicCoefficient, norm_1qw_sq, norm_V_sq
 
 F1 = nl.NonlinearitySpec("exp_minus_one")
 V1 = PeriodicCoefficient(1.0)
 
-ZERO_SPEC = nl.NonlinearitySpec(
-    "custom", q=2.0, f_callable=lambda s: 0.0 * s,
-    f_prime_callable=lambda s: 0.0 * s, F_callable=lambda s: 0.0 * s)
+
+def make_inert(monkeypatch):
+    """Make every nonlinearity inert: c F(u) vanishes, so I_V is its
+    quadratic part alone."""
+    monkeypatch.setattr(energy, "compose_density",
+                        lambda u, spec: np.zeros(u.grid.shape))
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +40,11 @@ def test_geometry_check_positive_floor():
     assert np.all(witness.values[r > 0.26] == 0.0)
 
 
-def test_geometry_failure_for_inert_spec():
+def test_geometry_failure_for_inert_spec(monkeypatch):
     g = grids.build_grid("cartesian", 8.0, 48)
+    make_inert(monkeypatch)
     with pytest.raises(GeometryFailureError):
-        solver.check_mp_geometry(ZERO_SPEC, V1, grid=g)
+        solver.check_mp_geometry(F1, V1, grid=g)
 
 
 def test_witness_search_stops_after_the_doubling_budget(monkeypatch):
@@ -49,6 +52,7 @@ def test_witness_search_stops_after_the_doubling_budget(monkeypatch):
     # witness bump at t = 1, 2, ..., 2^(budget - 1) and gives up
     g = grids.build_grid("cartesian", 8.0, 48)
     monkeypatch.setattr(solver, "WITNESS_DOUBLINGS", 5)
+    make_inert(monkeypatch)
     calls = []
     total_energy = energy.total_energy
 
@@ -58,7 +62,7 @@ def test_witness_search_stops_after_the_doubling_budget(monkeypatch):
 
     monkeypatch.setattr(energy, "total_energy", counted)
     with pytest.raises(GeometryFailureError, match="doubling budget"):
-        solver.check_mp_geometry(ZERO_SPEC, V1, grid=g)
+        solver.check_mp_geometry(F1, V1, grid=g)
     probes = len(solver._geometry_probes(g))
     top = float(np.max(families.bump(g, 0.25).values))
     assert calls[probes:] == [2.0 ** k * top for k in range(5)]
@@ -313,7 +317,7 @@ def test_ray_max_of_the_witness_is_interior(kind, resolution):
     grid = grids.build_grid(kind, 6.0, resolution)
     delta0, witness = solver.check_mp_geometry(F1, V1, grid=grid)
     xatol = 1e-6
-    t, level = solver._ray_max(witness, 0.5, 0.0, 1.0, xatol, F1, V1)
+    t, level = energy.ray_max(witness, 0.5, 0.0, 1.0, xatol, F1, V1)
     # the ray crosses the sphere on which I_V >= delta0 before it reaches
     # the negative energy at the witness
     assert 0.0 + xatol < t < 1.0 - xatol and level >= delta0 > 0.0
@@ -338,11 +342,11 @@ def test_ray_max_past_the_bracket_lands_on_its_edge(kind, resolution, peak):
     # descent does not take as a ray maximum
     grid = grids.build_grid(kind, 6.0, resolution)
     _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
-    t_star, _ = solver._ray_max(witness, 0.5, 0.0, 1.0, 1e-6, F1, V1)
+    t_star, _ = energy.ray_max(witness, 0.5, 0.0, 1.0, 1e-6, F1, V1)
     v = witness.with_values(t_star / peak * witness.values)
     lo, hi = solver.RAY_BRACKET
     xatol = 1e-3
-    t, level = solver._ray_max(v, 1.0, lo, hi, xatol, F1, V1)
+    t, level = energy.ray_max(v, 1.0, lo, hi, xatol, F1, V1)
     edge = lo if peak < lo else hi
     assert abs(t - edge) <= xatol
     assert not lo + xatol < t < hi - xatol
@@ -371,7 +375,7 @@ def test_ray_max_to_an_overflowing_bump_is_finite(monkeypatch, kind,
     with np.errstate(all="ignore"):
         assert repr(energy.total_energy(bump, F1, V1)) == repr(top)
         scales = recording_scales(monkeypatch, bump)
-        s, level = solver._ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
+        s, level = energy.ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
         monkeypatch.undo()
         assert 0.0 < s < 1.0 and np.isfinite(level) and level > 0.0
         assert level == energy.total_energy(bump.with_values(s * bump.values),
@@ -395,7 +399,7 @@ def test_ray_max_walks_toward_lo_past_non_finite_first_trials(
         for t in (0.49, 0.5, 0.51):
             assert not np.isfinite(level_at(t))
         scales = recording_scales(monkeypatch, bump)
-        s, level = solver._ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
+        s, level = energy.ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
         monkeypatch.undo()
         ts = np.linspace(0.0, 1.0, 401)
         scan = np.array([level_at(t) for t in ts])
@@ -410,6 +414,20 @@ def test_ray_max_walks_toward_lo_past_non_finite_first_trials(
     assert all(np.diff(scales[2:first + 1]) < 0)
 
 
+def slope_root(v, lo, hi, spec=F1, potential=V1):
+    """The root of the ray slope <I_V'(t v), v> in [lo, hi] by bisection,
+    where the slope falls from positive to negative."""
+    def slope(t):
+        gradient = energy.energy_gradient(v.with_values(t * v.values), spec,
+                                          potential)
+        return energy.pair_gradient(gradient, v)
+    assert slope(lo) > 0.0 > slope(hi)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 @pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
 @pytest.mark.parametrize("t0, lo, hi, peak, overflows", [
     (1.3, 0.5, 1.5, 1.3, False),        # a good prediction
@@ -417,13 +435,13 @@ def test_ray_max_walks_toward_lo_past_non_finite_first_trials(
     (18.0, 0.5, 20.0, 1.0, True)],      # a first triple past the overflow
     ids=["good-t0", "poor-t0", "non-finite-triple"])
 @pytest.mark.parametrize("xatol", [1e-3, 1e-5])
-def test_ray_max_agrees_with_brent(kind, resolution, t0, lo, hi, peak,
-                                   overflows, xatol):
+def test_ray_max_agrees_with_the_slope_root(kind, resolution, t0, lo, hi, peak,
+                                            overflows, xatol):
     # v is scaled from the witness so that its ray peaks at t = peak; the
-    # walk from t0 must find the maximum Brent finds over RAY_BRACKET
+    # walk from t0 must find the root of the ray slope over RAY_BRACKET
     grid = grids.build_grid(kind, 6.0, resolution)
     _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
-    t_star, _ = solver._ray_max(witness, 0.5, 0.0, 1.0, 1e-9, F1, V1)
+    t_star, _ = energy.ray_max(witness, 0.5, 0.0, 1.0, 1e-9, F1, V1)
     v = witness.with_values(t_star / peak * witness.values)
 
     def level_at(t):
@@ -432,9 +450,8 @@ def test_ray_max_agrees_with_brent(kind, resolution, t0, lo, hi, peak,
         triple = [level_at(t) for t in (t0 - 0.01, t0, t0 + 0.01)]
         assert np.all(np.isfinite(triple)) != overflows
         assert np.any(np.isfinite(triple)) != overflows
-        t, level = solver._ray_max(v, t0, lo, hi, xatol, F1, V1)
-    reference, _ = minimize_bounded(lambda s: -level_at(s), *solver.RAY_BRACKET,
-                                    1e-2 * xatol)
+        t, level = energy.ray_max(v, t0, lo, hi, xatol, F1, V1)
+    reference = slope_root(v, *solver.RAY_BRACKET)
     assert abs(t - reference) <= 2 * xatol
     assert abs(reference - peak) <= 1e-3
     assert level == level_at(t)
@@ -450,7 +467,7 @@ def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
     # every trial search reports a level far below the current one, but on
     # the bracket edge or non-finite: no trial is taken, each step halves
     # eta through all of its 40 trials, and the state never moves
-    ray_max = solver._ray_max
+    ray_max = energy.ray_max
     calls = []
 
     def searched(v, t0, lo, hi, xatol, spec, potential):
@@ -458,7 +475,7 @@ def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
         if (lo, hi) == (0.0, 1.0):          # the start, on the witness ray
             return ray_max(v, t0, lo, hi, xatol, spec, potential)
         return answer(t0, lo, hi, xatol)
-    monkeypatch.setattr(solver, "_ray_max", searched)
+    monkeypatch.setattr(energy, "ray_max", searched)
     monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)
     cfg = solver.SolverConfig(spec=F1, potential=V1,
                               **dict(C12_SETTINGS, max_iterations=3))
@@ -499,7 +516,7 @@ def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
     # every trial search reports an interior maximum far below the current
     # level, at a scale where t v saturates nodes: the clamp would decide
     # such a trial, so none is taken and the state never moves
-    ray_max = solver._ray_max
+    ray_max = energy.ray_max
     saturates = []
 
     def searched(v, t0, lo, hi, xatol, spec, potential):
@@ -507,7 +524,7 @@ def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
             return ray_max(v, t0, lo, hi, xatol, spec, potential)
         saturates.append(np.any(nl.saturation_mask(spec, 50.0 * v.values)))
         return 50.0, -1.0
-    monkeypatch.setattr(solver, "_ray_max", searched)
+    monkeypatch.setattr(energy, "ray_max", searched)
     monkeypatch.setattr(solver, "RAY_BRACKET", (0.5, 100.0))
     monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)
     cfg = solver.SolverConfig(spec=F1, potential=V1,
