@@ -70,9 +70,14 @@ def energy_IV(u: grids.GridField, spec: nl.NonlinearitySpec,
 def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
                  potential: PeriodicCoefficient) -> float:
     """I_V(u) through the cheapest B0 route (no near/far split); agrees
-    with energy_IV(...).total to rounding."""
+    with energy_IV(...).total to rounding.  Where u is so large that the
+    B0 pairing overflows (to +-inf, or nan where +inf meets -inf), the level
+    is -inf, the rank ``ray_max`` gives every non-finite value."""
     density = grids.GridField(u.grid, compose_density(u, spec))
-    frak = kernel.b0_form(density, density)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frak = kernel.b0_form(density, density)
+    if not math.isfinite(frak):
+        return -math.inf
     quadratic = 0.5 * norm_V_sq(u, potential)
     return quadratic - frak / FOUR_PI
 

@@ -126,6 +126,20 @@ def cell_average_log_kernels(h: float):
 # cartesian route
 # ---------------------------------------------------------------------------
 
+def _fast_len(target: int) -> int:
+    """The least m >= target whose prime factors are all at most 11: the
+    lengths pocketfft transforms fastest (``scipy.fft.next_fast_len``)."""
+    m = target
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _fft_kernels(grid: grids.Grid):
     """(m, K_B0 hat, Parseval tables): the rfft2 of the zero-padded (2n-1)^2
     displacement table of log(1/d) = log(1+1/d) - log(1+d), whose zero
@@ -135,9 +149,8 @@ def _fft_kernels(grid: grids.Grid):
     elsewhere.  Every kernel table depends on |offset| only, so its
     transform is real.  Cached per grid."""
     def build():
-        import scipy.fft as spfft
         n, h = grid.resolution, grid.spacing
-        m = spfft.next_fast_len(2 * n - 1)
+        m = _fast_len(2 * n - 1)
         idx = np.arange(n, dtype=float)
         d = h * np.hypot(idx[:, None], idx[None, :])
         with np.errstate(divide="ignore"):
@@ -152,7 +165,7 @@ def _fft_kernels(grid: grids.Grid):
             pad = np.zeros((m, m))
             pad[sl[:, None] % m, sl[None, :] % m] = \
                 q[np.abs(sl)[:, None], np.abs(sl)[None, :]]
-            hats.append(spfft.rfft2(pad))
+            hats.append(np.fft.rfft2(pad))
         k1hat, k2hat = hats
         k0hat = k2hat - k1hat
         c = np.full(m // 2 + 1, 2.0)
@@ -168,10 +181,9 @@ def _fft_kernels(grid: grids.Grid):
 def _spectrum(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
     """rfft2 of the m x m zero pad of the weighted nodal density, with the
     forward pass pruned to the n nonzero rows (bit-identical to rfft2)."""
-    import scipy.fft as spfft
     m = _fft_kernels(grid)[0]
-    rows = spfft.rfft(grid.weights * density, n=m, axis=1)
-    return spfft.fft(rows, n=m, axis=0)
+    rows = np.fft.rfft(grid.weights * density, n=m, axis=1)
+    return np.fft.fft(rows, n=m, axis=0)
 
 
 def _cross_spectrum(u: grids.GridField, v: grids.GridField) -> np.ndarray:
@@ -189,14 +201,13 @@ def convolve_kernel(grid: grids.Grid, density: np.ndarray):
     internally)."""
     if grid.kind != "cartesian":
         raise UnsupportedGridError("FFT convolution needs a cartesian grid")
-    import scipy.fft as spfft
     m, k0hat, _ = _fft_kernels(grid)
     n = grid.resolution
     dhat = _spectrum(grid, density)
     # irfft2 pruned to the n rows that are kept.  Like irfft2, both passes
     # run unscaled and the 1/m^2 is applied once, so the result is the same.
-    rows = spfft.ifft(k0hat * dhat, axis=0, norm="forward")[:n]
-    return spfft.irfft(rows, n=m, axis=1, norm="forward")[:, :n] * (1.0 / (m * m))
+    rows = np.fft.ifft(k0hat * dhat, axis=0, norm="forward")[:n]
+    return np.fft.irfft(rows, n=m, axis=1, norm="forward")[:, :n] * (1.0 / (m * m))
 
 
 def _pair_sum(grid: grids.Grid, a: np.ndarray, b: np.ndarray, kernels):

@@ -101,6 +101,31 @@ def test_cli_moser_scan_bound_is_the_least_ray_max(tmp_path):
 
 @pytest.mark.parametrize("block", ["", "kind = power_exp\n"],
                          ids=["exp_minus_one", "power_exp"])
+def test_moser_scan_past_the_overflow_scale_is_quiet(tmp_path, block):
+    # with t_max = 20 the ray samples run past the scale (t ~ 7 to 10) where
+    # B0(c F, c F) overflows.  Those levels are -inf: nothing warns, and
+    # each ray keeps the maximum that the default t_max = 4 finds, to the
+    # search's 1e-6 in t
+    text = BASE.replace("kind = exp_minus_one\n", block)
+    tables = []
+    for extra in ("", "\n[moser]\nt_max = 20\n"):
+        path = write_config(tmp_path, text + extra)
+        out = tmp_path / "scan.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["moser-scan", "--config", path,
+                             "--output", str(out)]) == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+            == []
+        tables.append(json.loads(out.read_text())["results"]["table"])
+    for short, long in zip(*tables):
+        assert short["n"] == long["n"]
+        assert abs(short["t_star"] - long["t_star"]) <= 1e-6
+        assert math.isclose(short["ray_max"], long["ray_max"], rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("block", ["", "kind = power_exp\n"],
+                         ids=["exp_minus_one", "power_exp"])
 def test_moser_scan_t_star_is_the_root_of_the_ray_slope(tmp_path, monkeypatch,
                                                         block):
     # the root of <I_V'(t w), w> by bisection is the oracle; a search by
@@ -537,9 +562,10 @@ def test_overflowing_threshold_gives_a_strict_report_and_a_quiet_search(
     assert noisy == []
 
 
-# scipy itself, every subpackage the package imports, and the three it must
-# never import (its PCHIP is an in-package port; its 1D searches and its
-# nonlinearities need neither a scipy optimizer nor quadrature)
+# scipy itself, every subpackage the package imports, and the four it must
+# never import (its FFTs are numpy's; its PCHIP is an in-package port; its 1D
+# searches and its nonlinearities need neither a scipy optimizer nor
+# quadrature)
 PROBED_SCIPY = ("scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg",
                 "scipy.integrate", "scipy.interpolate", "scipy.optimize")
 IMPORT_PROBE = """
@@ -553,9 +579,8 @@ print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))
 @pytest.mark.parametrize("command, block, loaded", [
     (None, "", []),
     ("check-assumptions", "", []),
-    ("kernel-bench", "\n[kernel_bench]\nsizes = 16\n", ["scipy", "scipy.fft"]),
-    ("solve", SMALL_SOLVE,
-     ["scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg"]),
+    ("kernel-bench", "\n[kernel_bench]\nsizes = 16\n", []),
+    ("solve", SMALL_SOLVE, ["scipy", "scipy.sparse", "scipy.sparse.linalg"]),
     ("solve", "\n[solver]\ngrid_kind = radial\nresolution = 256\n",
      ["scipy", "scipy.sparse", "scipy.sparse.linalg"]),
     ("verify-embedding", "", ["scipy", "scipy.sparse"]),
@@ -581,7 +606,7 @@ def test_commands_import_only_the_scipy_they_use(tmp_path, command, block,
     assert sorted(present) == sorted(loaded)
 
 
-def test_no_module_imports_scipy_integrate_interpolate_or_optimize():
+def test_no_module_imports_scipy_fft_integrate_interpolate_or_optimize():
     # checked on the source, so that a branch no command takes counts too
     package = os.path.dirname(os.path.abspath(cli.__file__))
     for name in sorted(os.listdir(package)):
@@ -599,8 +624,8 @@ def test_no_module_imports_scipy_integrate_interpolate_or_optimize():
                 continue
             for module in imported:
                 assert module.split(".")[:2] not in (
-                    ["scipy", "integrate"], ["scipy", "interpolate"],
-                    ["scipy", "optimize"]), \
+                    ["scipy", "fft"], ["scipy", "integrate"],
+                    ["scipy", "interpolate"], ["scipy", "optimize"]), \
                     f"{name}:{node.lineno} imports {module}"
 
 

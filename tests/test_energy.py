@@ -57,6 +57,22 @@ def test_large_ray_goes_negative(rgrid):
     assert val < 0
 
 
+@pytest.mark.parametrize("kind, radius, n", [("radial", 20.0, 128),
+                                             ("cartesian", 6.0, 32)])
+@pytest.mark.parametrize("spec", [F1, F2], ids=["F1", "F2"])
+def test_overflowing_pairing_gives_minus_inf(kind, radius, n, spec):
+    # past t ~ 7 the B0 pairing of c F(t u) overflows: to nan on cartesian
+    # grids (+inf meets -inf in the Parseval sum) and to nan or +inf on
+    # radial ones.  The level is -inf there, quietly (RuntimeWarning is an
+    # error in this suite)
+    u = families.gaussian(grids.build_grid(kind, radius, n), 1.0)
+    assert math.isfinite(energy.total_energy(u.with_values(3.0 * u.values),
+                                             spec, V1))
+    for t in (10.0, 30.0, 1e3):
+        assert energy.total_energy(u.with_values(t * u.values), spec, V1) \
+            == -math.inf, t
+
+
 def test_small_support_frak_lower_bound(rgrid):
     # supports in B_{1/4}: frakF >= log(2) (int c F(u))^2
     u = families.bump(rgrid, radius=0.2, amplitude=0.6)

@@ -391,7 +391,9 @@ def test_b1_grows_when_gaussian_translated_outward():
 
 @pytest.mark.parametrize("n", [16, 33, 128])
 def test_convolve_kernel_bit_identical_to_full_inverse_fft(n):
-    # the pruned inverse transform must equal irfft2 cropped to n x n
+    # the pruned inverse transform must equal irfft2 cropped to n x n.  The
+    # package transforms with numpy.fft and the reference is scipy.fft, so
+    # this also guards that the two libraries agree bit for bit
     import scipy.fft as spfft
     grid = grids.build_grid("cartesian", 4.0, n)
     m, k0hat, _ = kernel._fft_kernels(grid)
@@ -466,6 +468,8 @@ SPECTRAL_SIZES = [8, 16, 33, 64, 128, 256]   # n = 8 pads to odd m = 15
 
 @pytest.mark.parametrize("n", SPECTRAL_SIZES)
 def test_spectrum_bit_identical_to_rfft2_of_zero_pad(n):
+    # numpy.fft's pruned passes against scipy.fft's rfft2: this also guards
+    # that the two libraries agree bit for bit
     import scipy.fft as spfft
     grid = grids.build_grid("cartesian", 4.0, n)
     m = kernel._fft_kernels(grid)[0]
@@ -473,6 +477,30 @@ def test_spectrum_bit_identical_to_rfft2_of_zero_pad(n):
     pad = np.zeros((m, m))
     pad[:n, :n] = grid.weights * density
     assert np.array_equal(kernel._spectrum(grid, density), spfft.rfft2(pad))
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    import scipy.fft as spfft
+    for n in range(8, 2049):
+        assert kernel._fast_len(2 * n - 1) == spfft.next_fast_len(2 * n - 1), n
+
+
+@pytest.mark.parametrize("n", SPECTRAL_SIZES)
+def test_kernel_tables_bit_identical_to_scipy_rfft2(n):
+    # the tables are built by numpy.fft; the reference pads are transformed
+    # by scipy.fft.rfft2
+    grid = grids.build_grid("cartesian", 4.0, n)
+    m, k0hat, tables = kernel._fft_kernels(grid)
+    ref_m, k1ref, k2ref = _reference_kernel_spectra(grid)
+    assert m == ref_m
+    k0ref = k2ref - k1ref
+    assert np.array_equal(k0hat, k0ref)
+    c = np.full(m // 2 + 1, 2.0)
+    c[0] = 1.0
+    if m % 2 == 0:
+        c[-1] = 1.0
+    for name, khat in (("B1", k1ref), ("B2", k2ref), ("B0", k0ref)):
+        assert np.array_equal(tables[name], c * khat.real / (m * m)), name
 
 
 @pytest.mark.parametrize("n", SPECTRAL_SIZES)
@@ -504,19 +532,18 @@ def test_spectral_b0_form_matches_convolution(n):
 
 
 def test_cartesian_total_energy_runs_one_forward_fft_and_no_inverse(monkeypatch):
-    import scipy.fft as spfft
     from logchoquard import energy, nonlinearity as nl, spaces
     grid = grids.build_grid("cartesian", 6.0, 32)
     u = families.gaussian(grid, 1.0)
     spec = nl.NonlinearitySpec(kind="exp_minus_one", p=1.0, q=2.0)
     calls = []
     for name in ("rfft", "fft", "ifft", "irfft"):
-        original = getattr(spfft, name)
+        original = getattr(np.fft, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
-        monkeypatch.setattr(spfft, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     value = energy.total_energy(u, spec, spaces.PeriodicCoefficient(1.0))
     assert np.isfinite(value)
     assert calls == ["rfft", "fft"]      # B0(cF, cF): one pruned forward pass
