@@ -58,7 +58,8 @@ def compose_f(u: grids.GridField, spec: nl.NonlinearitySpec) -> np.ndarray:
 
 def energy_IV(u: grids.GridField, spec: nl.NonlinearitySpec,
               potential: PeriodicCoefficient) -> EnergyBreakdown:
-    """Full energy breakdown at u, with the near and far forms of c F(u)."""
+    """Full energy breakdown at u, with the near and far forms of c F(u).
+    Cartesian grids only: radial grids have B0 alone (``total_energy``)."""
     density = grids.GridField(u.grid, compose_density(u, spec))
     form = kernel.bilinear_fast(density, density)
     quadratic = 0.5 * norm_V_sq(u, potential)
@@ -193,7 +194,7 @@ def moser_cap(n: int, rho: float, grid: grids.Grid, q: float = 2.0,
         raise InvalidParameterError("Moser index n must be >= 2")
     if not 0.0 < rho <= 0.5:
         raise InvalidParameterError("rho must lie in (0, 1/2]")
-    grids.require_plateau_resolution(grid, rho / n, 4)
+    grids.require_plateau_resolution(grid, rho / n)
     pot = potential if potential is not None else PeriodicCoefficient(1.0)
     delta = delta_n_closed_form(n, rho, q, pot.max_within(rho))
     cap = MoserCap(n=n, rho=rho, delta_n=delta)

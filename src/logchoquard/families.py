@@ -6,6 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import grids
+from .errors import GridMismatchError
+
+RANDOM_BUMPS = 6        # Gaussians per random_smooth field
 
 
 def moser_profile(r, n: int, rho: float):
@@ -24,7 +27,7 @@ def gaussian(grid: grids.Grid, sigma: float = 1.0, center=(0.0, 0.0),
              amplitude: float = 1.0) -> grids.GridField:
     if grid.kind == "radial":
         if center != (0.0, 0.0):
-            raise ValueError("radial grids only support centered gaussians")
+            raise GridMismatchError("radial grids only support centered gaussians")
         r = grid.radii()
         return grids.GridField(grid, amplitude * np.exp(-(r / sigma) ** 2))
     xx, yy = grid.meshgrid()
@@ -38,7 +41,7 @@ def bump(grid: grids.Grid, radius: float = 0.25, center=(0.0, 0.0),
     identically zero outside the ball of the given radius."""
     if grid.kind == "radial":
         if center != (0.0, 0.0):
-            raise ValueError("radial grids only support centered bumps")
+            raise GridMismatchError("radial grids only support centered bumps")
         d2 = (grid.radii() / radius) ** 2
     else:
         xx, yy = grid.meshgrid()
@@ -51,9 +54,9 @@ def bump(grid: grids.Grid, radius: float = 0.25, center=(0.0, 0.0),
 
 
 def random_smooth(grid: grids.Grid, rng: np.random.Generator,
-                  n_bumps: int = 6, max_center: float | None = None,
+                  max_center: float | None = None,
                   positive: bool = False) -> grids.GridField:
-    """Seeded superposition of random Gaussians, used by randomized oracles.
+    """Seeded superposition of RANDOM_BUMPS random Gaussians, for randomized oracles.
 
     ``positive`` restricts to nonnegative amplitudes; sign-definite fields
     stay clear of the curvature kink of the one-sided nonlinearity at 0.
@@ -61,7 +64,7 @@ def random_smooth(grid: grids.Grid, rng: np.random.Generator,
     if max_center is None:
         max_center = 0.5 * grid.domain_radius
     vals = np.zeros(grid.shape)
-    for _ in range(n_bumps):
+    for _ in range(RANDOM_BUMPS):
         amp = rng.uniform(0.2, 1.0) if positive else rng.uniform(-1.0, 1.0)
         sigma = rng.uniform(0.2, 1.0) * max(grid.spacing * 4, 0.2)
         if grid.kind == "radial":

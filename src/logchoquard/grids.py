@@ -28,6 +28,7 @@ import numpy as np
 from .errors import GridMismatchError, InvalidParameterError, ResolutionFailureError
 
 MIN_RESOLUTION = 8
+PLATEAU_MIN_NODES = 4       # nodes a plateau or witness disc must hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,10 +369,11 @@ def require_same_grid(u: GridField, v: GridField):
     raise GridMismatchError("fields live on different grids")
 
 
-def require_plateau_resolution(grid: Grid, radius: float, min_nodes: int = 4):
-    """Fail unless at least ``min_nodes`` nodes fall inside |x| <= radius."""
+def require_plateau_resolution(grid: Grid, radius: float):
+    """Fail unless at least PLATEAU_MIN_NODES nodes fall inside |x| <= radius."""
     count = int(np.sum(grid.radii() <= radius))
-    if count < min_nodes:
+    if count < PLATEAU_MIN_NODES:
         raise ResolutionFailureError(
-            f"grid has {count} node(s) inside radius {radius}; needs >= {min_nodes}"
+            f"grid has {count} node(s) inside radius {radius}; "
+            f"needs >= {PLATEAU_MIN_NODES}"
         )

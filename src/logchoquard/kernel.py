@@ -5,22 +5,20 @@ log(1/r) = log(1 + 1/r) - log(1 + r), giving the three bilinear forms
 B1 (far part, log(1+|x-y|)), B2 (near part, log(1+1/|x-y|)) and
 B0 = B2 - B1 (the full log kernel).
 
-Two evaluation routes are kept deliberately independent:
+The near/far forms are cartesian, by two deliberately independent routes:
 
-* ``bilinear_direct`` -- O(N^2) double quadrature over node pairs, the
-  oracle.  Diagonal (self-cell) entries integrate the kernel exactly over
-  the cell pair against constant densities; radial grids use high-order
-  graded angular panels for the ring-ring coupling.  On cartesian lattices
-  the kernel depends on the lattice offset of a node pair only, so each
-  kernel is evaluated once on the n x n offsets and summed as a
-  block-Toeplitz matrix with Toeplitz blocks, by matmuls and without any
-  FFT (``_pair_sum``).  ``bilinear_direct_many`` evaluates a batch of pairs
-  on one grid per pass: the offset tables (cartesian) or the oracle ring
-  coupling (radial) are built once for the whole batch.
-* ``bilinear_fast``  -- on uniform cartesian grids a Parseval pairing of
-  zero-padded spectra for each form; on radial grids a cached
-  log(1+|x-y|) ring-coupling matrix for B1, and Newton prefix sums for B0
-  (``b0_potential``).
+* ``bilinear_direct_many`` -- O(N^2) double quadrature over node pairs,
+  the oracle.  Diagonal (self-cell) entries integrate the kernel exactly
+  over the cell pair against constant densities.  The kernel depends on
+  the lattice offset of a node pair only, so each kernel is evaluated once
+  on the n x n offsets and summed as a block-Toeplitz matrix with Toeplitz
+  blocks, by matmuls and without any FFT (``_pair_sum``), for a whole batch
+  of pairs on one grid per pass.
+* ``bilinear_fast``  -- Parseval pairings of zero-padded spectra (below).
+
+Radial grids have B0 alone: by Newton's theorem the ring coupling of
+log(1/|x-y|) is exactly -log max(r_i, r_j), applied by prefix sums
+(``b0_potential``).  ``b0_form`` and ``b0_potential`` serve both kinds.
 
 Every cartesian form is paired by Parseval, with no inverse FFT:
 B(u, v) = (1/m^2) sum_k c_k K_hat(k) Re(conj(uhat_k) vhat_k) over the
@@ -75,11 +73,6 @@ def _legendre_rule(order):
     return x, w
 
 
-def _gauss_panel(a, b, order=48):
-    x, w = _legendre_rule(order)
-    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
-
-
 def _moment_log_inv(k, R):
     """int_0^R r^k log(1/r) dr."""
     return R ** (k + 1) / (k + 1) ** 2 - R ** (k + 1) * np.log(R) / (k + 1)
@@ -105,7 +98,8 @@ def _cell_pair_average(h: float, moments) -> float:
     int_{[-h,h]^2} K(z) (h-|z1|)(h-|z2|) dz, reduced to a polar integral
     over [0, pi/4] whose radial moments are supplied in closed form.
     """
-    theta, wt = _gauss_panel(0.0, np.pi / 4.0)
+    x, w = _legendre_rule(48)     # mapped to [0, pi/4]
+    theta, wt = np.pi / 8.0 + np.pi / 8.0 * x, np.pi / 8.0 * w
     R = h / np.cos(theta)
     c, s = np.cos(theta), np.sin(theta)
     integrand = (h**2 * moments(1, R) - h * (c + s) * moments(2, R)
@@ -250,61 +244,8 @@ def _weighted_stack(grid: grids.Grid, fields) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radial route: ring-ring couplings
+# B0 alone: the energy's form, on both grid kinds
 # ---------------------------------------------------------------------------
-
-_FAST_EDGES = np.pi * np.array([0.0, 1e-4, 1e-3, 1e-2, 0.06, 0.25, 0.6, 1.0])
-_ORACLE_EDGES = np.pi * np.array([0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
-                                  0.03, 0.1, 0.25, 0.45, 0.7, 1.0])
-
-
-def _panel_nodes(edges, order):
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = _gauss_panel(a, b, order)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _ring_log1p_block(r_block, r_all, theta, wt):
-    """Angular average of log(1+|x-y|) between circles of radii r_block, r_all.
-
-    The distance is evaluated as sqrt((r-s)^2 + 4 r s sin^2(theta/2)),
-    stable near coincident radii.
-    """
-    diff = (r_block[:, None] - r_all[None, :]) ** 2
-    prod = 4.0 * r_block[:, None] * r_all[None, :]
-    sin2 = np.sin(theta / 2.0) ** 2
-    acc = np.zeros(diff.shape)
-    for t2, w in zip(sin2, wt):
-        acc += w * np.log1p(np.sqrt(diff + prod * t2))
-    return acc / np.pi
-
-
-def ring_c1(grid: grids.Grid, oracle: bool = False) -> np.ndarray:
-    """Angular average of log(1+|x-y|) between circles, by graded
-    Gauss-Legendre panels.  The fast variant is cached on the grid; the
-    oracle variant uses denser panels and is recomputed on demand."""
-    if grid.kind != "radial":
-        raise UnsupportedGridError("ring couplings need a radial grid")
-
-    def build():
-        edges, order = (_ORACLE_EDGES, 24) if oracle else (_FAST_EDGES, 12)
-        theta, wt = _panel_nodes(edges, order)
-        r = grid.nodes
-        n = len(r)
-        c1 = np.empty((n, n))
-        block = max(1, 2**21 // (n * len(theta) // 16 + 1))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            c1[start:stop] = _ring_log1p_block(r[start:stop], r, theta, wt)
-        return c1
-
-    if oracle:
-        return build()
-    return grid._cached("ring_c1", build)
-
 
 def b0_potential(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
     """[log(1/|x|) * density](x_i) for nodal density values: one FFT
@@ -346,15 +287,10 @@ class KernelForm:
         return {"B0": self.b0, "B1": self.b1, "B2": self.b2}[name]
 
 
-def bilinear_direct(u: grids.GridField, v: grids.GridField) -> KernelForm:
-    """O(N^2) double quadrature over node pairs; the oracle route."""
-    return bilinear_direct_many([(u, v)])[0]
-
-
 def bilinear_direct_many(pairs) -> list[KernelForm]:
-    """``bilinear_direct`` for every (u, v) in ``pairs``, all on one grid, in
-    one pass over the lattice-offset tables (cartesian) or with one oracle
-    ring coupling (radial)."""
+    """O(N^2) double quadrature over node pairs, the oracle route, for every
+    (u, v) in ``pairs``, all on one cartesian grid, in one pass over the
+    lattice-offset tables."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidParameterError("bilinear_direct_many needs at least one pair")
@@ -363,31 +299,25 @@ def bilinear_direct_many(pairs) -> list[KernelForm]:
         grids.require_same_grid(u, v)
         if u.grid is not grid:
             raise InvalidParameterError("a batch of pairs must live on one grid")
+    if grid.kind != "cartesian":
+        raise UnsupportedGridError("the direct forms need a cartesian grid")
     a = _weighted_stack(grid, [u for u, _ in pairs])
     b = _weighted_stack(grid, [v for _, v in pairs])
-    if grid.kind == "cartesian":
-        d0, d1, d2 = cell_average_log_kernels(grid.spacing)
-        b1, b2 = _pair_sum(grid, a, b, [(np.log1p, d1),
-                                        (lambda d: np.log1p(1.0 / d), d2)])
-    else:
-        b1 = np.einsum("rp,rp->p", a, ring_c1(grid, oracle=True) @ b)
-        b2 = b1 + np.array([b0_form(u, v) for u, v in pairs])
+    d0, d1, d2 = cell_average_log_kernels(grid.spacing)
+    b1, b2 = _pair_sum(grid, a, b, [(np.log1p, d1),
+                                    (lambda d: np.log1p(1.0 / d), d2)])
     return [KernelForm(b1=float(x1), b2=float(x2), b0=float(x2 - x1))
             for x1, x2 in zip(b1, b2)]
 
 
 def bilinear_fast(u: grids.GridField, v: grids.GridField) -> KernelForm:
-    """Parseval pairings of the spectra (cartesian) or cached ring
-    couplings (radial)."""
+    """Parseval pairings of the spectra on a cartesian grid."""
     grids.require_same_grid(u, v)
     grid = u.grid
-    if grid.kind == "cartesian":
-        tables = _fft_kernels(grid)[2]
-        cross = _cross_spectrum(u, v)
-        b1 = float(np.sum(tables["B1"] * cross))
-        b2 = float(np.sum(tables["B2"] * cross))
-    else:
-        a = grid.weights * u.values
-        b1 = float(a @ (ring_c1(grid) @ (grid.weights * v.values)))
-        b2 = b1 + b0_form(u, v)
+    if grid.kind != "cartesian":
+        raise UnsupportedGridError("the fast forms need a cartesian grid")
+    tables = _fft_kernels(grid)[2]
+    cross = _cross_spectrum(u, v)
+    b1 = float(np.sum(tables["B1"] * cross))
+    b2 = float(np.sum(tables["B2"] * cross))
     return KernelForm(b1=b1, b2=b2, b0=b2 - b1)

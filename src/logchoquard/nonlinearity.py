@@ -26,6 +26,9 @@ from .errors import InvalidParameterError
 from .spaces import EXP_GUARD, PeriodicCoefficient
 
 A_CRIT = 4.0 * np.pi
+ONSET_EPSILON = 0.1         # s_epsilon: onset of sqrt(F f' / f^2) >= 1 - eps
+F3_TOLERANCE = 0.01         # (f3) holds if |tail limit - 1| is below this
+SCRIPT_V_SCAN_POINTS = 200_001
 
 KINDS = ("exp_minus_one", "power_exp", "piecewise")
 
@@ -241,8 +244,7 @@ class AssumptionReport:
 
 
 def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
-                      potential: Optional[PeriodicCoefficient] = None,
-                      epsilon: float = 0.1, f3_tolerance: float = 0.01) -> AssumptionReport:
+                      potential: Optional[PeriodicCoefficient] = None) -> AssumptionReport:
     """Evaluate the growth assumptions on the scan; failures are reported,
     never raised."""
     s = scan.points()
@@ -271,7 +273,7 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
     r_half = float(ratio_Ffprime_f2(spec, scan.s_max / 2))
     r_full = float(ratio_Ffprime_f2(spec, scan.s_max))
     f3_limit = (4.0 * r_full - r_half) / 3.0
-    f3_ok = abs(f3_limit - 1.0) < f3_tolerance
+    f3_ok = abs(f3_limit - 1.0) < F3_TOLERANCE
 
     # (f4): liminf of s^3 f F e^{-8 pi s^2} compared with the threshold
     pot = potential if potential is not None else PeriodicCoefficient(1.0)
@@ -300,7 +302,7 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
 
     # onset of sqrt(ratio) >= 1 - eps: the point after the last failure,
     # s[0] without failures, nan if the last fails
-    good = np.sqrt(np.maximum(ratios, 0.0)) >= 1.0 - epsilon
+    good = np.sqrt(np.maximum(ratios, 0.0)) >= 1.0 - ONSET_EPSILON
     idx = np.nonzero(~good)[0]
     s_eps = float(np.append(s, np.nan)[idx[-1] + 1]) if idx.size else float(s[0])
 
@@ -311,7 +313,7 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
         script_V=script_v, script_V_argmin=script_v_argmin,
         sample_range=(float(s[0]), float(s[-1])),
         ar_improved_ok=ar_ok, envelope_constant=envelope_c,
-        q_limit_estimate=q_limit, s_epsilon=s_eps, epsilon=epsilon,
+        q_limit_estimate=q_limit, s_epsilon=s_eps, epsilon=ONSET_EPSILON,
     )
 
 
@@ -341,23 +343,23 @@ def script_V_integrand(rho, q: float, V_half: float):
                 / np.pi**3)
 
 
-def compute_script_V(q: float, V_half: float, scan_points: int = 200_001):
+def compute_script_V(q: float, V_half: float):
     """Minimize the threshold expression over rho in (0, 1/2].
 
-    Returns (value, argmin_rho); a dense scan locates the basin, and the
-    vertex of the parabola through the scan's least point and its two
-    neighbours refines it where that is lower.  The expression diverges
+    Returns (value, argmin_rho); a SCRIPT_V_SCAN_POINTS scan locates the
+    basin, and the vertex of the parabola through the scan's least point
+    and its two neighbours refines it where that is lower.  It diverges
     like rho^-4 at 0, so the minimizer is interior or the right endpoint.
     """
     if q < 2:
         raise InvalidParameterError("q must be >= 2")
     if V_half <= 0:
         raise InvalidParameterError("V_half must be positive")
-    rho = np.linspace(0.5 / scan_points, 0.5, scan_points)
+    rho = np.linspace(0.5 / SCRIPT_V_SCAN_POINTS, 0.5, SCRIPT_V_SCAN_POINTS)
     vals = script_V_integrand(rho, q, V_half)
     i = int(np.argmin(vals))
     best_rho, best_val = float(rho[i]), float(vals[i])
-    if 0 < i < scan_points - 1:
+    if 0 < i < SCRIPT_V_SCAN_POINTS - 1:
         left, right = vals[i - 1], vals[i + 1]
         curvature = left - 2.0 * vals[i] + right
         if curvature > 0:

@@ -123,7 +123,7 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
         raise GeometryFailureError(
             f"no positive energy floor on the rho = {rho_sphere} sphere")
     seed_bump = families.bump(grid, witness_radius)
-    grids.require_plateau_resolution(grid, witness_radius, 4)
+    grids.require_plateau_resolution(grid, witness_radius)
     t = 1.0
     for _ in range(WITNESS_DOUBLINGS):
         candidate = seed_bump.with_values(t * seed_bump.values)

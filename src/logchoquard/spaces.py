@@ -20,6 +20,8 @@ from .errors import (DomainError, EmptyFamilyError, GridMismatchError,
                      InvalidParameterError, NonConvergenceError)
 
 EXP_GUARD = 700.0   # exponents above this are clamped and flagged
+T_INVERSE_TOL = 1e-13       # of radial_map_T_inverse, relative to 1 + s
+T_INVERSE_MAX_ITER = 80
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,8 @@ def radial_map_T_prime(r):
     return out if out.ndim else float(out)
 
 
-def radial_map_T_inverse(s, tol: float = 1e-13, max_iter: int = 80):
-    """Invert T by safeguarded Newton iteration; |T(r) - s| <= tol (1 + s)."""
+def radial_map_T_inverse(s):
+    """Invert T by safeguarded Newton iteration; |T(r) - s| <= T_INVERSE_TOL (1 + s)."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0):
         raise DomainError("radial map inverse requires s >= 0")
@@ -148,8 +150,8 @@ def radial_map_T_inverse(s, tol: float = 1e-13, max_iter: int = 80):
     lo = np.zeros_like(s_arr)
     hi = s_arr.copy()
     r = s_arr / np.sqrt(np.log(np.e + s_arr))
-    target = tol * (1.0 + s_arr)
-    for _ in range(max_iter):
+    target = T_INVERSE_TOL * (1.0 + s_arr)
+    for _ in range(T_INVERSE_MAX_ITER):
         resid = radial_map_T(r) - s_arr
         if np.all(np.abs(resid) <= target):
             break
@@ -285,9 +287,9 @@ class TMValue(NamedTuple):
     saturated: bool
 
 
-def tm_functional(u: grids.GridField, alpha: float, weighted: bool = True,
+def tm_functional(u: grids.GridField, alpha: float,
                   q_cap: Optional[float] = None) -> TMValue:
-    """int (e^{alpha u^2} - 1) w dx with w = log(e+|x|) (weighted) or 1.
+    """int (e^{alpha u^2} - 1) w dx with w = log(e+|x|).
 
     With ``q_cap`` = q >= 2 the integrand becomes the q-growth Orlicz
     function (alpha |u|)^q e^{4 pi alpha^2 u^2}, the one controlled for
@@ -306,8 +308,7 @@ def tm_functional(u: grids.GridField, alpha: float, weighted: bool = True,
         expo = 4.0 * np.pi * t**2
         saturated = bool(np.any(expo > EXP_GUARD))
         integrand = t**q_cap * np.exp(np.minimum(expo, EXP_GUARD))
-    if weighted:
-        integrand = integrand * np.log(np.e + u.grid.radii())
+    integrand = integrand * np.log(np.e + u.grid.radii())
     value = float(np.sum(u.grid.weights * integrand))
     return TMValue(value, saturated)
 

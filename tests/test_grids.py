@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from logchoquard import energy, families, grids, kernel, reports
-from logchoquard.errors import GridMismatchError, InvalidParameterError
+from logchoquard.errors import (GridMismatchError, InvalidParameterError,
+                                LogChoquardError)
 
 
 def test_cartesian_weights_sum_to_disc_area():
@@ -97,6 +98,14 @@ def test_integrate_rejects_a_field_as_weight():
     u = families.gaussian(g, 1.0)
     with pytest.raises(GridMismatchError):
         grids.integrate(u, weight=u)
+
+
+@pytest.mark.parametrize("family", [families.gaussian, families.bump])
+def test_off_centre_radial_family_raises_a_package_error(family):
+    # a radial grid holds centred profiles only
+    g = grids.build_grid("radial", 5.0, 64)
+    with pytest.raises(LogChoquardError):
+        family(g, 1.0, center=(0.5, 0.0))
 
 
 def test_dirichlet_constant_is_zero():

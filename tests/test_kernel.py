@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from logchoquard import families, grids, kernel
-from logchoquard.errors import DomainError, InvalidParameterError
+from logchoquard.errors import (DomainError, InvalidParameterError,
+                                UnsupportedGridError)
 
 
 def test_kernel_split_values():
@@ -59,16 +60,15 @@ def test_fast_matches_direct_cartesian(n):
             assert err <= 1e-6 * (1 + abs(ref.value(which))), which
 
 
-def test_fast_matches_direct_radial():
+def test_near_far_forms_reject_radial_grids():
+    # radial grids have B0 alone, through b0_form
     g = grids.build_grid("radial", 10.0, 256)
-    rng = np.random.default_rng(7)
-    u = families.random_smooth(g, rng)
-    v = families.random_smooth(g, rng)
-    ref = kernel.bilinear_direct(u, v)
-    fast = kernel.bilinear_fast(u, v)
-    for which in ("B0", "B1", "B2"):
-        err = abs(fast.value(which) - ref.value(which))
-        assert err <= 1e-6 * (1 + abs(ref.value(which))), which
+    u = families.gaussian(g, 1.0)
+    with pytest.raises(UnsupportedGridError):
+        kernel.bilinear_fast(u, u)
+    with pytest.raises(UnsupportedGridError):
+        kernel.bilinear_direct_many([(u, u)])
+    assert math.isfinite(kernel.b0_form(u, u))
 
 
 def _row_blocked_pair_sum(grid, a, b, kernels):
@@ -215,28 +215,6 @@ def test_cartesian_direct_forms_use_no_fft(monkeypatch):
         kernel.bilinear_fast(*pairs[0])
 
 
-@pytest.mark.parametrize("kind, radius, n", [("cartesian", 4.0, 16),
-                                             ("radial", 10.0, 256)])
-def test_single_pair_direct_is_a_batch_of_one(kind, radius, n):
-    g = grids.build_grid(kind, radius, n)
-    rng = np.random.default_rng(3)
-    u = families.random_smooth(g, rng)
-    v = families.random_smooth(g, rng)
-    assert kernel.bilinear_direct(u, v) == kernel.bilinear_direct_many([(u, v)])[0]
-
-
-def test_radial_batch_matches_per_pair_direct():
-    g = grids.build_grid("radial", 10.0, 256)
-    rng = np.random.default_rng(11)
-    pairs = [(families.random_smooth(g, rng), families.random_smooth(g, rng))
-             for _ in range(6)]
-    for (u, v), form in zip(pairs, kernel.bilinear_direct_many(pairs)):
-        ref = kernel.bilinear_direct(u, v)
-        for which in ("B0", "B1", "B2"):
-            assert abs(form.value(which) - ref.value(which)) \
-                <= 1e-13 * abs(ref.value(which)), which
-
-
 def test_direct_batch_rejects_empty_and_mixed_grids():
     g1 = grids.build_grid("cartesian", 4.0, 16)
     g2 = grids.build_grid("cartesian", 4.0, 16)
@@ -273,7 +251,7 @@ def test_radial_b0_potential_matches_dense_ring_coupling(n, radius, anchor_fracs
 def test_zero_fields_give_zero_forms():
     g = grids.build_grid("cartesian", 2.0, 16)
     z = grids.zero_field(g)
-    form = kernel.bilinear_direct(z, z)
+    (form,) = kernel.bilinear_direct_many([(z, z)])
     assert form.b0 == form.b1 == form.b2 == 0.0
 
 
@@ -282,8 +260,7 @@ def test_symmetry_of_forms():
     rng = np.random.default_rng(5)
     u = families.random_smooth(g, rng)
     v = families.random_smooth(g, rng)
-    d_uv = kernel.bilinear_direct(u, v)
-    d_vu = kernel.bilinear_direct(v, u)
+    d_uv, d_vu = kernel.bilinear_direct_many([(u, v), (v, u)])
     scale = 1 + abs(d_uv.b1) + abs(d_uv.b2)
     assert abs(d_uv.b1 - d_vu.b1) < 1e-12 * scale
     assert abs(d_uv.b2 - d_vu.b2) < 1e-12 * scale
@@ -316,7 +293,7 @@ def test_small_support_positive_form():
 
 
 def test_b2_nonnegative_for_nonnegative_inputs():
-    g = grids.build_grid("radial", 10.0, 256)
+    g = grids.build_grid("cartesian", 6.0, 64)
     u = families.gaussian(g, 1.0)
     form = kernel.bilinear_fast(u, u)
     assert form.b2 >= 0
@@ -335,6 +312,15 @@ def test_b1_weighted_l1_bound():
     assert b1 <= bound * (1 + 1e-9)
 
 
+def _fast_forms(u, v):
+    """{name: value} of the fast forms: B0, B1 and B2 on a cartesian grid,
+    B0 alone (``b0_form``, by Newton's theorem) on a radial one."""
+    if u.grid.kind == "radial":
+        return {"B0": kernel.b0_form(u, v)}
+    form = kernel.bilinear_fast(u, v)
+    return {name: form.value(name) for name in ("B0", "B1", "B2")}
+
+
 @pytest.mark.parametrize("kind, radius, n, tol", [
     ("radial", 10.0, 2048, 0.01),
     ("cartesian", 2.0, 192, 0.0125),
@@ -346,8 +332,7 @@ def test_radial_disc_self_energy_oracle(kind, radius, n, tol):
     vals = np.where(g.radii() <= 1.0, 1.0 / np.pi, 0.0)
     u = grids.GridField(g, vals)
     u = u.with_values(u.values / grids.integrate(u))
-    form = kernel.bilinear_fast(u, u)
-    assert abs(form.b0 - 0.25) < tol
+    assert abs(_fast_forms(u, u)["B0"] - 0.25) < tol
 
 
 @pytest.mark.parametrize("kind, radius, n, tol", [
@@ -363,7 +348,7 @@ def test_gaussian_self_energy_oracle(kind, radius, n, tol, s):
     u = families.gaussian(g, s)
     u = u.with_values(u.values / grids.integrate(u))
     exact = (np.euler_gamma - math.log(2.0 * s * s)) / 2.0
-    assert abs(kernel.bilinear_fast(u, u).b0 - exact) < tol
+    assert abs(_fast_forms(u, u)["B0"] - exact) < tol
 
 
 @pytest.mark.parametrize("kind, radius, n", [("cartesian", 4.0, 32),
@@ -373,12 +358,12 @@ def test_fast_forms_are_bilinear(kind, radius, n):
     u, w, v = (families.gaussian(g, s) for s in (0.7, 1.3, 1.0))
     alpha, beta = 3.7, -0.4
     combo = u.with_values(alpha * u.values + beta * w.values)
-    lhs = kernel.bilinear_fast(combo, v)
-    fu, fw = kernel.bilinear_fast(u, v), kernel.bilinear_fast(w, v)
-    for name in ("B0", "B1", "B2"):
-        scale = abs(alpha * fu.value(name)) + abs(beta * fw.value(name))
-        expected = alpha * fu.value(name) + beta * fw.value(name)
-        assert abs(lhs.value(name) - expected) <= 1e-12 * scale
+    lhs = _fast_forms(combo, v)
+    fu, fw = _fast_forms(u, v), _fast_forms(w, v)
+    for name in lhs:
+        scale = abs(alpha * fu[name]) + abs(beta * fw[name])
+        expected = alpha * fu[name] + beta * fw[name]
+        assert abs(lhs[name] - expected) <= 1e-12 * scale
 
 
 def test_b1_grows_when_gaussian_translated_outward():

@@ -46,24 +46,28 @@ RUNS = [(command, C12, "json") for command in cli.COMMANDS] + [
      for command in ("check-assumptions", "verify-embedding", "moser-scan")]
 
 ALLOWED = {
-    "energy.energy_IV": "the near/far breakdown of I_V; tests check the "
-                        "split identities through it",
-    "energy.pair_gradient": "<I_V'(u), phi>; tests pair gradients with it",
-    "grids.field_from_radial": "tests sample radial profiles with it",
-    "grids.zero_field": "tests build zero fields with it",
+    "energy.energy_IV": "the near/far breakdown of I_V on cartesian grids; "
+                        "test_energy_decomposition_identity checks the split "
+                        "identities through it",
+    "energy.pair_gradient": "<I_V'(u), phi>; test_gradient_consistency pairs "
+                            "gradients with it against finite differences",
+    "grids.field_from_radial": "samples radial profiles; "
+                               "test_quadrature_exact_for_linear_radial "
+                               "integrates one against its closed form",
+    "grids.zero_field": "the zero field; test_zero_field_energy and "
+                        "test_zero_fields_give_zero_forms evaluate on it",
     "kernel.kernel_split": "the split log(1/r) = log(1+1/r) - log(1+r); "
-                           "acceptance C01 tests it",
-    "kernel.bilinear_direct": "the one-pair oracle; tests compare the fast "
-                              "forms with it",
-    "kernel.ring_c1": "the radial B1 ring coupling; tests check the split "
-                      "identities on radial grids through it",
-    "kernel._panel_nodes": "builds the angular panels of ring_c1",
-    "kernel._ring_log1p_block": "fills the rows of ring_c1",
+                           "test_c01_kernel_split_identity compares it with "
+                           "log(1/r)",
     "spaces.transform_from_unweighted": "the inverse of the T resampling; "
-                                        "tests check the round trip",
-    "reports.load_field": "reads .field files back, for the tests and "
-                          "perfbench",
-    "config._least": "builds the range checks at import, before any command",
+                                        "test_transform_roundtrip compares "
+                                        "the round trip with the input",
+    "reports.load_field": "reads .field files back; test_field_roundtrip "
+                          "compares them with the saved field, and perfbench "
+                          "reads them",
+    "config._least": "builds the range checks at import, before any command; "
+                     "test_cli_non_finite_and_nonpositive_settings_rejected "
+                     "checks them",
 }
 
 

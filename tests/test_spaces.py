@@ -176,12 +176,6 @@ def test_tm_monotone_in_alpha(rgrid):
     assert v1 < v2
 
 
-def test_tm_weighted_dominates_unweighted(rgrid):
-    u = families.gaussian(rgrid, 1.0)
-    assert (spaces.tm_functional(u, 2 * np.pi, weighted=True).value
-            >= spaces.tm_functional(u, 2 * np.pi, weighted=False).value)
-
-
 def test_tm_saturation_flag(rgrid):
     u = families.gaussian(rgrid, 1.0, amplitude=30.0)
     val = spaces.tm_functional(u, 4 * np.pi)
