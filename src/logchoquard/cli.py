@@ -139,6 +139,10 @@ def cmd_verify_embedding(cfg: RunConfig):
 
 
 def cmd_moser_scan(cfg: RunConfig):
+    # the caps live on radial grids: reject a coefficient they cannot carry
+    # before any cap is built
+    for coefficient in (cfg.potential, cfg.spec.c_profile):
+        coefficient.require_grid_kind("radial")
     rho = cfg.moser["rho"]
     rows = []
     family = []

@@ -88,9 +88,7 @@ def _gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
     """(I_V'(u), B0 * c F(u), c f(u)): the gradient with the two pieces of
     it that the second variation reuses."""
     grid = u.grid
-    a = grids.stiffness_matrix(grid)
-    flat = u.values.ravel()
-    stiff_term = (a @ flat).reshape(grid.shape)
+    stiff_term = grids.stiffness_product(grid, u.values)
     w = grid.weights
     grad = np.zeros(grid.shape)
     positive = w > 0
@@ -147,7 +145,7 @@ def hessian_product(lin: Linearization, v: np.ndarray) -> np.ndarray:
     product.  Nodes with zero weight carry zero."""
     grid = lin.gradient.grid
     w = grid.weights
-    out = (grids.stiffness_matrix(grid) @ v.ravel()).reshape(grid.shape)
+    out = grids.stiffness_product(grid, v)
     conv = kernel.b0_potential(grid, lin.cf * v)
     out += lin.mass * v - w * (lin.cf * conv + lin.cf_prime_conv * v) / TWO_PI
     out[w == 0] = 0.0

@@ -164,13 +164,19 @@ def _radial_weights(nodes: np.ndarray) -> np.ndarray:
     m_k = int_a^b r^k 2 pi r dr take their powers of r from ``math.pow``
     (libm ``pow``), element by element: NumPy's array power can differ
     from it by an ulp, which would move the weights in the last digit.
+    Only the ends a, b of the rings are raised: the even nodes, and node
+    n-1 when n is even.
     """
     n = len(nodes)
     first = np.arange(0, n - 2, 2)
     lo, a, b = first, first, first + 2
     if n % 2 == 0:   # the trailing segment [r_{n-2}, r_{n-1}] on the last parabola
         lo, a, b = np.append(lo, n - 3), np.append(a, n - 2), np.append(b, n - 1)
-    power = {k: np.array([math.pow(r, k) for r in nodes.tolist()]) for k in (2, 3, 4)}
+    ends = np.union1d(a, b)
+    power = {}
+    for k in (2, 3, 4):
+        power[k] = np.full(n, np.nan)   # read at a and b only
+        power[k][ends] = [math.pow(r, k) for r in nodes[ends].tolist()]
     m0, m1, m2 = (2.0 * np.pi * (power[k][b] - power[k][a]) / k for k in (2, 3, 4))
     x0, x1, x2 = nodes[lo], nodes[lo + 1], nodes[lo + 2]
     pw = np.array([
@@ -273,30 +279,60 @@ def integrate(u: GridField, pointwise_map=None, weight=None) -> float:
 # Dirichlet energy
 # ---------------------------------------------------------------------------
 
-def _radial_derivative_matrix(nodes: np.ndarray) -> scipy.sparse.csr_matrix:
+def _radial_stencil(nodes: np.ndarray):
     """First-derivative weights at every node from the quadratic through 3 nodes.
 
-    Row i uses the nodes (i-1, i, i+1), one-sided at the two ends.  The
-    coefficient at x_i is the negative sum of the other two, so that
-    constants differentiate to exactly zero in floating point.
+    Row i of the derivative D holds ``coeffs[i]`` at the columns
+    ``base[i] + (0, 1, 2)``: the nodes (i-1, i, i+1), one-sided at the two
+    ends.  The coefficient at x_i is the negative sum of the other two, so
+    that constants differentiate to exactly zero in floating point.
     """
-    import scipy.sparse as sp
     n = len(nodes)
     gap = np.diff(nodes)
     h1, h2 = gap[:-1], gap[1:]      # left and right gaps of nodes 1 .. n-2
     lo, hi = -h2 / (h1 * (h1 + h2)), h1 / (h2 * (h1 + h2))
-    data = np.empty((n, 3))
-    data[1:-1] = np.column_stack((lo, -(lo + hi), hi))
+    coeffs = np.empty((n, 3))
+    coeffs[1:-1] = np.column_stack((lo, -(lo + hi), hi))
     h1, h2 = gap[0], gap[1]
     mid, far = (h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2))
-    data[0] = (-(mid + far), mid, far)
+    coeffs[0] = (-(mid + far), mid, far)
     h1, h2 = gap[-2], gap[-1]
     far, mid = h2 / (h1 * (h1 + h2)), -(h1 + h2) / (h1 * h2)
-    data[-1] = (far, mid, -(far + mid))
-    base = np.clip(np.arange(n) - 1, 0, n - 3)
-    indices = (base[:, None] + np.arange(3)).ravel()
-    return sp.csr_matrix((data.ravel(), indices, np.arange(0, 3 * n + 1, 3)),
-                         shape=(n, n))
+    coeffs[-1] = (far, mid, -(far + mid))
+    return coeffs, np.clip(np.arange(n) - 1, 0, n - 3)
+
+
+def _radial_bands(grid: Grid) -> np.ndarray:
+    """The radial stiffness D^T W D as five bands, shape (5, n): row m holds
+    the entries A[j, j + m - 2], zero where that column is off the matrix.
+
+    Entry (j, k) sums the contributions (d_ij w_i) d_ik over the rows i of
+    D in ascending order, starting from 0, which is the order and the
+    rounding of scipy's sparse product ``D.T @ diags(w) @ D``; so the bands
+    carry that product's bits, and A is not exactly symmetric.
+    """
+    def build():
+        coeffs, base = _radial_stencil(grid.nodes)
+        n, col = grid.resolution, np.arange(3)
+        contributions = (coeffs * grid.weights[:, None])[:, :, None] * coeffs[:, None, :]
+        rows = np.broadcast_to((base[:, None] + col)[:, :, None], (n, 3, 3))
+        bands = np.zeros((5, n))
+        np.add.at(bands, (col - col[:, None] + 2, rows), contributions)
+        bands.flags.writeable = False
+        return bands
+    return grid._cached("bands", build)
+
+
+def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the banded A, summed from the lowest band up and starting
+    from 0, as scipy's CSR product sums a row with sorted columns."""
+    n = len(x)
+    padded = np.zeros(n + 4)
+    padded[2:-2] = x
+    out = np.zeros(n)
+    for m, band in enumerate(bands):
+        out += band * padded[m:m + n]
+    return out
 
 
 def _edge_weights(grid: Grid):
@@ -319,7 +355,9 @@ def _edge_weights(grid: Grid):
 def stiffness_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     """Quadratic form of the Dirichlet energy: E(u) = u^T A u.
 
-    Radial: D^T W D with D the 3-point derivative.  Cartesian: the sum of
+    Radial: D^T W D with D the 3-point derivative, from its bands with the
+    exact zeros dropped (as scipy's sparse product drops them), so that
+    its entries and pattern are the product's.  Cartesian: the sum of
     D^T diag(c) D over both axes with D the forward differences and c the
     edge coefficients, so A carries exactly the form ``dirichlet_energy``
     sums matrix-free.
@@ -327,8 +365,12 @@ def stiffness_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     def build():
         import scipy.sparse as sp
         if grid.kind == "radial":
-            d = _radial_derivative_matrix(grid.nodes)
-            return (d.T @ sp.diags(grid.weights) @ d).tocsr()
+            bands = _radial_bands(grid).T       # row j: A[j, j-2 .. j+2]
+            n = grid.resolution
+            keep = bands != 0
+            columns = np.arange(n)[:, None] + np.arange(-2, 3)
+            indptr = np.concatenate(([0], np.cumsum(np.sum(keep, axis=1))))
+            return sp.csr_matrix((bands[keep], columns[keep], indptr), shape=(n, n))
         n = grid.resolution
         step = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
         eye = sp.identity(n)
@@ -339,11 +381,20 @@ def stiffness_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     return grid._cached("stiffness", build)
 
 
+def stiffness_product(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """A v for the stiffness matrix A and v in grid shape: the band product
+    on radial grids (no scipy), scipy's CSR product on cartesian ones."""
+    if grid.kind == "radial":
+        return _band_product(_radial_bands(grid), values)
+    return (stiffness_matrix(grid) @ values.ravel()).reshape(grid.shape)
+
+
 def dirichlet_energy(u: GridField) -> float:
     """Quadrature of |grad u|^2 over the truncated domain (radial: (u')^2 2 pi r dr).
 
     Cartesian grids sum the edge form with ``np.sum`` (no sparse product and
     no BLAS call, so the value does not depend on the BLAS thread count).
+    Radial grids pair u with the band product ``u @ (A u)``.
     """
     if u.grid.num_nodes < 3:
         raise GridMismatchError("grid too small for finite differences")
@@ -352,8 +403,7 @@ def dirichlet_energy(u: GridField) -> float:
         v = u.values
         return float(np.sum(cx * (v[1:] - v[:-1]) ** 2)
                      + np.sum(cy * (v[:, 1:] - v[:, :-1]) ** 2))
-    flat = u.values.ravel()
-    return float(flat @ (stiffness_matrix(u.grid) @ flat))
+    return float(u.values @ stiffness_product(u.grid, u.values))
 
 
 def require_same_grid(u: GridField, v: GridField):

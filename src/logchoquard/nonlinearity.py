@@ -29,6 +29,7 @@ A_CRIT = 4.0 * np.pi
 ONSET_EPSILON = 0.1         # s_epsilon: onset of sqrt(F f' / f^2) >= 1 - eps
 F3_TOLERANCE = 0.01         # (f3) holds if |tail limit - 1| is below this
 SCRIPT_V_SCAN_POINTS = 200_001
+SCRIPT_V_BLOCK = 16_384     # scan points evaluated at a time
 
 KINDS = ("exp_minus_one", "power_exp", "piecewise")
 
@@ -343,6 +344,17 @@ def script_V_integrand(rho, q: float, V_half: float):
                 / np.pi**3)
 
 
+def _script_V_scan(lo: int, hi: int) -> np.ndarray:
+    """Points lo .. hi-1 of np.linspace(0.5 / N, 0.5, N), N =
+    SCRIPT_V_SCAN_POINTS, by linspace's own float operations."""
+    n = SCRIPT_V_SCAN_POINTS
+    start = 0.5 / n
+    rho = np.arange(lo, hi, dtype=float) * ((0.5 - start) / (n - 1)) + start
+    if hi == n:
+        rho[-1] = 0.5
+    return rho
+
+
 def compute_script_V(q: float, V_half: float):
     """Minimize the threshold expression over rho in (0, 1/2].
 
@@ -350,20 +362,31 @@ def compute_script_V(q: float, V_half: float):
     basin, and the vertex of the parabola through the scan's least point
     and its two neighbours refines it where that is lower.  It diverges
     like rho^-4 at 0, so the minimizer is interior or the right endpoint.
+    The scan runs in blocks of SCRIPT_V_BLOCK points and keeps the first
+    least value (the first nan, if any), as ``np.argmin`` over the whole
+    scan would; the three points of the vertex step are evaluated again.
     """
     if q < 2:
         raise InvalidParameterError("q must be >= 2")
     if V_half <= 0:
         raise InvalidParameterError("V_half must be positive")
-    rho = np.linspace(0.5 / SCRIPT_V_SCAN_POINTS, 0.5, SCRIPT_V_SCAN_POINTS)
-    vals = script_V_integrand(rho, q, V_half)
-    i = int(np.argmin(vals))
-    best_rho, best_val = float(rho[i]), float(vals[i])
-    if 0 < i < SCRIPT_V_SCAN_POINTS - 1:
-        left, right = vals[i - 1], vals[i + 1]
-        curvature = left - 2.0 * vals[i] + right
+    n = SCRIPT_V_SCAN_POINTS
+    i, least = 0, math.inf
+    for lo in range(0, n, SCRIPT_V_BLOCK):
+        vals = script_V_integrand(_script_V_scan(lo, min(lo + SCRIPT_V_BLOCK, n)),
+                                  q, V_half)
+        j = int(np.argmin(vals))
+        if not vals[j] >= least:            # lower, or nan
+            i, least = lo + j, vals[j]
+            if math.isnan(least):
+                break
+    best_rho, best_val = float(_script_V_scan(i, i + 1)[0]), float(least)
+    if 0 < i < n - 1:
+        left, mid, right = script_V_integrand(_script_V_scan(i - 1, i + 2), q, V_half)
+        curvature = left - 2.0 * mid + right
         if curvature > 0:
-            step = 0.5 * (rho[1] - rho[0]) * (left - right) / curvature
+            first = _script_V_scan(0, 2)
+            step = 0.5 * (first[1] - first[0]) * (left - right) / curvature
             value = float(script_V_integrand(best_rho + step, q, V_half))
             if value < best_val:
                 best_rho, best_val = float(best_rho + step), value

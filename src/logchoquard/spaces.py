@@ -22,6 +22,7 @@ from .errors import (DomainError, EmptyFamilyError, GridMismatchError,
 EXP_GUARD = 700.0   # exponents above this are clamped and flagged
 T_INVERSE_TOL = 1e-13       # of radial_map_T_inverse, relative to 1 + s
 T_INVERSE_MAX_ITER = 80
+MAX_WITHIN_BLOCK = 32       # radii of the polar scan evaluated at a time
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +54,16 @@ class PeriodicCoefficient:
         profile = 0.5 * (1.0 - np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
         return self.floor + self.amplitude * profile
 
-    def on_grid(self, grid: grids.Grid) -> np.ndarray:
-        """The coefficient at the nodes; cached per grid and read-only."""
-        if not self.is_constant and grid.kind == "radial":
+    def require_grid_kind(self, kind: str):
+        """Fail unless the coefficient can be sampled on a grid of this kind."""
+        if not self.is_constant and kind == "radial":
             raise GridMismatchError(
                 "non-constant periodic coefficients require a cartesian grid"
             )
+
+    def on_grid(self, grid: grids.Grid) -> np.ndarray:
+        """The coefficient at the nodes; cached per grid and read-only."""
+        self.require_grid_kind(grid.kind)
 
         def build():
             values = (np.full(grid.shape, self.floor) if self.is_constant
@@ -68,13 +73,16 @@ class PeriodicCoefficient:
         return grid._cached(("coefficient", self.floor, self.amplitude), build)
 
     def max_within(self, radius: float) -> float:
-        """max of the coefficient over the closed disc |x| <= radius."""
+        """max of the coefficient over the closed disc |x| <= radius, on a
+        polar scan of 512 radii by 4096 angles, MAX_WITHIN_BLOCK radii at a
+        time."""
         if self.is_constant:
             return self.floor
         theta = np.linspace(0.0, 2 * np.pi, 4096)
+        cos, sin = np.cos(theta)[None, :], np.sin(theta)[None, :]
         rr = np.linspace(0.0, radius, 512)[:, None]
-        vals = self(rr * np.cos(theta)[None, :], rr * np.sin(theta)[None, :])
-        return float(np.max(vals))
+        return float(np.max([np.max(self(r * cos, r * sin))
+                             for r in np.split(rr, len(rr) // MAX_WITHIN_BLOCK)]))
 
 
 def norm_1qw(u: grids.GridField, q: float, weight: np.ndarray,

@@ -192,6 +192,23 @@ def test_commands_compute_each_quantity_once(tmp_path, monkeypatch, command,
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize("text", [
+    BASE + "\n[potential]\namplitude = 0.5\n",
+    BASE.replace("q = 2\n", "q = 2\nc_amplitude = 0.5\n"),
+], ids=["potential", "c-profile"])
+def test_moser_scan_rejects_periodic_coefficients_before_any_work(
+        tmp_path, monkeypatch, capsys, text):
+    # the caps live on radial grids; the polar max of the coefficient over
+    # each cap's disc would be work thrown away
+    calls = count_calls(monkeypatch, spaces.PeriodicCoefficient, "max_within")
+    code = cli.main(["moser-scan", "--config", write_config(tmp_path, text),
+                     "--output", str(tmp_path / "out.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        "error: non-constant periodic coefficients require a cartesian grid\n"
+    assert calls == []
+
+
 def test_cli_kernel_bench(tmp_path, capsys):
     path = write_config(tmp_path, BASE + "\n[kernel_bench]\nsizes = 16\npairs = 3\n")
     code = cli.main(["kernel-bench", "--config", path])
@@ -583,8 +600,8 @@ print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))
     ("solve", SMALL_SOLVE, ["scipy", "scipy.sparse", "scipy.sparse.linalg"]),
     ("solve", "\n[solver]\ngrid_kind = radial\nresolution = 256\n",
      ["scipy", "scipy.sparse", "scipy.sparse.linalg"]),
-    ("verify-embedding", "", ["scipy", "scipy.sparse"]),
-    ("moser-scan", "", ["scipy", "scipy.sparse"]),
+    ("verify-embedding", "", []),
+    ("moser-scan", "", []),
 ], ids=["import", "check-assumptions", "kernel-bench", "solve", "radial-solve",
         "verify-embedding", "moser-scan"])
 def test_commands_import_only_the_scipy_they_use(tmp_path, command, block,

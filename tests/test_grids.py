@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from logchoquard import energy, families, grids, kernel, reports
+from logchoquard import energy, families, grids, kernel, reports, spaces
+from logchoquard import nonlinearity as nl
 from logchoquard.errors import (GridMismatchError, InvalidParameterError,
                                 LogChoquardError)
 
@@ -217,11 +218,11 @@ def _loop_radial_derivative_matrix(nodes):
 def _assert_matches_loop(nodes):
     nodes = np.asarray(nodes, dtype=float)
     assert np.array_equal(grids._radial_weights(nodes), _loop_radial_weights(nodes))
-    got = grids._radial_derivative_matrix(nodes)
+    coeffs, base = grids._radial_stencil(nodes)
     ref = _loop_radial_derivative_matrix(nodes)
-    assert np.array_equal(got.data, ref.data)
-    assert np.array_equal(got.indices, ref.indices)
-    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(coeffs.ravel(), ref.data)
+    assert np.array_equal((base[:, None] + np.arange(3)).ravel(), ref.indices)
+    assert np.array_equal(ref.indptr, np.arange(0, 3 * len(nodes) + 1, 3))
 
 
 @pytest.mark.parametrize("n", [8, 9, 512, 513, 2048])
@@ -257,6 +258,88 @@ def test_radial_rules_bit_identical_to_loop_on_skewed_triple():
                 max_size=300, unique=True))
 def test_radial_rules_bit_identical_to_loop_on_random_nodes(values):
     _assert_matches_loop(np.sort(values))
+
+
+def _radial_grid_on(nodes):
+    nodes = np.array(nodes, dtype=float)
+    return grids.Grid("radial", float(nodes[-1]), len(nodes), nodes,
+                      grids._radial_weights(nodes))
+
+
+def _assert_bands_match_sparse_product(grid):
+    """The bands, the CSR built from them, the band product and the
+    Dirichlet energy against scipy's D^T W D of the loop stencils, bit for
+    bit."""
+    d = _loop_radial_derivative_matrix(grid.nodes)
+    ref = (d.T @ sp.diags(grid.weights) @ d).tocsr()
+    n = grid.resolution
+    bands = grids._radial_bands(grid)
+    for m, offset in enumerate(range(-2, 3)):
+        inside = np.arange(max(-offset, 0), min(n - offset, n))   # rows j
+        assert np.array_equal(bands[m, inside], ref.diagonal(offset))
+        assert not np.any(np.delete(bands[m], inside))
+    got = grids.stiffness_matrix(grid)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(size=n), np.exp(-grid.nodes ** 2), np.zeros(n)):
+        assert np.array_equal(grids.stiffness_product(grid, x), ref @ x)
+        energy_ref = float(x @ (ref @ x))
+        got_energy = grids.dirichlet_energy(grids.GridField(grid, x))
+        assert got_energy == energy_ref and (np.signbit(got_energy)
+                                             == np.signbit(energy_ref))
+
+
+@pytest.mark.parametrize("n", [8, 9, 512, 513, 2048])
+def test_radial_bands_bit_identical_to_sparse_product_on_plain_grids(n):
+    for radius in (1.0, 16.0):
+        _assert_bands_match_sparse_product(grids.build_grid("radial", radius, n))
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.1])
+def test_radial_bands_bit_identical_to_sparse_product_on_moser_grids(rho):
+    for n in (2, 5, 21, 34):
+        for resolution in (2048, 2047):
+            _assert_bands_match_sparse_product(
+                energy.moser_grid(n, rho, resolution=resolution))
+
+
+def test_radial_bands_bit_identical_to_sparse_product_on_skewed_triple():
+    # the uniform gaps from 2.0 on give centre coefficients of -0.0, which
+    # the sparse product drops
+    nodes = np.array([1.0, 1.001, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    for x in (nodes, np.append(nodes, 8.001)):
+        _assert_bands_match_sparse_product(_radial_grid_on(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=100.0), min_size=8,
+                max_size=300, unique=True))
+def test_radial_bands_bit_identical_to_sparse_product_on_random_nodes(values):
+    _assert_bands_match_sparse_product(_radial_grid_on(np.sort(values)))
+
+
+@pytest.mark.parametrize("grid", [("plain", 512), ("plain", 513), ("moser", 5)],
+                         ids=["plain-512", "plain-513", "moser-5"])
+def test_radial_gradient_and_hessian_bit_identical_to_sparse_product(
+        monkeypatch, grid):
+    kind, n = grid
+    g = (grids.build_grid("radial", 16.0, n) if kind == "plain"
+         else energy.moser_grid(n, 0.5, resolution=513))
+    spec, potential = nl.NonlinearitySpec(q=2.0), spaces.PeriodicCoefficient(1.0)
+    u = grids.GridField(g, 0.3 * np.exp(-g.nodes ** 2))
+    v = np.random.default_rng(n).normal(size=g.resolution)
+    d = _loop_radial_derivative_matrix(g.nodes)
+    ref = (d.T @ sp.diags(g.weights) @ d).tocsr()
+
+    def both():
+        lin = energy.linearize(u, spec, potential)
+        return lin.gradient.values, energy.hessian_product(lin, v)
+    banded = both()
+    monkeypatch.setattr(grids, "stiffness_product", lambda grid, x: ref @ x)
+    for got, expected in zip(banded, both()):
+        assert np.array_equal(got, expected)
 
 
 def _rule_integral(grid, coeffs):

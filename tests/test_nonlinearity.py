@@ -1,6 +1,7 @@
 """Nonlinearity families, assumption checkers and the threshold constant."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,54 @@ def test_script_V_diverges_at_zero():
 def test_script_V_half_integer_q():
     value, argmin = nl.compute_script_V(2.5, 1.0)
     assert np.isfinite(value) and 0.0 < argmin <= 0.5
+
+
+def _unblocked_script_V(q, V_half):
+    """The threshold search over one whole scan, as it ran before the scan
+    was evaluated in blocks."""
+    n = nl.SCRIPT_V_SCAN_POINTS
+    rho = np.linspace(0.5 / n, 0.5, n)
+    vals = nl.script_V_integrand(rho, q, V_half)
+    i = int(np.argmin(vals))
+    best_rho, best_val = float(rho[i]), float(vals[i])
+    if 0 < i < n - 1:
+        left, right = vals[i - 1], vals[i + 1]
+        curvature = left - 2.0 * vals[i] + right
+        if curvature > 0:
+            step = 0.5 * (rho[1] - rho[0]) * (left - right) / curvature
+            value = float(nl.script_V_integrand(best_rho + step, q, V_half))
+            if value < best_val:
+                best_rho, best_val = float(best_rho + step), value
+    end_val = float(nl.script_V_integrand(0.5, q, V_half))
+    if end_val <= best_val:
+        best_rho, best_val = 0.5, end_val
+    return best_val, best_rho
+
+
+@pytest.mark.parametrize("q, V_half", [(q, v) for q in (2.0, 2.5, 6.0)
+                                       for v in (0.5, 1.0, 2.0)]
+                         + [(1e300, 1.0)])
+def test_script_V_blocked_scan_equals_the_unblocked_scan(q, V_half):
+    # q = 6 has interior minima, q = 1e300 an infinite scan
+    assert nl.compute_script_V(q, V_half) == _unblocked_script_V(q, V_half)
+
+
+def test_script_V_scan_points_are_linspace_points():
+    n = nl.SCRIPT_V_SCAN_POINTS
+    blocks = [nl._script_V_scan(lo, min(lo + 7_777, n)) for lo in range(0, n, 7_777)]
+    assert np.array_equal(np.concatenate(blocks), np.linspace(0.5 / n, 0.5, n))
+
+
+def test_script_V_traced_peak_is_bounded():
+    # the whole scan held 8.0 MB of temporaries at once
+    nl.compute_script_V(2.0, 1.0)
+    tracemalloc.start()
+    try:
+        nl.compute_script_V(2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_estimate_sfF_probe():
