@@ -88,16 +88,11 @@ def _gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
     """(I_V'(u), B0 * c F(u), c f(u)): the gradient with the two pieces of
     it that the second variation reuses."""
     grid = u.grid
-    stiff_term = grids.stiffness_product(grid, u.values)
-    w = grid.weights
-    grad = np.zeros(grid.shape)
-    positive = w > 0
-    grad[positive] = stiff_term[positive] / w[positive]
+    grad = grids.stiffness_product(grid, u.values) / grid.weights
     grad += potential.on_grid(grid) * u.values
     conv = kernel.b0_potential(grid, compose_density(u, spec))
     cf = compose_f(u, spec)
     grad -= conv * cf / TWO_PI
-    grad[~positive] = 0.0
     return grids.GridField(grid, grad), conv, cf
 
 
@@ -106,8 +101,7 @@ def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
     """Grid representation of the first variation of I_V.
 
     Pairing the result with any test field phi through the quadrature
-    weights reproduces the directional derivative of energy_IV; nodes with
-    zero quadrature weight (outside the truncation disc) carry zero.
+    weights reproduces the directional derivative of energy_IV.
     """
     return _gradient(u, spec, potential)[0]
 
@@ -135,20 +129,19 @@ def linearize(u: grids.GridField, spec: nl.NonlinearitySpec,
 
 
 def hessian_product(lin: Linearization, v: np.ndarray) -> np.ndarray:
-    """The covector of I_V''(u) v, for v on the grid and zero off the disc:
+    """The covector of I_V''(u) v, for v on the grid:
 
         A v + w V v - (w / 2 pi) [c f(u) (B0 * c f(u) v) + (B0 * c F(u)) c f'(u) v],
 
     with A the stiffness matrix and w the quadrature weights, so that
     sum(z * hessian_product(lin, v)) is the second variation in the
     directions v and z.  The operator is symmetric in the plain dot
-    product.  Nodes with zero weight carry zero."""
+    product."""
     grid = lin.gradient.grid
     w = grid.weights
     out = grids.stiffness_product(grid, v)
     conv = kernel.b0_potential(grid, lin.cf * v)
     out += lin.mass * v - w * (lin.cf * conv + lin.cf_prime_conv * v) / TWO_PI
-    out[w == 0] = 0.0
     return out
 
 

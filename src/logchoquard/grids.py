@@ -11,8 +11,8 @@ Two grid kinds are provided:
   when n is odd and no triple is skewed: for even n the trailing segment
   is linear (r^2 is off by 3.0e-6 relative at n = 512), and a skewed
   triple is split into two linear segments.
-* ``cartesian`` -- an n x n lattice of cell centers on [-R, R]^2 whose
-  cells are clipped to the disc |x| <= R by exact area-fraction weights.
+* ``cartesian`` -- an n x n lattice of cell centers on the square
+  [-R, R]^2, every node with the cell area h^2 as its weight.
 
 All operations are pure functions of immutable inputs; the node and
 weight arrays are marked read-only after construction.
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError, ResolutionFailureError
+from .errors import (GridMismatchError, InvalidParameterError,
+                     ResolutionFailureError, UnsupportedGridError)
 
 MIN_RESOLUTION = 8
 PLATEAU_MIN_NODES = 4       # nodes a plateau or witness disc must hold
@@ -39,7 +40,7 @@ class Grid:
     domain_radius: float
     resolution: int
     nodes: np.ndarray      # radial: (n,) radii; cartesian: (n,) axis of cell centers
-    weights: np.ndarray    # radial: (n,); cartesian: (n, n) clipped cell areas
+    weights: np.ndarray    # radial: (n,); cartesian: (n, n), all h^2
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -103,7 +104,8 @@ class GridField:
 
 def build_grid(kind: str, domain_radius: float, resolution: int,
                anchors: tuple = ()) -> Grid:
-    """Construct a grid over the disc of radius ``domain_radius``.
+    """Construct a grid over the disc (radial) or the square (cartesian) of
+    radius ``domain_radius``.
 
     ``anchors`` (radial grids only) is a tuple of radii in (0, R) that are
     snapped onto exact nodes; used to align nodes with profile corners.
@@ -211,40 +213,7 @@ def _radial_weights(nodes: np.ndarray) -> np.ndarray:
 def _build_cartesian(radius: float, n: int) -> Grid:
     h = 2.0 * radius / n
     axis = -radius + (np.arange(n) + 0.5) * h
-    edges = -radius + np.arange(n + 1) * h
-    weights = _disc_cell_areas(radius, edges)
-    return Grid("cartesian", radius, n, axis, weights)
-
-
-def _quadrant_area(x, y, radius):
-    """Area of {0<=u<=x, 0<=v<=y} inside the disc of given radius (x, y >= 0)."""
-    x = np.minimum(x, radius)
-    y = np.minimum(y, radius)
-    inside = x**2 + y**2 <= radius**2
-    ustar = np.sqrt(np.maximum(radius**2 - y**2, 0.0))
-
-    def antideriv(u):
-        u = np.clip(u, 0.0, radius)
-        return 0.5 * (u * np.sqrt(np.maximum(radius**2 - u**2, 0.0))
-                      + radius**2 * np.arcsin(u / radius))
-
-    crossed = y * ustar + antideriv(x) - antideriv(ustar)
-    return np.where(inside, x * y, np.where(x <= ustar, x * y, crossed))
-
-
-def _signed_quadrant_area(x, y, radius):
-    return np.sign(x) * np.sign(y) * _quadrant_area(np.abs(x), np.abs(y), radius)
-
-
-def _disc_cell_areas(radius: float, edges: np.ndarray) -> np.ndarray:
-    """Exact area of (cell intersect disc) for every cell of the lattice."""
-    x0, x1 = edges[:-1][:, None], edges[1:][:, None]
-    y0, y1 = edges[:-1][None, :], edges[1:][None, :]
-    area = (_signed_quadrant_area(x1, y1, radius)
-            - _signed_quadrant_area(x0, y1, radius)
-            - _signed_quadrant_area(x1, y0, radius)
-            + _signed_quadrant_area(x0, y0, radius))
-    return np.maximum(area, 0.0)
+    return Grid("cartesian", radius, n, axis, np.full((n, n), h * h))
 
 
 # ---------------------------------------------------------------------------
@@ -335,74 +304,57 @@ def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_weights(grid: Grid):
-    """Cartesian edge coefficients c_e = (w_a + w_b) / (2 h^2) of the
-    x-neighbour pairs, shape (n-1, n), and the y-neighbour pairs, (n, n-1).
-
-    With them E(u) = sum_e c_e (u_a - u_b)^2 is the compact (5-point)
-    Dirichlet form, which charges the odd-even (checkerboard) mode about
-    8 / h^2 per unit mass, so no lattice mode is nearly free (Patankar 1980).
-    """
-    def build():
-        w, h_sq2 = grid.weights, 2.0 * grid.spacing ** 2
-        edges = ((w[1:] + w[:-1]) / h_sq2, (w[:, 1:] + w[:, :-1]) / h_sq2)
-        for c in edges:
-            c.flags.writeable = False
-        return edges
-    return grid._cached("edge_weights", build)
-
-
 def stiffness_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
-    """Quadratic form of the Dirichlet energy: E(u) = u^T A u.
+    """The radial stiffness D^T W D (E(u) = u^T A u) as a CSR matrix, built
+    from its bands with the exact zeros dropped (as scipy's sparse product
+    drops them), so that its entries and pattern are the product's.
+    Cartesian grids apply their stiffness matrix-free and have none."""
+    if grid.kind != "radial":
+        raise UnsupportedGridError("the stiffness matrix is built on radial grids only")
 
-    Radial: D^T W D with D the 3-point derivative, from its bands with the
-    exact zeros dropped (as scipy's sparse product drops them), so that
-    its entries and pattern are the product's.  Cartesian: the sum of
-    D^T diag(c) D over both axes with D the forward differences and c the
-    edge coefficients, so A carries exactly the form ``dirichlet_energy``
-    sums matrix-free.
-    """
     def build():
         import scipy.sparse as sp
-        if grid.kind == "radial":
-            bands = _radial_bands(grid).T       # row j: A[j, j-2 .. j+2]
-            n = grid.resolution
-            keep = bands != 0
-            columns = np.arange(n)[:, None] + np.arange(-2, 3)
-            indptr = np.concatenate(([0], np.cumsum(np.sum(keep, axis=1))))
-            return sp.csr_matrix((bands[keep], columns[keep], indptr), shape=(n, n))
+        bands = _radial_bands(grid).T       # row j: A[j, j-2 .. j+2]
         n = grid.resolution
-        step = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-        eye = sp.identity(n)
-        dx, dy = sp.kron(step, eye), sp.kron(eye, step)
-        cx, cy = _edge_weights(grid)
-        return (dx.T @ sp.diags(cx.ravel()) @ dx
-                + dy.T @ sp.diags(cy.ravel()) @ dy).tocsr()
+        keep = bands != 0
+        columns = np.arange(n)[:, None] + np.arange(-2, 3)
+        indptr = np.concatenate(([0], np.cumsum(np.sum(keep, axis=1))))
+        return sp.csr_matrix((bands[keep], columns[keep], indptr), shape=(n, n))
     return grid._cached("stiffness", build)
 
 
 def stiffness_product(grid: Grid, values: np.ndarray) -> np.ndarray:
     """A v for the stiffness matrix A and v in grid shape: the band product
-    on radial grids (no scipy), scipy's CSR product on cartesian ones."""
+    on radial grids; on cartesian ones the edge form sum_e (v_a - v_b)^2
+    over the neighbour pairs, applied as D^T D v over both axes with D the
+    forward differences (the cell-centred Neumann Laplacian)."""
     if grid.kind == "radial":
         return _band_product(_radial_bands(grid), values)
-    return (stiffness_matrix(grid) @ values.ravel()).reshape(grid.shape)
+    out = np.zeros(grid.shape)
+    dx, dy = values[1:] - values[:-1], values[:, 1:] - values[:, :-1]
+    out[1:] += dx
+    out[:-1] -= dx
+    out[:, 1:] += dy
+    out[:, :-1] -= dy
+    return out
 
 
 def dirichlet_energy(u: GridField) -> float:
     """Quadrature of |grad u|^2 over the truncated domain (radial: (u')^2 2 pi r dr).
 
-    Cartesian grids sum the edge form with ``np.sum`` (no sparse product and
-    no BLAS call, so the value does not depend on the BLAS thread count).
-    Radial grids pair u with the band product ``u @ (A u)``.
+    Cartesian grids sum the edge form sum_e (u_a - u_b)^2 over the x- and
+    y-neighbour pairs with ``np.sum`` (no BLAS call, so the value does not
+    depend on the BLAS thread count).  The form charges the odd-even
+    (checkerboard) mode about 8 / h^2 per unit mass, so no lattice mode is
+    nearly free (Patankar 1980).  Radial grids pair u with the band product
+    ``u @ (A u)``.
     """
     if u.grid.num_nodes < 3:
         raise GridMismatchError("grid too small for finite differences")
     if u.grid.kind == "cartesian":
-        cx, cy = _edge_weights(u.grid)
         v = u.values
-        return float(np.sum(cx * (v[1:] - v[:-1]) ** 2)
-                     + np.sum(cy * (v[:, 1:] - v[:, :-1]) ** 2))
+        return float(np.sum((v[1:] - v[:-1]) ** 2)
+                     + np.sum((v[:, 1:] - v[:, :-1]) ** 2))
     return float(u.values @ stiffness_product(u.grid, u.values))
 
 

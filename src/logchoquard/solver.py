@@ -18,9 +18,11 @@ sits just above the band in which the descent starts to zigzag (residual
 about 1.6e-2 to 2.4e-2 on the default problem), so Newton takes over where
 the descent stops gaining.  A run that does not reach the tolerance is
 discarded and the descent goes on; it is tried again when the descent
-residual has halved.  K is symmetric positive definite, so it is factored
-once per grid by an LU with a symmetric minimum-degree ordering and
-diagonal pivots.
+residual has halved.  K is symmetric positive definite.  On radial grids
+it is factored once per grid by an LU with a symmetric minimum-degree
+ordering and diagonal pivots; on cartesian grids, which cover the square
+with equal weights, a 2-D cosine transform diagonalizes it for constant V
+and preconditions conjugate gradients for a periodic one.
 
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
@@ -29,6 +31,7 @@ direction of weighted norm one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -36,7 +39,8 @@ import numpy as np
 
 from . import energy, families, grids
 from . import nonlinearity as nl
-from .errors import GeometryFailureError, InvalidParameterError
+from .errors import (GeometryFailureError, InvalidParameterError,
+                     NonConvergenceError)
 from .spaces import PeriodicCoefficient, norm_1qw_sq
 
 TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
@@ -46,6 +50,8 @@ WITNESS_DOUBLINGS = 60      # doublings of the witness bump's amplitude
 NEWTON_FORCING = 1e-3       # relative MINRES residual of each Newton step
 MINRES_MAX_ITERATIONS = 100
 RAY_BRACKET = (0.5, 1.5)    # ray scales searched for a trial's maximum
+PCG_TOLERANCE = 1e-14       # relative residual of a periodic-V K-solve
+PCG_MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -139,34 +145,94 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
 # preconditioner and dual estimate
 # ---------------------------------------------------------------------------
 
+def _dct(x):
+    """The DCT-II along the last axis, y_k = sum_j x_j cos(pi k (2j + 1) / 2n)
+    (scipy's ``dct(x, type=2)`` halved), by one real FFT V of x's even
+    entries followed by its odd ones reversed (Makhoul 1980): with
+    z_k = exp(-i pi k / 2n) V_k, y_k = Re z_k and y_{n-k} = -Im z_k."""
+    n = x.shape[-1]
+    v = np.concatenate((x[..., ::2], x[..., 1::2][..., ::-1]), axis=-1)
+    z = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n) * np.fft.rfft(v)
+    return np.concatenate((z.real, -z.imag[..., (n + 1) // 2 - 1:0:-1]), axis=-1)
+
+
+def _idct(y):
+    """The inverse of ``_dct`` along the last axis, by the same steps
+    backwards: V_k = exp(i pi k / 2n) (y_k - i y_{n-k}) with y_n = 0."""
+    n = y.shape[-1]
+    z = y[..., :n // 2 + 1].astype(complex)
+    z.imag[..., 1:] = -y[..., :(n - 1) // 2:-1]
+    v = np.fft.irfft(np.exp(0.5j * np.pi * np.arange(n // 2 + 1) / n) * z, n)
+    x = np.empty_like(v)
+    x[..., ::2] = v[..., :(n + 1) // 2]
+    x[..., 1::2] = v[..., :(n - 1) // 2:-1]
+    return x
+
+
+def _pcg(apply, precondition, rhs):
+    """Preconditioned conjugate gradients for the symmetric positive
+    definite system apply(x) = rhs, until |residual| <= PCG_TOLERANCE |rhs|;
+    ``np.sum`` inner products, so no BLAS call rounds them."""
+    def dot(a, b):
+        return float(np.sum(a * b))
+    x, r = np.zeros_like(rhs), rhs
+    p = z = precondition(r)
+    rz = dot(r, z)
+    stop = PCG_TOLERANCE * math.sqrt(dot(rhs, rhs))
+    for _ in range(PCG_MAX_ITERATIONS):
+        if math.sqrt(dot(r, r)) <= stop:
+            return x
+        q = apply(p)
+        alpha = rz / dot(p, q)
+        x = x + alpha * p
+        r = r - alpha * q
+        z = precondition(r)
+        rz, old_rz = dot(r, z), rz
+        p = z + (rz / old_rz) * p
+    if math.sqrt(dot(r, r)) > stop:
+        raise NonConvergenceError(
+            f"the quadratic-part solve did not reach {PCG_TOLERANCE} "
+            f"in {PCG_MAX_ITERATIONS} conjugate-gradient steps")
+    return x
+
+
 def _quadratic_preconditioner(grid, potential):
-    """LU factorization of stiffness + V-mass, restricted to nodes with
-    positive quadrature weight."""
+    """b -> K^{-1} b for K = A + w V (stiffness plus V-mass), b in grid shape.
+
+    Radial: an LU of K.  Cartesian: A is the cell-centred Neumann Laplacian
+    and w = h^2, so A + s I is diagonal in the 2-D DCT-II, with eigenvalues
+    l_i + l_j + s, l_k = 2 - 2 cos(pi k / n) = 4 sin^2(pi k / 2n) (the form
+    exact for small k).  s = w V solves a constant V exactly; a periodic V
+    runs PCG with s = w times V's mean as the preconditioner, spectrally
+    equivalent to K with condition <= max V / min V (Concus & Golub 1973)."""
     key = ("precond", potential.floor, potential.amplitude)
 
     def build():
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-        w = grid.weights.ravel()
-        interior = np.nonzero(w > 0)[0]
-        a = grids.stiffness_matrix(grid)
-        mass = sp.diags((w * potential.on_grid(grid).ravel()))
-        k = (a + mass).tocsc()[interior][:, interior]
-        # K is symmetric positive definite: a symmetric fill-reducing
-        # ordering with diagonal pivots needs no pivoting for stability
-        return interior, spla.splu(k, permc_spec="MMD_AT_PLUS_A",
-                                   diag_pivot_thresh=0.0,
-                                   options={"SymmetricMode": True})
+        mass = grid.weights * potential.on_grid(grid)
+        if grid.kind == "radial":
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+            k = (grids.stiffness_matrix(grid) + sp.diags(mass)).tocsc()
+            # K is symmetric positive definite: a symmetric fill-reducing
+            # ordering with diagonal pivots needs no pivoting for stability
+            return spla.splu(k, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True}).solve
+        n = grid.resolution
+        eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+        shift = grid.weights[0, 0] * (potential.floor + 0.5 * potential.amplitude)
+        divisor = eig[:, None] + eig[None, :] + shift
+
+        def shifted_solve(b):
+            # the divisor is symmetric, so the transposes cancel
+            return _idct(_idct(_dct(_dct(b).T) / divisor).T)
+        if potential.is_constant:
+            return shifted_solve
+
+        def apply(x):
+            return grids.stiffness_product(grid, x) + mass * x
+        return lambda b: _pcg(apply, shifted_solve, b)
     return grid._cached(key, build)
-
-
-def _apply_preconditioner(grid, potential, values):
-    interior, lu = _quadratic_preconditioner(grid, potential)
-    w = grid.weights.ravel()
-    rhs = (w * values.ravel())[interior]
-    out = np.zeros(grid.num_nodes)
-    out[interior] = lu.solve(rhs)
-    return out.reshape(grid.shape)
 
 
 def _dual_estimate(grid, potential, gradient_values):
@@ -174,7 +240,8 @@ def _dual_estimate(grid, potential, gradient_values):
     Hessian: bounds |<I_V'(u), phi>| for every phi with ||phi||_{1,q(w)} <= 1
     by Cauchy-Schwarz in the K inner product (the 1,q(w) norm dominates the
     K norm).  Returns (estimate, descent direction, slope)."""
-    direction = _apply_preconditioner(grid, potential, gradient_values)
+    direction = _quadratic_preconditioner(grid, potential)(
+        grid.weights * gradient_values)
     slope = float(np.sum(grid.weights * gradient_values * direction))
     return math.sqrt(max(slope, 0.0)), direction, slope
 
@@ -240,16 +307,16 @@ class NewtonRun:
 
 def _newton(u, spec, potential, tolerance):
     """Inexact Newton on I_V'(u) = 0 from u.  Each step solves the second
-    variation system I_V''(u) d = -I_V'(u) on the nodes of positive weight
-    by MINRES, preconditioned by the quadratic-part LU, to the relative
-    residual NEWTON_FORCING (Dembo, Eisenstat & Steihaug 1982), then
-    projects u + d onto u >= 0, as the descent step does.
+    variation system I_V''(u) d = -I_V'(u) by MINRES, preconditioned by
+    the quadratic-part solve, to the relative residual NEWTON_FORCING
+    (Dembo, Eisenstat & Steihaug 1982), then projects u + d onto u >= 0,
+    as the descent step does.
 
     The run is accepted when it meets the tolerance within NEWTON_MAX_STEPS
     steps, at a state where no node saturates and whose level lies in the
     compactness window (0, 1/2)."""
     grid = u.grid
-    interior, lu = _quadratic_preconditioner(grid, potential)
+    precondition = _quadratic_preconditioner(grid, potential)
     iterates = []
     products = 0
     while True:
@@ -257,19 +324,12 @@ def _newton(u, spec, potential, tolerance):
         residual, _, _ = _dual_estimate(grid, potential, lin.gradient.values)
         if residual <= tolerance or len(iterates) == NEWTON_MAX_STEPS:
             break
-
-        def apply(x):
-            full = np.zeros(grid.num_nodes)
-            full[interior] = x
-            return energy.hessian_product(
-                lin, full.reshape(grid.shape)).ravel()[interior]
-        rhs = -(grid.weights * lin.gradient.values).ravel()[interior]
-        step, used, _ = _minres(apply, lu.solve, rhs, NEWTON_FORCING,
+        rhs = -(grid.weights * lin.gradient.values)
+        step, used, _ = _minres(functools.partial(energy.hessian_product, lin),
+                                precondition, rhs, NEWTON_FORCING,
                                 MINRES_MAX_ITERATIONS)
         products += used
-        vals = u.values.ravel().copy()
-        vals[interior] += step
-        u = grids.GridField(grid, np.maximum(vals, 0.0).reshape(grid.shape))
+        u = grids.GridField(grid, np.maximum(u.values + step, 0.0))
         iterates.append(u)
         if (not np.all(np.isfinite(u.values))
                 or np.any(nl.saturation_mask(spec, u.values))):
@@ -350,7 +410,6 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         xatol = min(1e-3, 1e-2 * residual)
         for _ in range(40):
             trial_vals = np.maximum(u.values - eta * direction, 0.0)
-            trial_vals[grid.weights == 0] = 0.0
             trial = grids.GridField(grid, trial_vals)
             t, trial_level = energy.ray_max(trial, scale, lo, hi, xatol,
                                             spec, potential)
@@ -452,16 +511,16 @@ def ps_diagnostics(trace, spec: nl.NonlinearitySpec,
 # ---------------------------------------------------------------------------
 
 def _lattice_centers(radius: float):
+    """The integer points of the square [-R, R]^2, in lattice order."""
     k = int(math.floor(radius))
     axis = np.arange(-k, k + 1)
     cx, cy = np.meshgrid(axis, axis, indexing="ij")
-    keep = cx**2 + cy**2 <= radius**2
-    return np.column_stack([cx[keep], cy[keep]])
+    return np.column_stack([cx.ravel(), cy.ravel()])
 
 
 def _lattice_masses(u: grids.GridField, r: float):
     """(centers, masses): int_{B_r(center)} u^2 dx for every integer-lattice
-    center inside the domain of a cartesian field.  Each center tests only
+    center in the square of a cartesian field.  Each center tests only
     the square window of nodes that holds its ball, with a node to spare on
     every side."""
     grid = u.grid
@@ -487,6 +546,7 @@ def vanishing_check(u: grids.GridField, r: float) -> float:
     if grid.kind == "radial":
         mass = grid.weights * u.values**2
         centers = _lattice_centers(grid.domain_radius)
+        centers = centers[np.sum(centers**2, axis=1) <= grid.domain_radius**2]
         dists = np.unique(np.hypot(centers[:, 0], centers[:, 1]))
         s = grid.nodes
         best = 0.0
@@ -533,7 +593,6 @@ def recenter(u: grids.GridField, potential: PeriodicCoefficient,
     shift = (-int(best_center[0]), -int(best_center[1]))
     rolled = np.roll(u.values, (shift[0] * cells_per_unit,
                                 shift[1] * cells_per_unit), axis=(0, 1))
-    rolled[grid.weights == 0] = 0.0
     shifted = grids.GridField(grid, rolled)
     before = energy.total_energy(u, spec, potential)
     after = energy.total_energy(shifted, spec, potential)

@@ -22,7 +22,6 @@ from .errors import (DomainError, EmptyFamilyError, GridMismatchError,
 EXP_GUARD = 700.0   # exponents above this are clamped and flagged
 T_INVERSE_TOL = 1e-13       # of radial_map_T_inverse, relative to 1 + s
 T_INVERSE_MAX_ITER = 80
-MAX_WITHIN_BLOCK = 32       # radii of the polar scan evaluated at a time
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +72,11 @@ class PeriodicCoefficient:
         return grid._cached(("coefficient", self.floor, self.amplitude), build)
 
     def max_within(self, radius: float) -> float:
-        """max of the coefficient over the closed disc |x| <= radius, on a
-        polar scan of 512 radii by 4096 angles, MAX_WITHIN_BLOCK radii at a
-        time."""
-        if self.is_constant:
-            return self.floor
-        theta = np.linspace(0.0, 2 * np.pi, 4096)
-        cos, sin = np.cos(theta)[None, :], np.sin(theta)[None, :]
-        rr = np.linspace(0.0, radius, 512)[:, None]
-        return float(np.max([np.max(self(r * cos, r * sin))
-                             for r in np.split(rr, len(rr) // MAX_WITHIN_BLOCK)]))
+        """max of the coefficient over the closed disc |x| <= radius.  On a
+        circle of radius r <= 1/2 the profile is highest on the axes, where
+        it rises with r to its peak floor + amplitude at (1/2, 0); so the
+        max is the value at (min(radius, 1/2), 0)."""
+        return float(self(min(radius, 0.5), 0.0))
 
 
 def norm_1qw(u: grids.GridField, q: float, weight: np.ndarray,

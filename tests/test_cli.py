@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from logchoquard import cli, energy, families, grids, reports, spaces
+from logchoquard import cli, energy, families, grids, reports, solver, spaces
 from logchoquard import nonlinearity as nl
 from logchoquard.config import DEFAULTS, load_config
 from logchoquard.errors import InvalidParameterError, ValidationError
@@ -579,6 +579,17 @@ def test_overflowing_threshold_gives_a_strict_report_and_a_quiet_search(
     assert noisy == []
 
 
+def test_solve_whose_quadratic_solve_misses_its_tolerance_exits_2(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "PCG_MAX_ITERATIONS", 1)
+    path = write_config(tmp_path, BASE + SMALL_SOLVE
+                        + "\n[potential]\namplitude = 0.5\n")
+    assert cli.main(["solve", "--config", path,
+                     "--output", str(tmp_path / "run.json")]) == 2
+    assert "conjugate-gradient steps" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 # scipy itself, every subpackage the package imports, and the four it must
 # never import (its FFTs are numpy's; its PCHIP is an in-package port; its 1D
 # searches and its nonlinearities need neither a scipy optimizer nor
@@ -597,7 +608,7 @@ print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))
     (None, "", []),
     ("check-assumptions", "", []),
     ("kernel-bench", "\n[kernel_bench]\nsizes = 16\n", []),
-    ("solve", SMALL_SOLVE, ["scipy", "scipy.sparse", "scipy.sparse.linalg"]),
+    ("solve", SMALL_SOLVE, []),
     ("solve", "\n[solver]\ngrid_kind = radial\nresolution = 256\n",
      ["scipy", "scipy.sparse", "scipy.sparse.linalg"]),
     ("verify-embedding", "", []),
@@ -623,27 +634,69 @@ def test_commands_import_only_the_scipy_they_use(tmp_path, command, block,
     assert sorted(present) == sorted(loaded)
 
 
-def test_no_module_imports_scipy_fft_integrate_interpolate_or_optimize():
-    # checked on the source, so that a branch no command takes counts too
+def _package_imports():
+    """(file name, line, imported module, path) for every import statement
+    in the package source, with the path the nodes from the module down to
+    the statement, so that a branch no command takes counts too."""
     package = os.path.dirname(os.path.abspath(cli.__file__))
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(package, name)) as handle:
             tree = ast.parse(handle.read())
-        for node in ast.walk(tree):
+
+        def visit(path):
+            node = path[-1]
             if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
+                for alias in node.names:
+                    yield name, node.lineno, alias.name, path
             elif isinstance(node, ast.ImportFrom) and node.module:
-                imported = [node.module] + [f"{node.module}.{alias.name}"
-                                            for alias in node.names]
-            else:
-                continue
-            for module in imported:
-                assert module.split(".")[:2] not in (
-                    ["scipy", "fft"], ["scipy", "integrate"],
-                    ["scipy", "interpolate"], ["scipy", "optimize"]), \
-                    f"{name}:{node.lineno} imports {module}"
+                yield name, node.lineno, node.module, path
+                for alias in node.names:
+                    yield name, node.lineno, f"{node.module}.{alias.name}", path
+            for child in ast.iter_child_nodes(node):
+                yield from visit(path + (child,))
+        yield from visit((tree,))
+
+
+def test_no_module_imports_scipy_fft_integrate_interpolate_or_optimize():
+    for name, line, module, _ in _package_imports():
+        assert module.split(".")[:2] not in (
+            ["scipy", "fft"], ["scipy", "integrate"],
+            ["scipy", "interpolate"], ["scipy", "optimize"]), \
+            f"{name}:{line} imports {module}"
+
+
+def _in_function(path, function):
+    return any(isinstance(node, ast.FunctionDef) and node.name == function
+               for node in path)
+
+
+def _in_radial_branch(path):
+    radial = ast.dump(ast.parse('grid.kind == "radial"', mode="eval").body)
+    return any(isinstance(node, ast.If) and ast.dump(node.test) == radial
+               and inner in node.body
+               for node, inner in zip(path, path[1:]))
+
+
+def test_scipy_is_imported_only_on_the_radial_path():
+    # a cartesian solve runs on numpy alone: scipy.sparse serves the
+    # radial stiffness matrix and the radial LU, and nothing else
+    allowed = {
+        "grids.py": lambda up: _in_function(up, "stiffness_matrix"),
+        "solver.py": lambda up: (_in_function(up, "_quadratic_preconditioner")
+                                 and _in_radial_branch(up)),
+    }
+    seen = set()
+    for name, line, module, path in _package_imports():
+        if module.split(".")[0] != "scipy":
+            continue
+        assert module in ("scipy.sparse", "scipy.sparse.linalg"), \
+            f"{name}:{line} imports {module}"
+        assert name in allowed and allowed[name](path), \
+            f"{name}:{line} imports {module} off the radial path"
+        seen.add(name)
+    assert seen == set(allowed)
 
 
 def test_field_roundtrip(tmp_path):

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from logchoquard import energy, families, grids, kernel, reports, spaces
 from logchoquard import nonlinearity as nl
 from logchoquard.errors import (GridMismatchError, InvalidParameterError,
-                                LogChoquardError)
+                                LogChoquardError, UnsupportedGridError)
 
 
-def test_cartesian_weights_sum_to_disc_area():
+def test_cartesian_weights_sum_to_square_area():
     g = grids.build_grid("cartesian", 1.0, 16)
-    assert abs(np.sum(g.weights) - np.pi) < 1e-10 * np.pi
+    assert abs(np.sum(g.weights) - 4.0) < 1e-10 * 4.0
 
 
 def test_radial_weights_sum_to_disc_area():
@@ -44,7 +44,7 @@ def test_non_finite_radius_rejected(kind, radius):
 def test_integrate_constant_field():
     g = grids.build_grid("cartesian", 2.0, 64)
     u = grids.GridField(g, np.ones(g.shape))
-    assert abs(grids.integrate(u) - 4 * np.pi) < 1e-8
+    assert abs(grids.integrate(u) - 16.0) < 1e-8
 
 
 def test_integrate_zero_field_with_map():
@@ -389,21 +389,37 @@ def test_cartesian_checkerboard_rayleigh_quotient_is_mesh_scale(radius, n):
     # (0.60, 0.33 and 0.075 / h^2 here); the edge form charges ~8 / h^2
     g = grids.build_grid("cartesian", radius, n)
     i, j = np.indices(g.shape)
-    u = grids.GridField(g, np.where(g.weights > 0, (-1.0) ** (i + j), 0.0))
+    u = grids.GridField(g, (-1.0) ** (i + j))
     quotient = grids.dirichlet_energy(u) / grids.integrate(u, lambda s: s**2)
     assert quotient >= 1.0 / g.spacing**2
+
+
+def cartesian_stiffness(n):
+    """D^T D summed over both axes, with D the forward differences: the
+    edge form of an n x n lattice as a scipy matrix."""
+    step = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    dx, dy = sp.kron(step, sp.identity(n)), sp.kron(sp.identity(n), step)
+    return (dx.T @ dx + dy.T @ dy).tocsr()
 
 
 @pytest.mark.parametrize("n", [8, 33, 128])
 def test_cartesian_matrix_free_energy_equals_stiffness_form(n):
     g = grids.build_grid("cartesian", 3.0, n)
-    a = grids.stiffness_matrix(g)
+    a = cartesian_stiffness(n)
     rng = np.random.default_rng(n)
     for _ in range(5):
         u = grids.GridField(g, rng.normal(size=g.shape))
         flat = u.values.ravel()
-        quadratic = float(flat @ (a @ flat))
+        product = a @ flat
+        quadratic = float(flat @ product)
         assert abs(grids.dirichlet_energy(u) - quadratic) <= 1e-12 * quadratic
+        got = grids.stiffness_product(g, u.values).ravel()
+        assert np.max(np.abs(got - product)) <= 1e-12 * np.max(np.abs(product))
+
+
+def test_stiffness_matrix_is_radial_only():
+    with pytest.raises(UnsupportedGridError):
+        grids.stiffness_matrix(grids.build_grid("cartesian", 3.0, 16))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import scipy.sparse as sp
 
 from logchoquard import energy, families, grids, solver
 from logchoquard import nonlinearity as nl
-from logchoquard.errors import GeometryFailureError, InvalidParameterError
+from logchoquard.errors import (GeometryFailureError, InvalidParameterError,
+                                NonConvergenceError)
 from logchoquard.spaces import PeriodicCoefficient, norm_1qw_sq, norm_V_sq
+from test_grids import cartesian_stiffness
 
 F1 = nl.NonlinearitySpec("exp_minus_one")
 V1 = PeriodicCoefficient(1.0)
@@ -93,11 +95,9 @@ RADIAL_512 = dict(grid_kind="radial", resolution=512)
 
 
 def smooth_directions(grid, rng, n=20):
-    """Random smooth fields, zero where the quadrature weight is."""
-    fields = (families.random_smooth(grid, rng, max_center=0.4 * grid.domain_radius)
-              for _ in range(n))
-    return [grids.GridField(grid, np.where(grid.weights > 0, phi.values, 0.0))
-            for phi in fields]
+    """Random smooth fields."""
+    return [families.random_smooth(grid, rng, max_center=0.4 * grid.domain_radius)
+            for _ in range(n)]
 
 
 @pytest.mark.parametrize("spec, potential, settings", [
@@ -148,6 +148,16 @@ def test_vanishing_check_translated_bump():
     u = families.bump(g, radius=0.5, center=(5.0, 5.0))
     mass = grids.integrate(u, lambda s: s**2)
     assert abs(solver.vanishing_check(u, 1.0) - mass) < 1e-12 * (1 + mass)
+
+
+def test_vanishing_check_and_recenter_see_the_corners_of_the_square():
+    # (7, 7) lies outside the disc |x| <= 8 and inside the square
+    g = grids.build_grid("cartesian", 8.0, 64)
+    u = families.bump(g, radius=0.5, center=(7.0, 7.0))
+    mass = grids.integrate(u, lambda s: s**2)
+    assert mass > 0
+    assert abs(solver.vanishing_check(u, 1.0) - mass) < 1e-12 * mass
+    assert solver.recenter(u, V1, F1).shift == (-7, -7)
 
 
 def test_vanishing_check_radial_profile():
@@ -533,19 +543,23 @@ def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
     assert res.level == res.path_level == start[0]
 
 
+def quadratic_part(grid, potential):
+    """K = A + diag(w V) as a scipy matrix; on cartesian grids A is built
+    here, by scipy."""
+    a = (grids.stiffness_matrix(grid) if grid.kind == "radial"
+         else cartesian_stiffness(grid.resolution))
+    return (a + sp.diags((grid.weights * potential.on_grid(grid)).ravel())).tocsr()
+
+
 @pytest.mark.parametrize("kind, resolution", [("cartesian", 128),
                                               ("radial", 512)])
 def test_preconditioner_lu_solves_the_quadratic_part(kind, resolution):
     grid = grids.build_grid(kind, 16.0, resolution)
-    interior, lu = solver._quadratic_preconditioner(grid, V1)
-    w = grid.weights.ravel()
-    k = (grids.stiffness_matrix(grid) + sp.diags(w * V1.on_grid(grid).ravel())
-         ).tocsr()[interior][:, interior]
-    b = np.random.default_rng(0).standard_normal(len(interior))
-    assert np.linalg.norm(k @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
-    if kind == "cartesian":
-        # a symmetric minimum-degree ordering; COLAMD's LU held 986k
-        assert lu.L.nnz + lu.U.nnz < 600_000
+    solve = solver._quadratic_preconditioner(grid, V1)
+    b = np.random.default_rng(0).standard_normal(grid.shape)
+    k = quadratic_part(grid, V1)
+    assert (np.linalg.norm(k @ solve(b).ravel() - b.ravel())
+            <= 1e-12 * np.linalg.norm(b))
 
 
 @pytest.mark.parametrize("kind, resolution, amplitude",
@@ -557,22 +571,53 @@ def test_minres_meets_the_forcing_term(kind, resolution, amplitude):
                                c_profile=PeriodicCoefficient(1.0, amplitude))
     lin = energy.linearize(families.gaussian(grid, 1.0, amplitude=0.4),
                            spec, potential)
-    interior, lu = solver._quadratic_preconditioner(grid, potential)
+    precondition = solver._quadratic_preconditioner(grid, potential)
 
     def apply(x):
-        full = np.zeros(grid.num_nodes)
-        full[interior] = x
-        return energy.hessian_product(lin, full.reshape(grid.shape)).ravel()[interior]
-    rhs = -(grid.weights * lin.gradient.values).ravel()[interior]
-    x, products, estimate = solver._minres(apply, lu.solve, rhs,
+        return energy.hessian_product(lin, x)
+    rhs = -(grid.weights * lin.gradient.values)
+    x, products, estimate = solver._minres(apply, precondition, rhs,
                                            solver.NEWTON_FORCING, 200)
 
     def dual_norm(r):
-        return np.sqrt(np.sum(r * lu.solve(r)))
+        return np.sqrt(np.sum(r * precondition(r)))
     achieved = dual_norm(rhs - apply(x)) / dual_norm(rhs)
     assert 0 < products < 200
     assert achieved <= solver.NEWTON_FORCING
     assert abs(achieved - estimate) <= 1e-6 * estimate
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 128])
+def test_dct_matches_scipy_and_round_trips(n):
+    import scipy.fft as spfft
+    x = np.random.default_rng(n).standard_normal((3, n))
+    y = solver._dct(x)
+    reference = spfft.dct(x, type=2) / 2
+    assert np.max(np.abs(y - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert np.max(np.abs(solver._idct(y) - x)) <= 1e-14 * np.max(np.abs(x))
+
+
+# odd and even lattices on which a periodic V is not constant at the nodes
+@pytest.mark.parametrize("radius, n", [(16.0, 33), (6.0, 48), (16.0, 128)])
+@pytest.mark.parametrize("amplitude", [0.0, 0.5, 100.0])
+def test_cartesian_quadratic_solve_leaves_a_small_operator_residual(
+        radius, n, amplitude):
+    grid = grids.build_grid("cartesian", radius, n)
+    potential = PeriodicCoefficient(1.0, amplitude)
+    assert np.ptp(potential.on_grid(grid)) > 0 or amplitude == 0.0
+    b = np.random.default_rng(n).standard_normal(grid.shape)
+    x = solver._quadratic_preconditioner(grid, potential)(b)
+    residual = quadratic_part(grid, potential) @ x.ravel() - b.ravel()
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_pcg_that_reaches_its_cap_raises(monkeypatch):
+    monkeypatch.setattr(solver, "PCG_MAX_ITERATIONS", 3)
+    grid = grids.build_grid("cartesian", 6.0, 48)
+    solve = solver._quadratic_preconditioner(grid, PeriodicCoefficient(1.0, 100.0))
+    b = np.random.default_rng(0).standard_normal(grid.shape)
+    with pytest.raises(NonConvergenceError, match="3 conjugate-gradient steps"):
+        solve(b)
 
 
 POWER_EXP = nl.NonlinearitySpec("power_exp", p=2.0, q=2.0)
