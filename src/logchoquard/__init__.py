@@ -17,9 +17,9 @@ from .solver import (PSDiagnostics, RecenterResult, SolverConfig,
                      SolverResult, check_mp_geometry, ps_diagnostics,
                      recenter, solve_mountain_pass, vanishing_check)
 from .spaces import (PeriodicCoefficient, TMValue,
-                     norm_1qw, norm_ruf_sq, norm_V_sq, norm_w0_sq,
+                     norm_1qw, norm_V_sq, norm_w0_sq,
                      radial_map_T, radial_map_T_inverse, radial_map_T_prime,
-                     tm_functional, tm_sup_search, transform_to_unweighted)
+                     tm_functional, tm_sup_search)
 
 __version__ = "0.1.0"
 

@@ -117,6 +117,16 @@ def build_grid(kind: str, domain_radius: float, resolution: int,
         raise InvalidParameterError(
             f"resolution must be >= {MIN_RESOLUTION}, got {resolution}"
         )
+    # the radial weights take r^4 up to R^4 and the cartesian cell-pair
+    # averages divide by h^4, so R and the finest spacing (the first radial
+    # node R / 10n, or the cell h = 2R / n) must have normal 4th powers
+    spacing = (domain_radius / (10.0 * resolution) if kind == "radial"
+               else 2.0 * domain_radius / resolution)
+    for scale in (domain_radius, spacing):
+        if not -1022 <= 4.0 * math.log2(scale) < 1024:
+            raise InvalidParameterError(
+                f"domain_radius {domain_radius} at resolution {resolution} "
+                f"has a length {scale:.3g} whose 4th power is not a normal float")
     if kind == "radial":
         return _build_radial(float(domain_radius), int(resolution), tuple(anchors))
     if kind == "cartesian":

@@ -22,7 +22,7 @@ residual has halved.  K is symmetric positive definite.  On radial grids
 it is factored once per grid by an LU with a symmetric minimum-degree
 ordering and diagonal pivots; on cartesian grids, which cover the square
 with equal weights, a 2-D cosine transform diagonalizes it for constant V
-and preconditions conjugate gradients for a periodic one.
+and preconditions the same MINRES for a periodic one.
 
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
@@ -50,8 +50,8 @@ WITNESS_DOUBLINGS = 60      # doublings of the witness bump's amplitude
 NEWTON_FORCING = 1e-3       # relative MINRES residual of each Newton step
 MINRES_MAX_ITERATIONS = 100
 RAY_BRACKET = (0.5, 1.5)    # ray scales searched for a trial's maximum
-PCG_TOLERANCE = 1e-14       # relative residual of a periodic-V K-solve
-PCG_MAX_ITERATIONS = 500
+K_SOLVE_TOLERANCE = 1e-14   # relative residual of a periodic-V K-solve
+K_SOLVE_MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,9 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
     found by doubling t.  Raises GeometryFailureError when either part
     cannot be certified (e.g. for an inert nonlinearity).
     """
+    # first: on a grid too coarse for the witness disc the probes may vanish
+    # at every node
+    grids.require_plateau_resolution(grid, witness_radius)
     delta0 = math.inf
     for probe in _geometry_probes(grid):
         nrm = math.sqrt(norm_1qw_sq(probe, spec.q, potential))
@@ -129,7 +132,6 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
         raise GeometryFailureError(
             f"no positive energy floor on the rho = {rho_sphere} sphere")
     seed_bump = families.bump(grid, witness_radius)
-    grids.require_plateau_resolution(grid, witness_radius)
     t = 1.0
     for _ in range(WITNESS_DOUBLINGS):
         candidate = seed_bump.with_values(t * seed_bump.values)
@@ -169,33 +171,6 @@ def _idct(y):
     return x
 
 
-def _pcg(apply, precondition, rhs):
-    """Preconditioned conjugate gradients for the symmetric positive
-    definite system apply(x) = rhs, until |residual| <= PCG_TOLERANCE |rhs|;
-    ``np.sum`` inner products, so no BLAS call rounds them."""
-    def dot(a, b):
-        return float(np.sum(a * b))
-    x, r = np.zeros_like(rhs), rhs
-    p = z = precondition(r)
-    rz = dot(r, z)
-    stop = PCG_TOLERANCE * math.sqrt(dot(rhs, rhs))
-    for _ in range(PCG_MAX_ITERATIONS):
-        if math.sqrt(dot(r, r)) <= stop:
-            return x
-        q = apply(p)
-        alpha = rz / dot(p, q)
-        x = x + alpha * p
-        r = r - alpha * q
-        z = precondition(r)
-        rz, old_rz = dot(r, z), rz
-        p = z + (rz / old_rz) * p
-    if math.sqrt(dot(r, r)) > stop:
-        raise NonConvergenceError(
-            f"the quadratic-part solve did not reach {PCG_TOLERANCE} "
-            f"in {PCG_MAX_ITERATIONS} conjugate-gradient steps")
-    return x
-
-
 def _quadratic_preconditioner(grid, potential):
     """b -> K^{-1} b for K = A + w V (stiffness plus V-mass), b in grid shape.
 
@@ -203,8 +178,9 @@ def _quadratic_preconditioner(grid, potential):
     and w = h^2, so A + s I is diagonal in the 2-D DCT-II, with eigenvalues
     l_i + l_j + s, l_k = 2 - 2 cos(pi k / n) = 4 sin^2(pi k / 2n) (the form
     exact for small k).  s = w V solves a constant V exactly; a periodic V
-    runs PCG with s = w times V's mean as the preconditioner, spectrally
-    equivalent to K with condition <= max V / min V (Concus & Golub 1973)."""
+    runs MINRES with s = w times V's mean as the preconditioner, spectrally
+    equivalent to K with condition <= max V / min V (Concus & Golub 1973),
+    and raises NonConvergenceError rather than return a loose solve."""
     key = ("precond", potential.floor, potential.amplitude)
 
     def build():
@@ -231,7 +207,16 @@ def _quadratic_preconditioner(grid, potential):
 
         def apply(x):
             return grids.stiffness_product(grid, x) + mass * x
-        return lambda b: _pcg(apply, shifted_solve, b)
+
+        def solve(b):
+            x, _, residual = _minres(apply, shifted_solve, b, K_SOLVE_TOLERANCE,
+                                     K_SOLVE_MAX_ITERATIONS)
+            if residual > K_SOLVE_TOLERANCE:
+                raise NonConvergenceError(
+                    f"the quadratic-part solve did not reach {K_SOLVE_TOLERANCE} "
+                    f"in {K_SOLVE_MAX_ITERATIONS} MINRES steps")
+            return x
+        return solve
     return grid._cached(key, build)
 
 

@@ -3,8 +3,9 @@ Trudinger-Moser type functionals.
 
 The map ``T(r) = r sqrt(log(e + r))`` turns the log-weighted Sobolev norm
 into an equivalent plain H^1 norm up to the two-sided sandwich
-(1/3) ||u||_w0^2 < ||v||_{H^1}^2 < 2 ||u||_w0^2, which this module
-realizes numerically on radial profiles.
+(1/3) ||u||_w0^2 < ||v||_{H^1}^2 < 2 ||u||_w0^2 for v = u o T^{-1}, which
+this module checks on radial profiles by pulling the H^1 norm of v back
+through T onto the profile's own grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import grids
 from .errors import (DomainError, EmptyFamilyError, GridMismatchError,
-                     InvalidParameterError, NonConvergenceError)
+                     InvalidParameterError, NonConvergenceError,
+                     ResolutionFailureError)
 
 EXP_GUARD = 700.0   # exponents above this are clamped and flagged
 T_INVERSE_TOL = 1e-13       # of radial_map_T_inverse, relative to 1 + s
@@ -109,11 +111,6 @@ def norm_w0_sq(u: grids.GridField, q: float = 2.0) -> float:
     return norm_1qw(u, q, np.log(np.e + u.grid.radii()))
 
 
-def norm_ruf_sq(u: grids.GridField) -> float:
-    """Full Sobolev norm squared ||grad u||^2 + ||u||_2^2."""
-    return grids.dirichlet_energy(u) + grids.integrate(u, lambda s: s**2)
-
-
 def norm_V_sq(u: grids.GridField, potential: PeriodicCoefficient) -> float:
     """||u||_V^2 = ||grad u||^2 + int V u^2 dx."""
     return grids.dirichlet_energy(u) + grids.integrate(
@@ -187,96 +184,24 @@ def transform_bound_chains(r):
     return chain1, chain2
 
 
-def _augment_origin(nodes: np.ndarray, values: np.ndarray):
-    """Prepend r = 0 with the even-extension value (fit a + b r^2)."""
-    r1, r2 = nodes[0], nodes[1]
-    u0 = (values[0] * r2**2 - values[1] * r1**2) / (r2**2 - r1**2)
-    return np.concatenate(([0.0], nodes)), np.concatenate(([u0], values))
-
-
-def _pchip(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Monotone piecewise cubic Hermite interpolant of (x, y) at xi, nan
-    outside [x[0], x[-1]] (Fritsch & Carlson 1980).
-
-    A port of scipy 1.17's ``PchipInterpolator(x, y, extrapolate=False)``
-    that takes scipy's floating-point steps, so its values are scipy's bit
-    for bit: weighted-harmonic-mean inner slopes, zero at a local extremum
-    or flat segment; the shape-preserving one-sided 3-point end slopes; and
-    on [x_i, x_i+1) the power sum c3 + c2 s + c1 s^2 + c0 s^3 in s = xi - x_i.
-    x is strictly increasing with at least 3 nodes.
-    """
-    if len(x) < 3:
-        raise InvalidParameterError("PCHIP needs at least 3 nodes")
-    # flat segments divide by zero in the harmonic mean, which then goes
-    # unused; overflow at extreme magnitudes gives inf or nan, as in scipy
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        h = np.diff(x)
-        m = np.diff(y) / h
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d = np.zeros(len(x))
-        d[1:-1][~flat] = 1.0 / whmean[~flat]
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        c0, c1 = t / h, (m - d[:-1]) / h - t
-        inside = (x[0] <= xi) & (xi <= x[-1])
-        i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
-        s = np.where(inside, xi - x[i], np.nan)
-        s2 = s * s
-        # scipy's order; the sum starts from 0, so a -0.0 term reads 0.0
-        return 0.0 + y[i] + d[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided 3-point end slope, set to 0 where its sign differs from
-    the end segment's and clipped to 3 m0 past a turn (Moler 2004, pchiptx)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def transform_to_unweighted(u: grids.GridField) -> grids.GridField:
-    """Push a radial profile through T: returns v with v(T(r)) = u(r).
-
-    The image lives on a radial grid over [0, T(R)], built once per source
-    grid together with the preimages T^{-1} of its nodes; resampling uses
-    monotone cubic interpolation, which preserves positivity.
-    """
-    if u.grid.kind != "radial":
-        raise GridMismatchError("transform_to_unweighted requires a radial profile")
-
-    def build():
-        image = grids.build_grid("radial", radial_map_T(u.grid.domain_radius),
-                                 u.grid.resolution)
-        r_back = np.clip(radial_map_T_inverse(image.nodes), 0.0,
-                         u.grid.domain_radius)
-        r_back.flags.writeable = False
-        return image, r_back
-
-    image_grid, r_back = u.grid._cached("T_image", build)
-    r_nodes, u_vals = _augment_origin(u.grid.nodes, u.values)
-    return grids.GridField(image_grid, np.nan_to_num(_pchip(r_nodes, u_vals, r_back)))
-
-
-def transform_from_unweighted(v: grids.GridField, target_grid: grids.Grid) -> grids.GridField:
-    """Inverse resampling: u(r) = v(T(r)) on the given radial grid."""
-    if v.grid.kind != "radial" or target_grid.kind != "radial":
-        raise GridMismatchError("transform_from_unweighted requires radial grids")
-    s_nodes, v_vals = _augment_origin(v.grid.nodes, v.values)
-    s = np.clip(radial_map_T(target_grid.nodes), 0.0, v.grid.domain_radius)
-    return grids.GridField(target_grid, np.nan_to_num(_pchip(s_nodes, v_vals, s)))
-
-
 def sandwich_ratio(u: grids.GridField):
-    """(||transformed u||_{H^1}^2, ||u||_{w0}^2, ratio); Eq-level check helper."""
-    v = transform_to_unweighted(u)
-    h1 = norm_ruf_sq(v)
+    """(||v||_{H^1}^2, ||u||_{w0}^2, ratio) for the radial profile u and
+    v = u o T^{-1}.  With s = T(r) the chain rule pulls the H^1 norm of v
+    back onto u's own grid, with no resampling:
+    ||v||_{H^1}^2 = int (u'^2 T/(r T') + u^2 T T'/r) 2 pi r dr,
+    summed with the grid's weights and the 3-point quadratic derivative u'."""
+    if u.grid.kind != "radial":
+        raise GridMismatchError("sandwich_ratio requires a radial profile")
+    r = u.grid.nodes
+    t, tp = radial_map_T(r), radial_map_T_prime(r)
+    du = np.gradient(u.values, r, edge_order=2)
+    h1 = float(np.sum(u.grid.weights
+                      * (du**2 * t / (r * tp) + u.values**2 * t * tp / r)))
     w0 = norm_w0_sq(u)
+    if not min(h1, w0) > 0:
+        raise ResolutionFailureError(
+            f"the profile has zero norm on the radial grid (first node at "
+            f"r = {r[0]:.3g}); refine the grid or lower its radius")
     return h1, w0, h1 / w0
 
 

@@ -175,9 +175,9 @@ def count_calls(monkeypatch, module, name):
     # per ray, 96 samples and the refining search
     ("moser-scan", energy, "total_energy", 447),
     ("check-assumptions", nl, "compute_script_V", 1),
-    # the sandwich grid, its T-image and one anchored grid per Moser cap
+    # the sandwich grid and one anchored grid per Moser cap
     ("verify-embedding", grids, "build_grid",
-     2 + len(DEFAULTS["embedding"]["moser_ns"])),
+     1 + len(DEFAULTS["embedding"]["moser_ns"])),
     # one gradient per descent iteration (11 on the default solve), none
     # again for the converged state
     ("solve", energy, "energy_gradient", 11),
@@ -581,19 +581,54 @@ def test_overflowing_threshold_gives_a_strict_report_and_a_quiet_search(
 
 def test_solve_whose_quadratic_solve_misses_its_tolerance_exits_2(
         tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(solver, "PCG_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(solver, "K_SOLVE_MAX_ITERATIONS", 1)
     path = write_config(tmp_path, BASE + SMALL_SOLVE
                         + "\n[potential]\namplitude = 0.5\n")
     assert cli.main(["solve", "--config", path,
                      "--output", str(tmp_path / "run.json")]) == 2
-    assert "conjugate-gradient steps" in capsys.readouterr().err
+    assert "in 1 MINRES steps" in capsys.readouterr().err
     assert not (tmp_path / "run.json").exists()
 
 
+RESOLUTION = "node(s) inside radius 0.25"
+ZERO_NORM = "zero norm on the radial grid"
+SCALE = "4th power is not a normal float"
+
+
+@pytest.mark.parametrize("command, block, message", [
+    # every probe of the geometry check vanishes at the nodes
+    ("solve", "[solver]\ndomain_radius = 1e6\nresolution = 8", RESOLUTION),
+    ("solve", "[solver]\ngrid_kind = radial\ndomain_radius = 1e6\n"
+     "resolution = 8", RESOLUTION),
+    ("solve", "[solver]\ngrid_kind = radial\ndomain_radius = 1e6\n"
+     "resolution = 4096", RESOLUTION),
+    # the first node lies past every sandwich profile's support
+    ("verify-embedding", "[grid]\ndomain_radius = 1e5", ZERO_NORM),
+    # R^4, or h^4 of the cell-pair averages, overflows or underflows
+    ("solve", "[solver]\ngrid_kind = radial\ndomain_radius = 1e300", SCALE),
+    ("moser-scan", "[grid]\ndomain_radius = 1e300", SCALE),
+    ("verify-embedding", "[grid]\ndomain_radius = 1e300", SCALE),
+    ("solve", "[solver]\ndomain_radius = 1e-100", SCALE),
+    ("kernel-bench", "[kernel_bench]\nbench_radius = 1e-300", SCALE),
+    ("kernel-bench", "[kernel_bench]\nbench_radius = 1e300", SCALE),
+], ids=["solve-cartesian-1e6", "solve-radial-1e6-8", "solve-radial-1e6-4096",
+        "verify-embedding-1e5", "solve-radial-1e300", "moser-scan-1e300",
+        "verify-embedding-1e300", "solve-1e-100", "kernel-bench-1e-300",
+        "kernel-bench-1e300"])
+def test_grids_out_of_scale_or_unresolved_exit_2(tmp_path, capsys, command,
+                                                 block, message):
+    path = write_config(tmp_path, BASE + "\n" + block + "\n")
+    assert cli.main([command, "--config", path,
+                     "--output", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out.json").exists()
+
+
 # scipy itself, every subpackage the package imports, and the four it must
-# never import (its FFTs are numpy's; its PCHIP is an in-package port; its 1D
-# searches and its nonlinearities need neither a scipy optimizer nor
-# quadrature)
+# never import (its FFTs are numpy's; its norm sandwich interpolates
+# nothing; its 1D searches and its nonlinearities need neither a scipy
+# optimizer nor quadrature)
 PROBED_SCIPY = ("scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg",
                 "scipy.integrate", "scipy.interpolate", "scipy.optimize")
 IMPORT_PROBE = """

@@ -41,6 +41,23 @@ def test_non_finite_radius_rejected(kind, radius):
         grids.build_grid(kind, radius, 16)
 
 
+# at 16 nodes the cartesian cell is R / 8 and the first radial node R / 160;
+# R, and that length, must have a 4th power in [2^-1022, 2^1024)
+@pytest.mark.parametrize("kind, radius, builds", [
+    ("cartesian", 2.0**255, True), ("cartesian", 2.0**256, False),
+    ("radial", 2.0**255, True), ("radial", 2.0**256, False),
+    ("cartesian", 2.0**-250, True), ("radial", 2.0**-248, True),
+    ("radial", 2.0**-250, False), ("cartesian", 2.0**-253, False),
+])
+def test_radius_and_spacing_must_have_normal_fourth_powers(kind, radius,
+                                                           builds):
+    if builds:
+        assert np.all(grids.build_grid(kind, radius, 16).weights > 0)
+    else:
+        with pytest.raises(InvalidParameterError, match="4th power"):
+            grids.build_grid(kind, radius, 16)
+
+
 def test_integrate_constant_field():
     g = grids.build_grid("cartesian", 2.0, 64)
     u = grids.GridField(g, np.ones(g.shape))

@@ -59,9 +59,6 @@ ALLOWED = {
     "kernel.kernel_split": "the split log(1/r) = log(1+1/r) - log(1+r); "
                            "test_c01_kernel_split_identity compares it with "
                            "log(1/r)",
-    "spaces.transform_from_unweighted": "the inverse of the T resampling; "
-                                        "test_transform_roundtrip compares "
-                                        "the round trip with the input",
     "reports.load_field": "reads .field files back; test_field_roundtrip "
                           "compares them with the saved field, and perfbench "
                           "reads them",

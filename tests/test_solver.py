@@ -612,11 +612,11 @@ def test_cartesian_quadratic_solve_leaves_a_small_operator_residual(
 
 
 def test_pcg_that_reaches_its_cap_raises(monkeypatch):
-    monkeypatch.setattr(solver, "PCG_MAX_ITERATIONS", 3)
+    monkeypatch.setattr(solver, "K_SOLVE_MAX_ITERATIONS", 3)
     grid = grids.build_grid("cartesian", 6.0, 48)
     solve = solver._quadratic_preconditioner(grid, PeriodicCoefficient(1.0, 100.0))
     b = np.random.default_rng(0).standard_normal(grid.shape)
-    with pytest.raises(NonConvergenceError, match="3 conjugate-gradient steps"):
+    with pytest.raises(NonConvergenceError, match="in 3 MINRES steps"):
         solve(b)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from logchoquard import energy, families, grids, spaces
 from logchoquard.errors import (DomainError, EmptyFamilyError,
-                                InvalidParameterError)
+                                ResolutionFailureError)
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +66,6 @@ def test_pointwise_bound_chains():
     assert np.all(chain2[0] < chain2[1]) and np.all(chain2[1] < chain2[2])
 
 
-def test_transform_zero_field(rgrid):
-    v = spaces.transform_to_unweighted(grids.zero_field(rgrid))
-    assert np.all(v.values == 0.0)
-
-
 def test_norm_sandwich_family(rgrid):
     slack = 1.02
     for name, u in families.sandwich_family(rgrid):
@@ -80,48 +75,58 @@ def test_norm_sandwich_family(rgrid):
         assert h1 > w0 / 3.0 / slack, (name, ratio)
 
 
-def test_transform_roundtrip(rgrid):
-    u = families.gaussian(rgrid, 1.3)
-    v = spaces.transform_to_unweighted(u)
-    back = spaces.transform_from_unweighted(v, rgrid)
-    scale = np.max(np.abs(u.values))
-    assert np.max(np.abs(back.values - u.values)) < 1e-3 * scale
+def gaussian_h1_of_image(sigma, radius):
+    """||v||_{H^1}^2 over the image of [0, radius] for v = u o T^{-1} and
+    u = exp(-(r/sigma)^2), from the exact u' by 20-point Gauss-Legendre on
+    2000 panels (equal to a 4M-point Simpson sum to rounding)."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, radius, 2001)
+    half = 0.5 * np.diff(edges)[:, None]
+    r = (edges[:-1, None] + half * (1.0 + x)).ravel()
+    u = np.exp(-(r / sigma) ** 2)
+    du = -2.0 * r / sigma**2 * u
+    t, tp = spaces.radial_map_T(r), spaces.radial_map_T_prime(r)
+    return float(np.sum((half * w).ravel() * 2.0 * np.pi
+                        * (du**2 * t / tp + u**2 * t * tp)))
 
 
-def _pchip_cases():
-    """(x, y, xi): random data at magnitudes 1e-300 to 1e290, integer data
-    with flat segments and sign changes, monotone data, a Gaussian on
-    radial nodes with the origin prepended, and the fewest nodes; queried
-    on every node and end, between nodes, just and far outside, at +-inf
-    and at nan."""
-    rng = np.random.default_rng(7)
-    nodes = grids.build_grid("radial", 10.0, 64).nodes
-    data = [spaces._augment_origin(nodes, np.exp(-nodes**2))]
-    for k in range(80):
-        n = 3 if k % 10 == 0 else int(rng.integers(4, 40))
-        x = np.cumsum(rng.uniform(0.01, 2.0, n)) - rng.uniform(0.0, 5.0)
-        data.append((x, (rng.normal(size=n) * 10.0 ** rng.integers(-300, 290),
-                         np.round(2.0 * rng.normal(size=n)),
-                         np.cumsum(rng.uniform(0.0, 1.0, n)))[k % 3]))
-    for x, y in data:
-        yield x, y, np.concatenate((
-            x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 40),
-            [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
-             -np.inf, np.inf, np.nan]))
+@pytest.mark.parametrize("sigma", [0.5, 1.2, 3.0])
+def test_sandwich_pullback_matches_a_fine_quadrature(sigma):
+    grid = grids.build_grid("radial", 20.0, 2048)
+    h1, _, _ = spaces.sandwich_ratio(families.gaussian(grid, sigma))
+    exact = gaussian_h1_of_image(sigma, 20.0)
+    assert abs(h1 / exact - 1.0) <= 1e-6
 
 
-def test_pchip_is_scipy_pchip_bit_for_bit():
+def resampled_h1(u):
+    """The H^1 norm of v = u o T^{-1} by the other discretization: u is
+    extended evenly to r = 0, resampled by scipy's PCHIP at the preimages
+    of a radial grid over [0, T(R)], and normed on that grid."""
     from scipy.interpolate import PchipInterpolator
-    for x, y, xi in _pchip_cases():
-        expected = PchipInterpolator(x, y, extrapolate=False)(xi)
-        assert np.array_equal(spaces._pchip(x, y, xi), expected,
-                              equal_nan=True)
+    grid = u.grid
+    image = grids.build_grid("radial", spaces.radial_map_T(grid.domain_radius),
+                             grid.resolution)
+    r_back = np.clip(spaces.radial_map_T_inverse(image.nodes), 0.0,
+                     grid.domain_radius)
+    (r1, r2), (u1, u2) = grid.nodes[:2], u.values[:2]
+    u0 = (u1 * r2**2 - u2 * r1**2) / (r2**2 - r1**2)
+    with np.errstate(over="ignore"):    # slopes of a tail that underflows
+        v = PchipInterpolator(np.concatenate(([0.0], grid.nodes)),
+                              np.concatenate(([u0], u.values)))(r_back)
+    v = grids.GridField(image, v)
+    return grids.dirichlet_energy(v) + grids.integrate(v, lambda s: s**2)
 
 
-def test_pchip_needs_three_nodes():
-    with pytest.raises(InvalidParameterError):
-        spaces._pchip(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                      np.array([0.5]))
+def test_sandwich_pullback_agrees_with_resampling_onto_the_image_grid():
+    grid = grids.build_grid("radial", 20.0, 2048)
+    for name, u in families.sandwich_family(grid):
+        h1, _, _ = spaces.sandwich_ratio(u)
+        assert abs(resampled_h1(u) / h1 - 1.0) <= 3e-4, name
+
+
+def test_sandwich_of_a_vanishing_profile_raises(rgrid):
+    with pytest.raises(ResolutionFailureError):
+        spaces.sandwich_ratio(grids.zero_field(rgrid))
 
 
 def test_norm_1qw_zero(rgrid):
