@@ -5,7 +5,7 @@ Moser-sequence level estimates and a mountain-pass solver."""
 from .energy import (EnergyBreakdown, MoserCap, RayAnalysis,
                      delta_n_closed_form, energy_IV, energy_gradient,
                      moser_cap, moser_grid, mp_level_upper_bound,
-                     ray_analysis, total_energy)
+                     ray_analysis, ray_energy, total_energy)
 from .grids import (Grid, GridField, build_grid, dirichlet_energy,
                     field_from_radial, integrate, zero_field)
 from .kernel import (KernelForm, bilinear_direct_many, bilinear_fast,

@@ -68,19 +68,40 @@ def energy_IV(u: grids.GridField, spec: nl.NonlinearitySpec,
                            total=quadratic - form.b0 / FOUR_PI)
 
 
+def _frak(u: grids.GridField, spec: nl.NonlinearitySpec) -> float:
+    """B0(c F(u), c F(u)); nan or +-inf where the pairing overflows."""
+    density = grids.GridField(u.grid, compose_density(u, spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kernel.b0_form(density, density)
+
+
 def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
                  potential: PeriodicCoefficient) -> float:
     """I_V(u) through the cheapest B0 route (no near/far split); agrees
     with energy_IV(...).total to rounding.  Where u is so large that the
     B0 pairing overflows (to +-inf, or nan where +inf meets -inf), the level
     is -inf, the rank ``ray_max`` gives every non-finite value."""
-    density = grids.GridField(u.grid, compose_density(u, spec))
-    with np.errstate(over="ignore", invalid="ignore"):
-        frak = kernel.b0_form(density, density)
+    frak = _frak(u, spec)
     if not math.isfinite(frak):
         return -math.inf
     quadratic = 0.5 * norm_V_sq(u, potential)
     return quadratic - frak / FOUR_PI
+
+
+def ray_energy(v: grids.GridField, spec: nl.NonlinearitySpec,
+               potential: PeriodicCoefficient):
+    """t -> I_V(t v) along the ray through v.  The quadratic part is
+    t^2 (1/2) ||v||_V^2, computed once per ray, so each level costs one B0
+    self-pairing; the level agrees with ``total_energy(t v)`` to rounding,
+    and is -inf where the pairing overflows, as there."""
+    quadratic = 0.5 * norm_V_sq(v, potential)
+
+    def level_at(t):
+        frak = _frak(v.with_values(t * v.values), spec)
+        if not math.isfinite(frak):
+            return -math.inf
+        return t * t * quadratic - frak / FOUR_PI
+    return level_at
 
 
 def _gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
@@ -218,24 +239,22 @@ def _stationarity_residuals(u: grids.GridField, spec, potential, t_star: float):
     return res1, res2
 
 
-def ray_max(v, t0, lo, hi, xatol, spec, potential):
-    """(t*, level) maximizing I_V(t v) over t in [lo, hi], searched from the
-    predicted scale t0; level is I_V(t* v) as ``total_energy`` gives it.
+def ray_max(level_at, t0, lo, hi, xatol):
+    """(t*, level) maximizing level_at(t) over t in [lo, hi], searched from
+    the predicted scale t0; level is level_at(t*).  On a ray through v,
+    level_at is ``ray_energy(v, spec, potential)``.
 
     A walk brackets the maximum: it evaluates t0 - s, t0, t0 + s with
     s = RAY_WALK_STEP and, while an end is higher than the middle, shifts
     the triple that way and doubles s.  When the highest end is lo or hi,
     the gap between it and the middle is halved until a trial beats the
     edge; once the gap is at most xatol the edge is returned, so the caller
-    sees an edge maximum.  I_V overflows to a non-finite value where t v
-    saturates strongly: such a value ranks below every finite one, and a
-    triple with no finite value walks toward lo.  Inside the bracket,
+    sees an edge maximum.  A non-finite level (I_V overflows where t v
+    saturates strongly) ranks below every finite one, and a triple with no
+    finite value walks toward lo.  Inside the bracket,
     safeguarded parabolic steps (Brent 1973, ch. 5) refine the best point;
     every trial keeps xatol/2 from the best point and from the ends, and
     the search stops once the bracket is at most 2 xatol wide."""
-    def level_at(t):
-        return total_energy(v.with_values(t * v.values), spec, potential)
-
     def rank(level):
         return level if math.isfinite(level) else -math.inf
 
@@ -317,28 +336,27 @@ def ray_max(v, t0, lo, hi, xatol, spec, potential):
 def ray_analysis(u: grids.GridField, spec: nl.NonlinearitySpec,
                  potential: PeriodicCoefficient, t_max: float = 4.0,
                  samples: int = 96) -> RayAnalysis:
-    """Sample t -> I_V(t u) on a log-uniform grid, refine the maximum by
-    ``ray_max`` between the neighbours of the best sample and record the
-    stationarity residuals.  The refinement asks for 1e-7 in t: a search
-    by values alone places a maximum no closer than about
-    sqrt(rounding / curvature), near 1e-6 on the Moser rays, so a smaller
-    tolerance buys nothing."""
+    """Sample t -> I_V(t u) (``ray_energy``) on a log-uniform grid, refine
+    the maximum by ``ray_max`` between the neighbours of the best sample to
+    1e-7 in t, and record the stationarity residuals.  The quadratic part
+    is t^2 times one sum, so its rounding does not jitter with t as that of
+    a fresh ||t u||_V^2 does; on the default Moser rays t* lies within
+    2.5e-8 of the root of the ray slope."""
     if samples < MIN_RAY_SAMPLES:
         raise InvalidParameterError(
             f"ray analysis needs at least {MIN_RAY_SAMPLES} samples")
     if t_max <= 0 or not np.any(u.values != 0):
         raise InvalidParameterError("need t_max > 0 and a nonzero direction")
     ts = np.geomspace(1e-3, t_max, samples)
-    energies = np.array([
-        total_energy(u.with_values(t * u.values), spec, potential)
-        for t in ts])
+    level_at = ray_energy(u, spec, potential)
+    energies = np.array([level_at(t) for t in ts])
     k = int(np.argmax(energies))
     if k == samples - 1 and energies[-1] > energies[-2]:
         raise NoInteriorMaxError(
             f"I_V(t u) is still increasing at t_max = {t_max}; raise t_max")
     lo, t0, hi = (float(ts[j])
                   for j in (max(k - 1, 0), k, min(k + 1, samples - 1)))
-    t_star, max_val = ray_max(u, t0, lo, hi, 1e-7, spec, potential)
+    t_star, max_val = ray_max(level_at, t0, lo, hi, 1e-7)
     if energies[k] > max_val:
         t_star, max_val = float(ts[k]), float(energies[k])
     ts = np.append(ts, t_star)

@@ -263,10 +263,15 @@ def b0_potential(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
 def b0_form(u: grids.GridField, v: grids.GridField) -> float:
     """B0(u, v) alone, by the cheapest fast route.  On cartesian grids the
     spectra are paired by Parseval, with no inverse transform (one forward
-    transform when ``v is u``); radial grids pair u with ``b0_potential``."""
+    transform when ``v is u``).  Radial grids pair u with ``b0_potential``;
+    when ``v is u`` the pairing is one prefix sum: with m = w * u and
+    M = cumsum(m), B0(u, u) = -sum_i log(r_i) m_i (2 M_i - m_i)."""
     grids.require_same_grid(u, v)
     grid = u.grid
     if grid.kind != "cartesian":
+        if v is u:
+            m = grid.weights * u.values
+            return float(-np.sum(np.log(grid.nodes) * m * (2.0 * np.cumsum(m) - m)))
         return float(np.sum(grid.weights * u.values * b0_potential(grid, v.values)))
     return float(np.sum(_fft_kernels(grid)[2]["B0"] * _cross_spectrum(u, v)))
 

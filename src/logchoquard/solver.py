@@ -40,7 +40,7 @@ import numpy as np
 from . import energy, families, grids
 from . import nonlinearity as nl
 from .errors import (GeometryFailureError, InvalidParameterError,
-                     NonConvergenceError)
+                     NonConvergenceError, ResolutionFailureError)
 from .spaces import PeriodicCoefficient, norm_1qw_sq
 
 TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
@@ -125,8 +125,13 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
     grids.require_plateau_resolution(grid, witness_radius)
     delta0 = math.inf
     for probe in _geometry_probes(grid):
-        nrm = math.sqrt(norm_1qw_sq(probe, spec.q, potential))
-        scaled = probe.with_values(probe.values * (rho_sphere / nrm))
+        nrm_sq = norm_1qw_sq(probe, spec.q, potential)
+        if not nrm_sq > 0:
+            # rounding of the Dirichlet form outweighs a mass of order R^2
+            raise ResolutionFailureError(
+                f"a geometry probe has squared norm {nrm_sq:.3g} <= 0 on a "
+                f"grid of radius {grid.domain_radius:g}")
+        scaled = probe.with_values(probe.values * (rho_sphere / math.sqrt(nrm_sq)))
         delta0 = min(delta0, energy.total_energy(scaled, spec, potential))
     if not delta0 > 0:
         raise GeometryFailureError(
@@ -342,7 +347,8 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     delta0, witness = check_mp_geometry(
         spec, potential, grid, rho_sphere=config.rho_sphere,
         witness_radius=config.witness_radius)
-    t, level = energy.ray_max(witness, 0.5, 0.0, 1.0, 1e-3, spec, potential)
+    t, level = energy.ray_max(energy.ray_energy(witness, spec, potential),
+                              0.5, 0.0, 1.0, 1e-3)
     u = witness.with_values(t * witness.values)
 
     ps_trace = []
@@ -396,8 +402,8 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         for _ in range(40):
             trial_vals = np.maximum(u.values - eta * direction, 0.0)
             trial = grids.GridField(grid, trial_vals)
-            t, trial_level = energy.ray_max(trial, scale, lo, hi, xatol,
-                                            spec, potential)
+            t, trial_level = energy.ray_max(
+                energy.ray_energy(trial, spec, potential), scale, lo, hi, xatol)
             scaled = t * trial_vals
             # a maximum on the bracket edge is not a ray maximum, and one
             # that saturates a node is decided by the clamp: Newton rejects

@@ -18,6 +18,7 @@ from logchoquard import (cli, energy, families, grids, kernel, solver,
                          spaces)
 from logchoquard import nonlinearity as nl
 from logchoquard.spaces import PeriodicCoefficient
+from test_cli import count_energy_evaluations
 
 F1 = nl.NonlinearitySpec("exp_minus_one")
 F2 = nl.NonlinearitySpec("power_exp", p=2.0, q=2.0)
@@ -277,6 +278,8 @@ RADIAL_P1_LEVEL = 0.078195
 # instead of running Brent over [1/2, 3/2] take the same iterations and
 # Newton steps with 86 total_energy calls, and 86 + 12 gradients + 3
 # linearizations + 15 Hessian products = 116 evaluations (budgets: +7%).
+# Ray levels now come from ``ray_energy`` closures; their calls and the
+# total_energy calls are 86 energy evaluations again.
 C12_ENERGY_BUDGET = 92
 C12_EVALUATION_BUDGET = 124
 
@@ -310,7 +313,7 @@ def test_c12_level_and_energy_budget(tmp_path, monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return function(*args)
         monkeypatch.setattr(energy, name, counted)
-    counting("total_energy")
+    energies = count_energy_evaluations(monkeypatch)
     counting("energy_gradient")
     counting("linearize")
     counting("hessian_product")
@@ -321,14 +324,14 @@ def test_c12_level_and_energy_budget(tmp_path, monkeypatch):
     assert res["converged"] is True
     rel = abs(res["level"] - RADIAL_P1_LEVEL) / RADIAL_P1_LEVEL
     assert rel <= 0.01
-    assert calls["total_energy"] <= C12_ENERGY_BUDGET
-    evaluations = sum(calls.values())
+    assert len(energies) <= C12_ENERGY_BUDGET
+    evaluations = len(energies) + sum(calls.values())
     assert evaluations <= C12_EVALUATION_BUDGET
     assert res["newton_steps"] <= 4
     assert res["hessian_products"] == calls["hessian_product"]
     print(f"ACCEPTANCE 12b PASS: h = 0.25 lattice level {res['level']:.6f} "
           f"within {100 * rel:.2f}% of the radial P1 level {RADIAL_P1_LEVEL}; "
-          f"{calls['total_energy']} energy evaluations <= {C12_ENERGY_BUDGET}, "
+          f"{len(energies)} energy evaluations <= {C12_ENERGY_BUDGET}, "
           f"{evaluations} with gradients and Hessian products <= "
           f"{C12_EVALUATION_BUDGET}")
 

@@ -9,7 +9,7 @@ from logchoquard import energy, families, grids, kernel
 from logchoquard import nonlinearity as nl
 from logchoquard.errors import (EmptyFamilyError, InvalidParameterError,
                                 ResolutionFailureError)
-from logchoquard.spaces import PeriodicCoefficient
+from logchoquard.spaces import PeriodicCoefficient, norm_V_sq
 
 F1 = nl.NonlinearitySpec("exp_minus_one")
 F2 = nl.NonlinearitySpec("power_exp", p=2.0, q=2.0)
@@ -253,6 +253,40 @@ def test_ray_analysis_moser():
     up = energy.total_energy(w.with_values((ray.t_star + h) * w.values), F1, V1)
     um = energy.total_energy(w.with_values((ray.t_star - h) * w.values), F1, V1)
     assert abs((up - um) / (2 * h)) < 1e-4 * (1 + abs(ray.max_value))
+
+
+def _moser_direction(n):
+    """The normalized Moser cap w_n on its 2048-node anchored grid."""
+    cap, w = energy.moser_cap(n, 0.5, energy.moser_grid(n, 0.5))
+    return w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
+
+
+@pytest.mark.parametrize("direction", [
+    lambda: families.bump(grids.build_grid("cartesian", 6.0, 48), 0.5,
+                          amplitude=0.6),
+    lambda: families.bump(grids.build_grid("radial", 6.0, 512), 0.5,
+                          amplitude=0.6),
+    lambda: _moser_direction(16),
+], ids=["cartesian-48", "radial-512", "moser-2048"])
+def test_ray_energy_is_total_energy_along_the_ray(direction):
+    # ray_energy takes total_energy's B0 self-pairing and t^2 (1/2)||v||_V^2
+    # for the quadratic part.  Where t v is exact (t a power of two) the two
+    # levels are equal.  Elsewhere they differ by the rounding of
+    # ||t v||_V^2 alone: the radial band product cancels in the stiffness
+    # rows, to 5.3e-11 relative on the Moser cap, so total_energy's
+    # quadratic part is noisy in t while the closure's is t^2 times one value
+    v = direction()
+    level_at = energy.ray_energy(v, F1, V1)
+    half_norm = 0.5 * norm_V_sq(v, V1)
+    for t in (0.25, 0.5, 1.0):
+        assert level_at(t) == energy.total_energy(v.with_values(t * v.values),
+                                                  F1, V1)
+    for t in (0.3, 0.7, 0.9, 1.2):
+        tv = v.with_values(t * v.values)
+        expected = energy.total_energy(tv, F1, V1)
+        rounding = t * t * half_norm - 0.5 * norm_V_sq(tv, V1)
+        assert abs(rounding) <= 1e-10 * t * t * half_norm
+        assert abs(level_at(t) - expected - rounding) <= 1e-13 * abs(expected)
 
 
 def test_ray_analysis_no_interior_max(rgrid, monkeypatch):

@@ -248,6 +248,32 @@ def test_radial_b0_potential_matches_dense_ring_coupling(n, radius, anchor_fracs
     assert np.all(np.abs(kernel.b0_potential(g, density) - dense) <= bound)
 
 
+RADIAL_FIELDS = {
+    "uniform": lambda r: np.random.default_rng(1).random(r.size),
+    "normal": lambda r: np.random.default_rng(2).standard_normal(r.size),
+    "gaussian-0.5": lambda r: np.exp(-(r / 0.5) ** 2),
+    "gaussian-1": lambda r: np.exp(-r**2),
+    "gaussian-2": lambda r: np.exp(-(r / 2.0) ** 2),
+}
+
+
+@pytest.mark.parametrize("n, radius", [(512, 16.0), (2048, 20.0)])
+@pytest.mark.parametrize("field", sorted(RADIAL_FIELDS))
+def test_radial_self_pairing_is_one_prefix_sum(n, radius, field):
+    # B0(u, u) = -sum_i log(r_i) m_i (2 M_i - m_i) with m = w u and
+    # M = cumsum(m): within 2e-14 of that sum in long double, and equal to
+    # rounding to the pairing of u with b0_potential, the route of v != u
+    g = grids.build_grid("radial", radius, n)
+    u = grids.GridField(g, RADIAL_FIELDS[field](g.nodes))
+    value = kernel.b0_form(u, u)
+    m = g.weights.astype(np.longdouble) * u.values.astype(np.longdouble)
+    log_r = np.log(g.nodes.astype(np.longdouble))
+    exact = -np.sum(log_r * m * (2 * np.cumsum(m) - m))
+    assert abs(value - exact) <= 2e-14 * abs(exact)
+    paired = kernel.b0_form(u, u.with_values(u.values.copy()))
+    assert value == pytest.approx(paired, rel=1e-13)
+
+
 def test_zero_fields_give_zero_forms():
     g = grids.build_grid("cartesian", 2.0, 16)
     z = grids.zero_field(g)

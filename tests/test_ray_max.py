@@ -1,9 +1,6 @@
-"""The ray search ``energy.ray_max`` on rays whose level is a known function
-of the scale t.
-
-``energy.total_energy`` is replaced by the objective and the ray by a stand-in
-whose point t v is the number t, so each level is exact and the maximum is
-known in closed form.
+"""The ray search ``energy.ray_max`` on objectives that are known functions
+of the scale t, so each level is exact and the maximum is known in closed
+form.
 """
 
 import math
@@ -16,24 +13,14 @@ from logchoquard import energy
 XATOLS = [1e-3, 1e-7, 1e-10]
 
 
-class Ray:
-    """A stand-in ray: its point t v is the number t."""
-    values = 1.0
-
-    def with_values(self, values):
-        return values
-
-
 def search(func, t0, lo, hi, xatol):
     """ray_max of func over [lo, hi] from t0, and the scales it tried."""
     trials = []
 
-    def level_at(t, spec, potential):
+    def level_at(t):
         trials.append(t)
         return func(t)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(energy, "total_energy", level_at)
-        t, level = energy.ray_max(Ray(), t0, lo, hi, xatol, None, None)
+    t, level = energy.ray_max(level_at, t0, lo, hi, xatol)
     return t, level, trials
 
 

@@ -327,15 +327,16 @@ def test_ray_max_of_the_witness_is_interior(kind, resolution):
     grid = grids.build_grid(kind, 6.0, resolution)
     delta0, witness = solver.check_mp_geometry(F1, V1, grid=grid)
     xatol = 1e-6
-    t, level = energy.ray_max(witness, 0.5, 0.0, 1.0, xatol, F1, V1)
+    level_at = energy.ray_energy(witness, F1, V1)
+    t, level = energy.ray_max(level_at, 0.5, 0.0, 1.0, xatol)
     # the ray crosses the sphere on which I_V >= delta0 before it reaches
     # the negative energy at the witness
     assert 0.0 + xatol < t < 1.0 - xatol and level >= delta0 > 0.0
     u = witness.with_values(t * witness.values)
-    assert level == energy.total_energy(u, F1, V1)
+    assert level == level_at(t)
+    assert level == pytest.approx(energy.total_energy(u, F1, V1), rel=1e-13)
     for s in (t - 1e-2, t + 1e-2):
-        assert energy.total_energy(witness.with_values(s * witness.values),
-                                   F1, V1) < level
+        assert level_at(s) < level
     lin = energy.linearize(u, F1, V1)
     curvature = float(np.sum(u.values * energy.hessian_product(lin, u.values)))
     assert curvature < 0
@@ -352,62 +353,56 @@ def test_ray_max_past_the_bracket_lands_on_its_edge(kind, resolution, peak):
     # descent does not take as a ray maximum
     grid = grids.build_grid(kind, 6.0, resolution)
     _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
-    t_star, _ = energy.ray_max(witness, 0.5, 0.0, 1.0, 1e-6, F1, V1)
+    t_star, _ = energy.ray_max(energy.ray_energy(witness, F1, V1),
+                               0.5, 0.0, 1.0, 1e-6)
     v = witness.with_values(t_star / peak * witness.values)
     lo, hi = solver.RAY_BRACKET
     xatol = 1e-3
-    t, level = energy.ray_max(v, 1.0, lo, hi, xatol, F1, V1)
+    level_at = energy.ray_energy(v, F1, V1)
+    t, level = energy.ray_max(level_at, 1.0, lo, hi, xatol)
     edge = lo if peak < lo else hi
     assert abs(t - edge) <= xatol
     assert not lo + xatol < t < hi - xatol
-    assert level == energy.total_energy(v.with_values(t * v.values), F1, V1)
+    assert level == level_at(t)
 
 
-def recording_scales(monkeypatch, v):
-    """The scales t at which ``energy.total_energy`` is called on t v."""
-    node = np.unravel_index(np.argmax(v.values), v.values.shape)
+def recording_scales(level_at):
+    """level_at, wrapped to record the scales t it is called at, and the
+    list it records them in."""
     scales = []
-    total_energy = energy.total_energy
 
-    def recorded(u, spec, potential):
-        scales.append(float(u.values[node] / v.values[node]))
-        return total_energy(u, spec, potential)
-    monkeypatch.setattr(energy, "total_energy", recorded)
-    return scales
+    def recorded(t):
+        scales.append(t)
+        return level_at(t)
+    return recorded, scales
 
 
 @pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
-def test_ray_max_to_an_overflowing_bump_is_finite(monkeypatch, kind,
-                                                 resolution):
+def test_ray_max_to_an_overflowing_bump_is_finite(kind, resolution):
     grid = grids.build_grid(kind, 6.0, resolution)
     bump = families.bump(grid, 0.5, amplitude=10.0)
-    assert energy.total_energy(bump, F1, V1) == -np.inf
-    scales = recording_scales(monkeypatch, bump)
-    s, level = energy.ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
-    monkeypatch.undo()
+    level_at = energy.ray_energy(bump, F1, V1)
+    assert energy.total_energy(bump, F1, V1) == level_at(1.0) == -np.inf
+    recorded, scales = recording_scales(level_at)
+    s, level = energy.ray_max(recorded, 0.5, 0.0, 1.0, 1e-3)
     assert 0.0 < s < 1.0 and np.isfinite(level) and level > 0.0
-    assert level == energy.total_energy(bump.with_values(s * bump.values),
-                                        F1, V1)
+    assert level == level_at(s)
     # the walk starts at t0 -+ 0.01 and never leaves [0, 1]
     assert scales[:3] == pytest.approx([0.49, 0.5, 0.51], rel=1e-12)
     assert all(0.0 <= t <= 1.0 for t in scales)
 
 
 @pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
-def test_ray_max_walks_toward_lo_past_non_finite_first_trials(
-        monkeypatch, kind, resolution):
+def test_ray_max_walks_toward_lo_past_non_finite_first_trials(kind, resolution):
     # the amplitude-30 bump: I_V is finite only up to s ~ 0.2, so the
     # first triple of a search from t0 = 1/2 (0.49, 0.5, 0.51) overflows
     grid = grids.build_grid(kind, 6.0, resolution)
     bump = families.bump(grid, 0.5, amplitude=30.0)
-
-    def level_at(t):
-        return energy.total_energy(bump.with_values(t * bump.values), F1, V1)
+    level_at = energy.ray_energy(bump, F1, V1)
     for t in (0.49, 0.5, 0.51):
         assert not np.isfinite(level_at(t))
-    scales = recording_scales(monkeypatch, bump)
-    s, level = energy.ray_max(bump, 0.5, 0.0, 1.0, 1e-3, F1, V1)
-    monkeypatch.undo()
+    recorded, scales = recording_scales(level_at)
+    s, level = energy.ray_max(recorded, 0.5, 0.0, 1.0, 1e-3)
     ts = np.linspace(0.0, 1.0, 401)
     scan = np.array([level_at(t) for t in ts])
     assert level == level_at(s)
@@ -448,15 +443,14 @@ def test_ray_max_agrees_with_the_slope_root(kind, resolution, t0, lo, hi, peak,
     # walk from t0 must find the root of the ray slope over RAY_BRACKET
     grid = grids.build_grid(kind, 6.0, resolution)
     _, witness = solver.check_mp_geometry(F1, V1, grid=grid)
-    t_star, _ = energy.ray_max(witness, 0.5, 0.0, 1.0, 1e-9, F1, V1)
+    t_star, _ = energy.ray_max(energy.ray_energy(witness, F1, V1),
+                               0.5, 0.0, 1.0, 1e-9)
     v = witness.with_values(t_star / peak * witness.values)
-
-    def level_at(t):
-        return energy.total_energy(v.with_values(t * v.values), F1, V1)
+    level_at = energy.ray_energy(v, F1, V1)
     triple = [level_at(t) for t in (t0 - 0.01, t0, t0 + 0.01)]
     assert np.all(np.isfinite(triple)) != overflows
     assert np.any(np.isfinite(triple)) != overflows
-    t, level = energy.ray_max(v, t0, lo, hi, xatol, F1, V1)
+    t, level = energy.ray_max(level_at, t0, lo, hi, xatol)
     reference = slope_root(v, *solver.RAY_BRACKET)
     assert abs(t - reference) <= 2 * xatol
     assert abs(reference - peak) <= 1e-3
@@ -476,10 +470,10 @@ def test_descent_rejects_trials_that_are_not_ray_maxima(answer, monkeypatch):
     ray_max = energy.ray_max
     calls = []
 
-    def searched(v, t0, lo, hi, xatol, spec, potential):
+    def searched(level_at, t0, lo, hi, xatol):
         calls.append((lo, hi))
         if (lo, hi) == (0.0, 1.0):          # the start, on the witness ray
-            return ray_max(v, t0, lo, hi, xatol, spec, potential)
+            return ray_max(level_at, t0, lo, hi, xatol)
         return answer(t0, lo, hi, xatol)
     monkeypatch.setattr(energy, "ray_max", searched)
     monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)
@@ -522,14 +516,20 @@ def test_descent_rejects_trials_whose_ray_maximum_saturates(monkeypatch):
     # every trial search reports an interior maximum far below the current
     # level, at a scale where t v saturates nodes: the clamp would decide
     # such a trial, so none is taken and the state never moves
-    ray_max = energy.ray_max
+    ray_max, ray_energy = energy.ray_max, energy.ray_energy
+    rays = []                               # the direction of every search
     saturates = []
 
-    def searched(v, t0, lo, hi, xatol, spec, potential):
+    def ray_through(v, spec, potential):
+        rays.append(v)
+        return ray_energy(v, spec, potential)
+
+    def searched(level_at, t0, lo, hi, xatol):
         if (lo, hi) == (0.0, 1.0):          # the start, on the witness ray
-            return ray_max(v, t0, lo, hi, xatol, spec, potential)
-        saturates.append(np.any(nl.saturation_mask(spec, 50.0 * v.values)))
+            return ray_max(level_at, t0, lo, hi, xatol)
+        saturates.append(np.any(nl.saturation_mask(F1, 50.0 * rays[-1].values)))
         return 50.0, -1.0
+    monkeypatch.setattr(energy, "ray_energy", ray_through)
     monkeypatch.setattr(energy, "ray_max", searched)
     monkeypatch.setattr(solver, "RAY_BRACKET", (0.5, 100.0))
     monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)
