@@ -68,40 +68,32 @@ def energy_IV(u: grids.GridField, spec: nl.NonlinearitySpec,
                            total=quadratic - form.b0 / FOUR_PI)
 
 
-def _frak(u: grids.GridField, spec: nl.NonlinearitySpec) -> float:
-    """B0(c F(u), c F(u)); nan or +-inf where the pairing overflows."""
-    density = grids.GridField(u.grid, compose_density(u, spec))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return kernel.b0_form(density, density)
-
-
-def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
-                 potential: PeriodicCoefficient) -> float:
-    """I_V(u) through the cheapest B0 route (no near/far split); agrees
-    with energy_IV(...).total to rounding.  Where u is so large that the
-    B0 pairing overflows (to +-inf, or nan where +inf meets -inf), the level
-    is -inf, the rank ``ray_max`` gives every non-finite value."""
-    frak = _frak(u, spec)
-    if not math.isfinite(frak):
-        return -math.inf
-    quadratic = 0.5 * norm_V_sq(u, potential)
-    return quadratic - frak / FOUR_PI
-
-
 def ray_energy(v: grids.GridField, spec: nl.NonlinearitySpec,
                potential: PeriodicCoefficient):
     """t -> I_V(t v) along the ray through v.  The quadratic part is
     t^2 (1/2) ||v||_V^2, computed once per ray, so each level costs one B0
-    self-pairing; the level agrees with ``total_energy(t v)`` to rounding,
-    and is -inf where the pairing overflows, as there."""
+    self-pairing.  Where t v is so large that the pairing overflows (to
+    +-inf, or nan where +inf meets -inf), the level is -inf, the rank
+    ``ray_max`` gives every non-finite value."""
     quadratic = 0.5 * norm_V_sq(v, potential)
 
     def level_at(t):
-        frak = _frak(v.with_values(t * v.values), spec)
+        density = grids.GridField(v.grid, compose_density(
+            v.with_values(t * v.values), spec))
+        with np.errstate(over="ignore", invalid="ignore"):
+            frak = kernel.b0_form(density, density)
         if not math.isfinite(frak):
             return -math.inf
         return t * t * quadratic - frak / FOUR_PI
     return level_at
+
+
+def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
+                 potential: PeriodicCoefficient) -> float:
+    """I_V(u) through the cheapest B0 route (no near/far split): the level
+    at t = 1 of ``ray_energy``, so -inf where the pairing overflows.  It
+    agrees with energy_IV(...).total to rounding."""
+    return ray_energy(u, spec, potential)(1.0)
 
 
 def _gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
@@ -241,8 +233,9 @@ def _stationarity_residuals(u: grids.GridField, spec, potential, t_star: float):
 
 def ray_max(level_at, t0, lo, hi, xatol):
     """(t*, level) maximizing level_at(t) over t in [lo, hi], searched from
-    the predicted scale t0; level is level_at(t*).  On a ray through v,
-    level_at is ``ray_energy(v, spec, potential)``.
+    the predicted scale t0; level is level_at(t*).  It is the package's one
+    1D search: on a ray through v, level_at is ``ray_energy(v, spec,
+    potential)``, and ``nonlinearity.compute_script_V`` runs it in log rho.
 
     A walk brackets the maximum: it evaluates t0 - s, t0, t0 + s with
     s = RAY_WALK_STEP and, while an end is higher than the middle, shifts

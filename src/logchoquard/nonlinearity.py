@@ -11,12 +11,14 @@ The kinds (a = 4 pi throughout):
 f(s) = 0 for s <= 0 (only positive solutions are sought), F(0) = 0.
 Exponents a s^2 > 700 are clamped; query ``saturation_mask`` for the flag.
 Evaluations that would overflow (tail checks, envelope fits) run in log
-space through the closed forms.
+space through the closed forms.  The threshold constant is minimized in
+log rho by ``energy.ray_max``, the package's one 1D search.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,8 +30,6 @@ from .spaces import EXP_GUARD, PeriodicCoefficient
 A_CRIT = 4.0 * np.pi
 ONSET_EPSILON = 0.1         # s_epsilon: onset of sqrt(F f' / f^2) >= 1 - eps
 F3_TOLERANCE = 0.01         # (f3) holds if |tail limit - 1| is below this
-SCRIPT_V_SCAN_POINTS = 200_001
-SCRIPT_V_BLOCK = 16_384     # scan points evaluated at a time
 
 KINDS = ("exp_minus_one", "power_exp", "piecewise")
 
@@ -344,54 +344,26 @@ def script_V_integrand(rho, q: float, V_half: float):
                 / np.pi**3)
 
 
-def _script_V_scan(lo: int, hi: int) -> np.ndarray:
-    """Points lo .. hi-1 of np.linspace(0.5 / N, 0.5, N), N =
-    SCRIPT_V_SCAN_POINTS, by linspace's own float operations."""
-    n = SCRIPT_V_SCAN_POINTS
-    start = 0.5 / n
-    rho = np.arange(lo, hi, dtype=float) * ((0.5 - start) / (n - 1)) + start
-    if hi == n:
-        rho[-1] = 0.5
-    return rho
-
-
 def compute_script_V(q: float, V_half: float):
     """Minimize the threshold expression over rho in (0, 1/2].
 
-    Returns (value, argmin_rho); a SCRIPT_V_SCAN_POINTS scan locates the
-    basin, and the vertex of the parabola through the scan's least point
-    and its two neighbours refines it where that is lower.  It diverges
-    like rho^-4 at 0, so the minimizer is interior or the right endpoint.
-    The scan runs in blocks of SCRIPT_V_BLOCK points and keeps the first
-    least value (the first nan, if any), as ``np.argmin`` over the whole
-    scan would; the three points of the vertex step are evaluated again.
+    Returns (value, argmin_rho).  log of the expression is
+    -4 log rho + rho^2 growth_bracket - 3 log pi, strictly convex in
+    s = log rho, so ``energy.ray_max`` maximizes its negative over
+    s in [log rho_lo, log 1/2] to 1e-10 in s; below rho_lo, rho^-4 / pi^3
+    alone overflows.  The value is ``script_V_integrand`` at the argmin,
+    and inf where the minimum overflows.
     """
+    from .energy import ray_max
     if q < 2:
         raise InvalidParameterError("q must be >= 2")
     if V_half <= 0:
         raise InvalidParameterError("V_half must be positive")
-    n = SCRIPT_V_SCAN_POINTS
-    i, least = 0, math.inf
-    for lo in range(0, n, SCRIPT_V_BLOCK):
-        vals = script_V_integrand(_script_V_scan(lo, min(lo + SCRIPT_V_BLOCK, n)),
-                                  q, V_half)
-        j = int(np.argmin(vals))
-        if not vals[j] >= least:            # lower, or nan
-            i, least = lo + j, vals[j]
-            if math.isnan(least):
-                break
-    best_rho, best_val = float(_script_V_scan(i, i + 1)[0]), float(least)
-    if 0 < i < n - 1:
-        left, mid, right = script_V_integrand(_script_V_scan(i - 1, i + 2), q, V_half)
-        curvature = left - 2.0 * mid + right
-        if curvature > 0:
-            first = _script_V_scan(0, 2)
-            step = 0.5 * (first[1] - first[0]) * (left - right) / curvature
-            value = float(script_V_integrand(best_rho + step, q, V_half))
-            if value < best_val:
-                best_rho, best_val = float(best_rho + step), value
-    # the endpoint is admissible and often the minimizer
-    end_val = float(script_V_integrand(0.5, q, V_half))
-    if end_val <= best_val:
-        best_rho, best_val = 0.5, end_val
-    return best_val, best_rho
+    lo = -(math.log(sys.float_info.max) + 3.0 * math.log(math.pi)) / 4.0
+    hi = math.log(0.5)
+
+    def minus_log(s):
+        return 4.0 * s - math.exp(2.0 * s) * growth_bracket(q, V_half, math.exp(s)) \
+            + 3.0 * math.log(math.pi)
+    rho = math.exp(ray_max(minus_log, hi, lo, hi, 1e-10)[0])  # exp(hi) is 1/2
+    return float(script_V_integrand(rho, q, V_half)), rho

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from logchoquard import cli, energy, families, grids, reports, solver, spaces
+from logchoquard import (cli, energy, families, grids, kernel, reports, solver,
+                         spaces)
 from logchoquard import nonlinearity as nl
 from logchoquard.config import DEFAULTS, load_config
 from logchoquard.errors import InvalidParameterError, ValidationError
@@ -172,9 +173,9 @@ def count_calls(monkeypatch, module, name):
 
 
 def count_energy_evaluations(monkeypatch):
-    """Every evaluation of I_V: each ``total_energy`` call and each call of
-    a ``ray_energy`` closure."""
-    calls = count_calls(monkeypatch, energy, "total_energy")
+    """Every evaluation of I_V: each call of a ``ray_energy`` closure, which
+    ``total_energy`` makes at t = 1."""
+    calls = []
     ray_energy = energy.ray_energy
 
     def counted_ray(*args):
@@ -236,6 +237,24 @@ def test_cli_kernel_bench(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert '"all_ok": true' in out
+
+
+@pytest.mark.parametrize("value, radius", [(0.0, 1e-75), (math.nan, 4.0)])
+def test_kernel_bench_fails_a_wrong_fast_route(tmp_path, monkeypatch, value,
+                                               radius):
+    # at R = 1e-75 the forms are of order 1e-296, so an error taken against
+    # 1 + |ref| read about 1e-311 whatever the fast route returned; a nan
+    # error must not be passed over as smaller than the others
+    monkeypatch.setattr(kernel, "bilinear_fast",
+                        lambda u, v: kernel.KernelForm(b1=value, b2=value, b0=value))
+    path = write_config(tmp_path, BASE + "\n[kernel_bench]\nsizes = 16\n"
+                        f"pairs = 2\nbench_radius = {radius}\n")
+    out = tmp_path / "out.json"
+    assert cli.main(["kernel-bench", "--config", path,
+                     "--output", str(out)]) == cli.EXIT_ADMISSIBILITY
+    row, = json.loads(out.read_text())["results"]["table"]
+    assert not row["ok"]
+    assert row["max_relative_error"] is None or row["max_relative_error"] >= 1.0
 
 
 def test_cli_check_assumptions_power_exp(tmp_path, capsys):

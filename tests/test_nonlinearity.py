@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from logchoquard import nonlinearity as nl
 from logchoquard.errors import InvalidParameterError
@@ -250,44 +251,50 @@ def test_script_V_half_integer_q():
     assert np.isfinite(value) and 0.0 < argmin <= 0.5
 
 
-def _unblocked_script_V(q, V_half):
-    """The threshold search over one whole scan, as it ran before the scan
-    was evaluated in blocks."""
-    n = nl.SCRIPT_V_SCAN_POINTS
-    rho = np.linspace(0.5 / n, 0.5, n)
+@pytest.mark.parametrize("q, V_half", [(q, v) for q in (16.0, 20.0, 50.0, 100.0)
+                                       for v in (0.5, 1.0, 2.0)])
+def test_script_V_small_radius_minimum_matches_log_scans(q, V_half):
+    # these minima lie at rho from 7e-5 (q = 16) down to 2e-64 (q = 100),
+    # below any linear scan of (0, 1/2]; a log-spaced scan bounds the value
+    # from above, and a scan 10^4 times finer around the argmin is the oracle
+    value, argmin = nl.compute_script_V(q, V_half)
+    coarse = nl.script_V_integrand(np.geomspace(1e-77, 0.5, 200_001), q, V_half)
+    assert value <= (1.0 + 1e-12) * np.min(coarse)
+    rho = np.linspace(argmin * (1.0 - 1e-4), argmin * (1.0 + 1e-4), 1_000_000)
     vals = nl.script_V_integrand(rho, q, V_half)
-    i = int(np.argmin(vals))
-    best_rho, best_val = float(rho[i]), float(vals[i])
-    if 0 < i < n - 1:
-        left, right = vals[i - 1], vals[i + 1]
-        curvature = left - 2.0 * vals[i] + right
-        if curvature > 0:
-            step = 0.5 * (rho[1] - rho[0]) * (left - right) / curvature
-            value = float(nl.script_V_integrand(best_rho + step, q, V_half))
-            if value < best_val:
-                best_rho, best_val = float(best_rho + step), value
-    end_val = float(nl.script_V_integrand(0.5, q, V_half))
-    if end_val <= best_val:
-        best_rho, best_val = 0.5, end_val
-    return best_val, best_rho
+    j = int(np.argmin(vals))
+    assert abs(value - vals[j]) <= 1e-13 * vals[j]
+    assert abs(argmin - rho[j]) <= 1e-6 * argmin
 
 
-@pytest.mark.parametrize("q, V_half", [(q, v) for q in (2.0, 2.5, 6.0)
-                                       for v in (0.5, 1.0, 2.0)]
-                         + [(1e300, 1.0)])
-def test_script_V_blocked_scan_equals_the_unblocked_scan(q, V_half):
-    # q = 6 has interior minima, q = 1e300 an infinite scan
-    assert nl.compute_script_V(q, V_half) == _unblocked_script_V(q, V_half)
+def test_script_V_is_inf_where_the_minimum_overflows():
+    # at q = 170 the minimum lies near rho = 1e-128, where rho^-4 alone
+    # passes the float range
+    value, _ = nl.compute_script_V(170.0, 1.0)
+    assert value == math.inf
 
 
-def test_script_V_scan_points_are_linspace_points():
-    n = nl.SCRIPT_V_SCAN_POINTS
-    blocks = [nl._script_V_scan(lo, min(lo + 7_777, n)) for lo in range(0, n, 7_777)]
-    assert np.array_equal(np.concatenate(blocks), np.linspace(0.5 / n, 0.5, n))
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(2.0, 150.0), log_v=st.floats(math.log(1e-3), math.log(1e3)),
+       s=st.floats(-177.0, math.log(0.5)), h=st.floats(1e-6, 50.0))
+def test_log_threshold_is_convex_in_log_rho(q, log_v, s, h):
+    # the search for the threshold relies on this: log of the integrand,
+    # -4 s + e^{2s} bracket(e^s) - 3 log pi, has non-negative second
+    # differences in s = log rho
+    lo, hi = -177.0, math.log(0.5)
+    h = min(h, s - lo, hi - s)
+    assume(h > 0)
+
+    def log_integrand(t):
+        return -4.0 * t + math.exp(2.0 * t) * nl.growth_bracket(
+            q, math.exp(log_v), math.exp(t)) - 3.0 * math.log(math.pi)
+    left, mid, right = (log_integrand(t) for t in (s - h, s, s + h))
+    assert left - 2.0 * mid + right >= -1e-13 * (abs(left) + 2.0 * abs(mid)
+                                                 + abs(right))
 
 
 def test_script_V_traced_peak_is_bounded():
-    # the whole scan held 8.0 MB of temporaries at once
+    # the search evaluates scalars only: no array of radii is held
     nl.compute_script_V(2.0, 1.0)
     tracemalloc.start()
     try:
@@ -295,7 +302,7 @@ def test_script_V_traced_peak_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3e6
+    assert peak < 1e5
 
 
 def test_estimate_sfF_probe():
