@@ -160,8 +160,7 @@ def cmd_moser_scan(cfg: RunConfig):
         family.append(({"n": n}, w_plain.with_values(
             w_plain.values / math.sqrt(1.0 + cap.delta_n))))
     bound, witness, rays = energy.mp_level_upper_bound(
-        cfg.spec, cfg.potential, family, t_max=cfg.moser["t_max"],
-        samples=cfg.moser["ray_samples"])
+        cfg.spec, cfg.potential, family, t_max=cfg.moser["t_max"])
     for row, ray in zip(rows, rays):
         row.update(t_star=ray.t_star, ray_max=ray.max_value,
                    identity_residuals=list(ray.derivative_identities))

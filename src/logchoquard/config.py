@@ -19,7 +19,6 @@ from typing import Optional
 
 from . import grids
 from . import nonlinearity as nl
-from .energy import MIN_RAY_SAMPLES
 from .errors import InvalidParameterError, ValidationError
 from .solver import SolverConfig
 from .spaces import PeriodicCoefficient
@@ -35,7 +34,7 @@ DEFAULTS = {
     # an unset alpha is 2 pi
     "embedding": {"alpha": None, "bound_points": 10000,
                   "moser_ns": (4, 8, 16, 32, 64), "rho": 0.5},
-    "moser": {"ns": (8, 16, 32, 64), "rho": 0.5, "t_max": 4.0, "ray_samples": 96},
+    "moser": {"ns": (8, 16, 32, 64), "rho": 0.5, "t_max": 4.0},
     "kernel_bench": {"sizes": (16, 32, 64), "pairs": 20, "bench_radius": 4.0},
     "scan": {"s_max": 10.0, "points": 2000},
     "output": {"path": ""},
@@ -64,7 +63,6 @@ CHECKS = (
     ("moser", "ns", *_least(2)),
     ("moser", "rho", lambda v: 0 < v <= 0.5, "must lie in (0, 1/2]"),
     ("moser", "t_max", lambda v: v > 0, "must be positive"),
-    ("moser", "ray_samples", *_least(MIN_RAY_SAMPLES)),
     ("kernel_bench", "sizes", *_least(grids.MIN_RESOLUTION)),
     ("kernel_bench", "pairs", *_least(1)),
     ("kernel_bench", "bench_radius", lambda v: v > 0, "must be positive"),

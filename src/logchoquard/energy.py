@@ -31,7 +31,6 @@ from .spaces import PeriodicCoefficient, norm_V_sq
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
-MIN_RAY_SAMPLES = 64
 GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 RAY_WALK_STEP = 0.01        # first half-width of a ray search's bracket walk
 
@@ -211,24 +210,12 @@ def moser_cap(n: int, rho: float, grid: grids.Grid, q: float = 2.0,
 
 @dataclass(frozen=True)
 class RayAnalysis:
+    """One ray's maximum by ``ray_analysis`` and its stationarity residuals."""
+
     direction: grids.GridField
-    t_samples: np.ndarray
-    energy_samples: np.ndarray
     t_star: float
     max_value: float
     derivative_identities: tuple   # residuals of the two stationarity bounds
-
-
-def _stationarity_residuals(u: grids.GridField, spec, potential, t_star: float):
-    """Residuals of t^2 >= (1/2pi) B0(cF, t u c f) and
-    t^2 >= 1 + (1/2pi) B0(cF, cF) at the ray maximum."""
-    scaled = u.with_values(t_star * u.values)
-    density = grids.GridField(u.grid, compose_density(scaled, spec))
-    response = grids.GridField(
-        u.grid, compose_f(scaled, spec) * scaled.values)
-    res1 = t_star**2 - kernel.b0_form(density, response) / TWO_PI
-    res2 = t_star**2 - 1.0 - kernel.b0_form(density, density) / TWO_PI
-    return res1, res2
 
 
 def ray_max(level_at, t0, lo, hi, xatol):
@@ -327,46 +314,39 @@ def ray_max(level_at, t0, lo, hi, xatol):
 
 
 def ray_analysis(u: grids.GridField, spec: nl.NonlinearitySpec,
-                 potential: PeriodicCoefficient, t_max: float = 4.0,
-                 samples: int = 96) -> RayAnalysis:
-    """Sample t -> I_V(t u) (``ray_energy``) on a log-uniform grid, refine
-    the maximum by ``ray_max`` between the neighbours of the best sample to
-    1e-7 in t, and record the stationarity residuals.  The quadratic part
-    is t^2 times one sum, so its rounding does not jitter with t as that of
-    a fresh ||t u||_V^2 does; on the default Moser rays t* lies within
-    2.5e-8 of the root of the ray slope."""
-    if samples < MIN_RAY_SAMPLES:
-        raise InvalidParameterError(
-            f"ray analysis needs at least {MIN_RAY_SAMPLES} samples")
+                 potential: PeriodicCoefficient,
+                 t_max: float = 4.0) -> RayAnalysis:
+    """Maximize t -> I_V(t u) (``ray_energy``) over [0, t_max] by one
+    ``ray_max`` search from t = 1, the scale of caps normalized onto the
+    Moser sphere, to 1e-7 in t; a maximum within 1e-7 of t_max raises
+    ``NoInteriorMaxError``.  The search finds the maximum of a ray with one
+    interior local maximum, as on caps in |x| <= rho <= 1/2, where the
+    kernel -log max(r_i, r_j) is positive and the level rises, then falls.
+    On the default Moser rays t* lies within 2.5e-8 of the root of the ray
+    slope."""
     if t_max <= 0 or not np.any(u.values != 0):
         raise InvalidParameterError("need t_max > 0 and a nonzero direction")
-    ts = np.geomspace(1e-3, t_max, samples)
-    level_at = ray_energy(u, spec, potential)
-    energies = np.array([level_at(t) for t in ts])
-    k = int(np.argmax(energies))
-    if k == samples - 1 and energies[-1] > energies[-2]:
+    t_star, max_val = ray_max(ray_energy(u, spec, potential), 1.0, 0.0,
+                              t_max, 1e-7)
+    if t_star >= t_max - 1e-7:
         raise NoInteriorMaxError(
             f"I_V(t u) is still increasing at t_max = {t_max}; raise t_max")
-    lo, t0, hi = (float(ts[j])
-                  for j in (max(k - 1, 0), k, min(k + 1, samples - 1)))
-    t_star, max_val = ray_max(level_at, t0, lo, hi, 1e-7)
-    if energies[k] > max_val:
-        t_star, max_val = float(ts[k]), float(energies[k])
-    ts = np.append(ts, t_star)
-    energies = np.append(energies, max_val)
-    order = np.argsort(ts)
-    residuals = _stationarity_residuals(u, spec, potential, t_star)
-    return RayAnalysis(direction=u, t_samples=ts[order],
-                       energy_samples=energies[order], t_star=t_star,
-                       max_value=max_val, derivative_identities=residuals)
+    # residuals of t^2 >= (1/2pi) B0(cF, t u cf) and t^2 >= 1 + (1/2pi)
+    # B0(cF, cF) at the maximum
+    scaled = u.with_values(t_star * u.values)
+    density = grids.GridField(u.grid, compose_density(scaled, spec))
+    response = grids.GridField(u.grid, compose_f(scaled, spec) * scaled.values)
+    residuals = (t_star**2 - kernel.b0_form(density, response) / TWO_PI,
+                 t_star**2 - 1.0 - kernel.b0_form(density, density) / TWO_PI)
+    return RayAnalysis(direction=u, t_star=t_star, max_value=max_val,
+                       derivative_identities=residuals)
 
 
 def mp_level_upper_bound(spec: nl.NonlinearitySpec,
                          potential: PeriodicCoefficient,
-                         directions: Sequence, t_max: float = 4.0,
-                         samples: int = 96):
-    """min over the family of ray maxima: a certified upper bound for the
-    mountain-pass level of the discretized problem.
+                         directions: Sequence, t_max: float = 4.0):
+    """min over the family of ray maxima: an upper bound for the discrete
+    mountain-pass level, certified when each ray has one interior maximum.
 
     ``directions`` is a sequence of (params, GridField).  Returns
     (bound, params of the first witness direction, the RayAnalysis of every
@@ -375,7 +355,7 @@ def mp_level_upper_bound(spec: nl.NonlinearitySpec,
     directions = list(directions)
     if not directions:
         raise EmptyFamilyError("mp_level_upper_bound needs directions")
-    rays = [ray_analysis(field, spec, potential, t_max=t_max, samples=samples)
+    rays = [ray_analysis(field, spec, potential, t_max=t_max)
             for _, field in directions]
     k = min(range(len(rays)), key=lambda i: rays[i].max_value)
     return rays[k].max_value, directions[k][0], rays

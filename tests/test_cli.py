@@ -103,14 +103,15 @@ def test_cli_moser_scan_bound_is_the_least_ray_max(tmp_path):
 @pytest.mark.parametrize("block", ["", "kind = power_exp\n"],
                          ids=["exp_minus_one", "power_exp"])
 def test_moser_scan_past_the_overflow_scale_is_quiet(tmp_path, block):
-    # with t_max = 20 the ray samples run past the scale (t ~ 7 to 10) where
-    # B0(c F, c F) overflows.  Those levels are -inf: nothing warns, and
-    # each ray keeps the maximum that the default t_max = 4 finds, to the
-    # search's 1e-6 in t
+    # B0(c F, c F) overflows past t ~ 7 to 10.  With t_max = 20 each ray
+    # search still walks from t = 1 and stops where the default t_max = 4
+    # does, so the tables are equal.  A search from t0 = 15 over [0, 20]
+    # starts past that scale: its levels there are -inf, nothing warns, and
+    # it walks down to the same maximum
     text = BASE.replace("kind = exp_minus_one\n", block)
     tables = []
-    for extra in ("", "\n[moser]\nt_max = 20\n"):
-        path = write_config(tmp_path, text + extra)
+    for t_max in (4.0, 20.0):
+        path = write_config(tmp_path, text + f"\n[moser]\nt_max = {t_max}\n")
         out = tmp_path / "scan.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -119,10 +120,33 @@ def test_moser_scan_past_the_overflow_scale_is_quiet(tmp_path, block):
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
             == []
         tables.append(json.loads(out.read_text())["results"]["table"])
-    for short, long in zip(*tables):
-        assert short["n"] == long["n"]
-        assert abs(short["t_star"] - long["t_star"]) <= 1e-6
-        assert math.isclose(short["ray_max"], long["ray_max"], rel_tol=1e-10)
+        assert all(row["t_star"] <= t_max for row in tables[-1])
+    assert tables[0] == tables[1]
+
+    cfg = load_config(path, "moser-scan")
+    row = tables[0][0]
+    rho = cfg.moser["rho"]
+    cap, w = energy.moser_cap(row["n"], rho, energy.moser_grid(row["n"], rho),
+                              q=cfg.q, potential=cfg.potential)
+    w = w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
+    level_at = energy.ray_energy(w, cfg.spec, cfg.potential)
+    assert level_at(15.0) == -math.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, level = energy.ray_max(level_at, 15.0, 0.0, 20.0, 1e-7)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert math.isclose(level, row["ray_max"], rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("t_max", ["1e-300", "1e-4", "5e-4"])
+def test_moser_scan_with_every_ray_rising_at_t_max_exits_2(tmp_path, t_max):
+    # every ray still rises at these t_max, so each search ends on the edge
+    # and no ray has an interior maximum: no bound, and no report
+    path = write_config(tmp_path, BASE + f"\n[moser]\nt_max = {t_max}\n")
+    out = tmp_path / "scan.json"
+    assert cli.main(["moser-scan", "--config", path,
+                     "--output", str(out)]) == cli.EXIT_VALIDATION
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", ["", "kind = power_exp\n"],
@@ -193,8 +217,8 @@ def count_energy_evaluations(monkeypatch):
 @pytest.mark.parametrize("command, counter, expected", [
     ("moser-scan", lambda patch: count_calls(patch, energy, "ray_analysis"),
      len(DEFAULTS["moser"]["ns"])),
-    # per ray, 96 samples and the refining search
-    ("moser-scan", count_energy_evaluations, 433),
+    # per ray, the one search from t = 1
+    ("moser-scan", count_energy_evaluations, 69),
     ("check-assumptions",
      lambda patch: count_calls(patch, nl, "compute_script_V"), 1),
     # the sandwich grid and one anchored grid per Moser cap
@@ -311,12 +335,13 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     ("kernel_bench", "pairs = 0"),
     ("kernel_bench", "sizes = 4"),
     ("kernel_bench", "bench_radius = -1"),
-    ("moser", "ray_samples = 63"),
     ("moser", "t_max = 0"),
     ("embedding", "alpha = 0"),
     ("embedding", "alpha = -1"),
-    ("output", "pth = x"),
     ("scan", "points = 99"),
+    # unknown keys: a misspelt one, then keys that are no longer settings
+    ("output", "pth = x"),
+    ("moser", "ray_samples = 63"),
     ("grid", "kind = cartesian"),
     ("grid", "kind = radial"),
     ("nonlinearity", "beta = 1"),

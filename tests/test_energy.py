@@ -245,9 +245,7 @@ def test_ray_analysis_moser():
     w = w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
     ray = energy.ray_analysis(w, F1, V1)
     assert 0.0 < ray.max_value < 0.5
-    assert ray.max_value == np.max(ray.energy_samples)
-    k = int(np.argmax(ray.energy_samples))
-    assert ray.t_samples[k] == ray.t_star
+    assert ray.max_value == energy.ray_energy(w, F1, V1)(ray.t_star)
     # stationarity by centered differencing
     h = 1e-5
     up = energy.total_energy(w.with_values((ray.t_star + h) * w.values), F1, V1)
@@ -255,10 +253,43 @@ def test_ray_analysis_moser():
     assert abs((up - um) / (2 * h)) < 1e-4 * (1 + abs(ray.max_value))
 
 
-def _moser_direction(n):
+def _moser_direction(n, rho=0.5, q=2.0, potential=V1):
     """The normalized Moser cap w_n on its 2048-node anchored grid."""
-    cap, w = energy.moser_cap(n, 0.5, energy.moser_grid(n, 0.5))
+    cap, w = energy.moser_cap(n, rho, energy.moser_grid(n, rho), q=q,
+                              potential=potential)
     return w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
+
+
+ORACLE_SPECS = {
+    "exp_minus_one": F1,
+    "power_exp-p1": nl.NonlinearitySpec("power_exp", p=1.0, q=2.0),
+    "power_exp-p2": F2,
+    "piecewise-q3": nl.NonlinearitySpec("piecewise", p=2.0, q=3.0),
+}
+
+
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("rho", [0.1, 0.5])
+@pytest.mark.parametrize("floor", [0.1, 10.0])
+@pytest.mark.parametrize("kind", list(ORACLE_SPECS))
+def test_moser_ray_rises_then_falls_and_the_search_finds_its_maximum(
+        kind, floor, rho, n):
+    # ray_analysis runs one search from t = 1, which finds the maximum of a
+    # ray with one interior local maximum.  A cap lives in |x| <= rho <= 1/2,
+    # where the radial kernel -log max(r_i, r_j) is positive, so the level
+    # rises and then falls: on a 1001-point scan of [1e-3, 4] its slope
+    # changes sign once, and the search reads no lower than the scan
+    spec = ORACLE_SPECS[kind]
+    potential = PeriodicCoefficient(floor)
+    w = _moser_direction(n, rho, spec.q, potential)
+    level_at = energy.ray_energy(w, spec, potential)
+    levels = np.array([level_at(t) for t in np.geomspace(1e-3, 4.0, 1001)])
+    assert np.all(np.isfinite(levels))
+    signs = np.sign(np.diff(levels))
+    assert signs[0] == 1.0 and signs[-1] == -1.0
+    assert np.count_nonzero(np.diff(signs)) == 1
+    ray = energy.ray_analysis(w, spec, potential)
+    assert ray.max_value >= np.max(levels) * (1.0 - 1e-14)
 
 
 @pytest.mark.parametrize("direction", [
