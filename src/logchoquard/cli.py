@@ -22,27 +22,13 @@ import numpy as np
 
 from . import energy, families, grids, kernel, reports, solver, spaces
 from . import nonlinearity as nl
-from .config import DEFAULTS, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import (GeometryFailureError, LogChoquardError, ValidationError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_BUDGET = 4
-
-
-def _resolved_config(cfg: RunConfig) -> dict:
-    return {
-        "grid": {"domain_radius": cfg.domain_radius, "resolution": cfg.resolution},
-        "nonlinearity": {"kind": cfg.spec.kind, "p": cfg.spec.p, "q": cfg.spec.q,
-                         "s0": cfg.spec.s0,
-                         "c_floor": cfg.spec.c_profile.floor,
-                         "c_amplitude": cfg.spec.c_profile.amplitude},
-        "potential": {"floor": cfg.potential.floor,
-                      "amplitude": cfg.potential.amplitude},
-        "solver": {key: getattr(cfg.solver, key) for key in DEFAULTS["solver"]},
-        "seed": cfg.seed,
-    }
 
 
 def _tail_mass_fraction(field: grids.GridField) -> float:
@@ -84,8 +70,9 @@ def cmd_check_assumptions(cfg: RunConfig):
 
 
 def cmd_verify_embedding(cfg: RunConfig):
-    grid = grids.build_grid("radial", cfg.domain_radius, cfg.resolution)
-    n_points = cfg.embedding["bound_points"]
+    grid_settings, embedding = cfg.settings["grid"], cfg.settings["embedding"]
+    grid = grids.build_grid("radial", **grid_settings)
+    n_points = embedding["bound_points"]
     r = np.geomspace(1e-6, 1e4, n_points)
     chain1, chain2 = spaces.transform_bound_chains(r)
     bounds_ok = bool(np.all(chain1[0] < chain1[1]) and np.all(chain1[1] < chain1[2])
@@ -103,13 +90,10 @@ def cmd_verify_embedding(cfg: RunConfig):
         sandwich.append({"field": name, "h1_sq": h1, "w0_sq": w0,
                          "ratio": ratio, "ok": ok})
 
-    alpha = cfg.embedding["alpha"]
-    if alpha is None:
-        alpha = 2 * np.pi
-    rho = cfg.embedding["rho"]
+    alpha, rho = embedding["alpha"], embedding["rho"]
     family = []
-    for n in cfg.embedding["moser_ns"]:
-        cap_grid = energy.moser_grid(n, rho, cfg.domain_radius, cfg.resolution)
+    for n in embedding["moser_ns"]:
+        cap_grid = energy.moser_grid(n, rho, **grid_settings)
         family.append(({"n": n, "rho": rho},
                        energy.moser_cap(n, rho, cap_grid)[1]))
     best, best_params, tm_values = spaces.tm_sup_search(family, alpha)
@@ -119,21 +103,21 @@ def cmd_verify_embedding(cfg: RunConfig):
         "inverse_roundtrip_max_error": roundtrip,
         "sandwich": sandwich,
         "sandwich_ok": sandwich_ok,
-        "alpha": float(alpha),
+        "alpha": alpha,
         "tm_family_values": [{"n": params["n"], "value": value}
                              for params, value in tm_values],
         "tm_empirical_supremum": best,
         "tm_supremum_params": dict(best_params),
     }
-    if cfg.q > 2:
-        alpha_q = 1.0 / np.sqrt(cfg.q)
-        _, _, q_values = spaces.tm_sup_search(family, alpha_q, q_cap=cfg.q)
+    if cfg.spec.q > 2:
+        alpha_q = 1.0 / np.sqrt(cfg.spec.q)
+        _, _, q_values = spaces.tm_sup_search(family, alpha_q, q_cap=cfg.spec.q)
         results["orlicz_q_variant"] = {
-            "alpha": float(alpha_q), "q": cfg.q,
+            "alpha": float(alpha_q), "q": cfg.spec.q,
             "values": [{"n": params["n"], "value": value}
                        for params, value in q_values]}
-    diagnostics = {"grid_nodes": cfg.resolution,
-                   "truncation_radius": cfg.domain_radius}
+    diagnostics = {"grid_nodes": grid.resolution,
+                   "truncation_radius": grid.domain_radius}
     ok = bounds_ok and sandwich_ok and roundtrip <= 1e-10
     return results, diagnostics, EXIT_OK if ok else EXIT_ADMISSIBILITY
 
@@ -143,24 +127,25 @@ def cmd_moser_scan(cfg: RunConfig):
     # before any cap is built
     for coefficient in (cfg.potential, cfg.spec.c_profile):
         coefficient.require_grid_kind("radial")
-    rho = cfg.moser["rho"]
+    moser, grid_settings = cfg.settings["moser"], cfg.settings["grid"]
+    rho = moser["rho"]
     rows = []
     family = []
-    for n in cfg.moser["ns"]:
-        grid = energy.moser_grid(n, rho, cfg.domain_radius, cfg.resolution)
-        cap, w_plain = energy.moser_cap(n, rho, grid, q=cfg.q,
+    for n in moser["ns"]:
+        grid = energy.moser_grid(n, rho, **grid_settings)
+        cap, w_plain = energy.moser_cap(n, rho, grid, q=cfg.spec.q,
                                         potential=cfg.potential)
         rows.append({
             "n": n, "rho": rho,
             "delta_n": cap.delta_n,
-            "norm_1qw_sq": spaces.norm_1qw_sq(w_plain, cfg.q, cfg.potential),
+            "norm_1qw_sq": spaces.norm_1qw_sq(w_plain, cfg.spec.q, cfg.potential),
             "dirichlet": grids.dirichlet_energy(w_plain),
         })
         # the ray family takes the normalized caps w_n / sqrt(1 + delta_n)
         family.append(({"n": n}, w_plain.with_values(
             w_plain.values / math.sqrt(1.0 + cap.delta_n))))
     bound, witness, rays = energy.mp_level_upper_bound(
-        cfg.spec, cfg.potential, family, t_max=cfg.moser["t_max"])
+        cfg.spec, cfg.potential, family, t_max=moser["t_max"])
     for row, ray in zip(rows, rays):
         row.update(t_star=ray.t_star, ray_max=ray.max_value,
                    identity_residuals=list(ray.derivative_identities))
@@ -170,7 +155,7 @@ def cmd_moser_scan(cfg: RunConfig):
         "witness": dict(witness),
         "below_half": bool(bound < 0.5),
     }
-    diagnostics = {"rho": rho, "grid_nodes": cfg.resolution}
+    diagnostics = {"rho": rho, "grid_nodes": grid_settings["resolution"]}
     code = EXIT_OK if bound < 0.5 else EXIT_ADMISSIBILITY
     return results, diagnostics, code
 
@@ -217,17 +202,17 @@ def cmd_solve(cfg: RunConfig):
 
 
 def cmd_kernel_bench(cfg: RunConfig):
+    bench = cfg.settings["kernel_bench"]
     rng = np.random.default_rng(cfg.seed)
     rows = []
     all_ok = True
-    for size in cfg.kernel_bench["sizes"]:
-        grid = grids.build_grid("cartesian", cfg.kernel_bench["bench_radius"],
-                                size)
+    for size in bench["sizes"]:
+        grid = grids.build_grid("cartesian", bench["bench_radius"], size)
         worst = 0.0
         t_fast = 0.0
         pairs = [(families.random_smooth(grid, rng),
                   families.random_smooth(grid, rng))
-                 for _ in range(cfg.kernel_bench["pairs"])]
+                 for _ in range(bench["pairs"])]
         t0 = time.perf_counter()
         refs = kernel.bilinear_direct_many(pairs)
         t_direct = time.perf_counter() - t0
@@ -249,7 +234,7 @@ def cmd_kernel_bench(cfg: RunConfig):
                      "direct_seconds": t_direct, "fast_seconds": t_fast,
                      "ok": ok})
     results = {"table": rows, "tolerance": 1e-6, "all_ok": all_ok}
-    diagnostics = {"pairs_per_grid": cfg.kernel_bench["pairs"]}
+    diagnostics = {"pairs_per_grid": bench["pairs"]}
     return results, diagnostics, EXIT_OK if all_ok else EXIT_ADMISSIBILITY
 
 
@@ -284,7 +269,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command, output_path=args.output,
                           output_format=args.format, seed=args.seed)
         results, diagnostics, code = COMMANDS[args.command](cfg)
-        report = reports.build_report(args.command, _resolved_config(cfg),
+        report = reports.build_report(args.command,
+                                      {**cfg.settings, "seed": cfg.seed},
                                       results, diagnostics)
         text = reports.write_report(report, cfg.output_path, cfg.output_format)
     except ValidationError as exc:

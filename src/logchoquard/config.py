@@ -6,7 +6,8 @@ of keys; each default's value gives the key's type: str, int, float,
 ``None`` for an optional float and a tuple for a comma list of ints.  The
 [solver] rows are the defaults of ``SolverConfig``.  ``%`` is literal.
 Every command validates the complete configuration before any computation
-starts, and a malformed file raises ``ValidationError``.
+starts, and a malformed file raises ``ValidationError``.  The commands
+read the validated table, [output] aside, and each report records it.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .spaces import PeriodicCoefficient
 
 DEFAULTS = {
     "grid": {"domain_radius": 20.0, "resolution": 2048},
-    # q is required; an unset p is P_BY_KIND[kind]
+    # q is required; load_config resolves an unset p to P_BY_KIND[kind]
     "nonlinearity": {"kind": "exp_minus_one", "q": None, "p": None, "s0": 1.0,
                      "c_floor": 1.0, "c_amplitude": 0.0},
     "potential": {"floor": 1.0, "amplitude": 0.0},
     "solver": {f.name: f.default for f in fields(SolverConfig)
                if f.name not in ("spec", "potential")},
-    # an unset alpha is 2 pi
+    # load_config resolves an unset alpha to 2 pi
     "embedding": {"alpha": None, "bound_points": 10000,
                   "moser_ns": (4, 8, 16, 32, 64), "rho": 0.5},
     "moser": {"ns": (8, 16, 32, 64), "rho": 0.5, "t_max": 4.0},
@@ -72,16 +73,11 @@ CHECKS = (
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    domain_radius: float
-    resolution: int
     spec: nl.NonlinearitySpec
     potential: PeriodicCoefficient
-    q: float
     solver: SolverConfig
-    embedding: dict
-    moser: dict
-    kernel_bench: dict
     scan: nl.ScanPlan
+    settings: dict          # every section of DEFAULTS but [output], resolved
     output_path: Optional[str] = None
     output_format: str = "json"
     seed: int = 0
@@ -147,26 +143,29 @@ def load_config(path: Optional[str], command: str, output_path=None,
                                   f"{values[section][key]!r}")
     if output_format not in ("json", "csv"):
         raise ValidationError("output format must be json or csv")
-    output_path = output_path or values["output"]["path"] or None
+    # popped whatever --output says: a report path never reaches the report
+    file_path = values.pop("output")["path"]
+    output_path = output_path or file_path or None
     if output_path is not None and not os.path.isdir(
             os.path.dirname(os.path.abspath(output_path))):
         raise ValidationError(f"no directory to write {output_path!r} into")
 
-    nonlin = dict(values["nonlinearity"])
-    q = nonlin["q"]
+    nonlin = values["nonlinearity"]
     if nonlin["p"] is None:
-        nonlin["p"] = P_BY_KIND[nonlin["kind"]] or q
+        nonlin["p"] = P_BY_KIND[nonlin["kind"]] or nonlin["q"]
+    if values["embedding"]["alpha"] is None:
+        values["embedding"]["alpha"] = 2 * math.pi
+    args = dict(nonlin)
     c_profile = _build("nonlinearity", PeriodicCoefficient,
-                       nonlin.pop("c_floor"), nonlin.pop("c_amplitude"))
-    spec = _build("nonlinearity", nl.NonlinearitySpec, c_profile=c_profile, **nonlin)
+                       args.pop("c_floor"), args.pop("c_amplitude"))
+    spec = _build("nonlinearity", nl.NonlinearitySpec, c_profile=c_profile, **args)
     potential = _build("potential", PeriodicCoefficient, **values["potential"])
     return RunConfig(
-        command=command, **values["grid"], spec=spec, potential=potential, q=q,
+        command=command, spec=spec, potential=potential,
         solver=_build("solver", SolverConfig, spec=spec, potential=potential,
                       **values["solver"]),
-        embedding=values["embedding"], moser=values["moser"],
-        kernel_bench=values["kernel_bench"],
         scan=_build("scan", nl.ScanPlan, s_max=values["scan"]["s_max"],
                     num=values["scan"]["points"]),
-        output_path=output_path, output_format=output_format, seed=seed,
+        settings=values, output_path=output_path, output_format=output_format,
+        seed=seed,
     )

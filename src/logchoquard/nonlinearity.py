@@ -202,6 +202,15 @@ def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
 
 # assumption checking --------------------------------------------------------
 
+def log_F_over_sf(spec: NonlinearitySpec, s):
+    """log(F(s) / (s f(s))) at s > 0 without cancellation: F / (s f) is
+    (1 - e^{-x}) / 2x, x = a s^2, for exp_minus_one, 1 / P_1 on a piece."""
+    if spec.kind == "exp_minus_one":
+        x = A_CRIT * s**2
+        return np.log(-np.expm1(-x)) - np.log(2 * x)
+    return -np.log(_by_piece(spec, s, lambda c, p, a: _poly(p, a, 1, s)))
+
+
 @dataclass(frozen=True)
 class ScanPlan:
     """Sampling plan for assumption checks on (0, s_max]."""
@@ -213,6 +222,10 @@ class ScanPlan:
     def __post_init__(self):
         if not self.s_max >= 10.0:
             raise InvalidParameterError("scan must reach s_max >= 10")
+        # the (f4) tail check forms 8 pi s^2, which overflows from s_max ~ 2.7e153
+        if not math.isfinite(8 * math.pi * self.s_max * self.s_max):
+            raise InvalidParameterError(
+                f"scan needs a finite 8 pi s_max^2, got s_max = {self.s_max:g}")
         if self.num < 100:
             raise InvalidParameterError("scan needs at least 100 points")
 
@@ -283,12 +296,8 @@ def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
     liminf_est = float(np.exp(min(np.min(tail_log), 690.0)))
     f4_ok = bool(liminf_est > script_v)
 
-    # Ambrosetti-Rabinowitz improvement F <= (1 - delta) s f, in log space;
-    # F / (s f) = 1 / P_1 on a piece c s^p e^{a s^2}, free of cancellation
-    if spec.kind == "exp_minus_one":
-        margin = log_F(spec, s) - (np.log(s) + log_f(spec, s))
-    else:
-        margin = -np.log(_by_piece(spec, s, lambda c, p, a: _poly(p, a, 1, s)))
+    # Ambrosetti-Rabinowitz improvement F <= (1 - delta) s f, in log space
+    margin = log_F_over_sf(spec, s)
     ar_ok = bool(np.all(margin <= math.log(max(1.0 - delta_est, 1e-12)) + 1e-12))
 
     # two-branch growth envelope constant

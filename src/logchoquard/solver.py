@@ -52,6 +52,8 @@ MINRES_MAX_ITERATIONS = 100
 RAY_BRACKET = (0.5, 1.5)    # ray scales searched for a trial's maximum
 K_SOLVE_TOLERANCE = 1e-14   # relative residual of a periodic-V K-solve
 K_SOLVE_MAX_ITERATIONS = 500
+RHO_SPHERE = 1e-2           # norm of the sphere the geometry probes lie on
+WITNESS_RADIUS = 0.25       # support radius of the negative-energy witness
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,8 @@ class SolverConfig:
     grid_kind: str = "cartesian"
     domain_radius: float = 16.0
     resolution: int = 128
-    descent_step: float = 1.0
     max_iterations: int = 20000
     residual_tolerance: float = 1e-4
-    rho_sphere: float = 1e-2
-    witness_radius: float = 0.25
 
     def __post_init__(self):
         if self.grid_kind not in ("cartesian", "radial"):
@@ -74,8 +73,7 @@ class SolverConfig:
                             ("max_iterations", 1)):
             if getattr(self, name) < least:
                 raise InvalidParameterError(f"{name} must be >= {least}")
-        for name in ("domain_radius", "descent_step", "residual_tolerance",
-                     "rho_sphere", "witness_radius"):
+        for name in ("domain_radius", "residual_tolerance"):
             if not getattr(self, name) > 0:      # rejects nan as well
                 raise InvalidParameterError(f"{name} must be positive")
 
@@ -110,19 +108,18 @@ def _geometry_probes(grid):
 
 
 def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
-                      grid: grids.Grid, rho_sphere: float = 1e-2,
-                      witness_radius: float = 0.25):
+                      grid: grids.Grid):
     """Certify the two mountain-pass conditions on the grid.
 
     Returns (delta0, e_witness): delta0 > 0 is the minimum of I_V over a
-    probe set scaled onto the sphere ||u||_{1,q(w)} = rho_sphere, and
+    probe set scaled onto the sphere ||u||_{1,q(w)} = RHO_SPHERE, and
     e_witness is t * bump (support in the witness ball) with I_V < 0,
     found by doubling t.  Raises GeometryFailureError when either part
     cannot be certified (e.g. for an inert nonlinearity).
     """
     # first: on a grid too coarse for the witness disc the probes may vanish
     # at every node
-    grids.require_plateau_resolution(grid, witness_radius)
+    grids.require_plateau_resolution(grid, WITNESS_RADIUS)
     delta0 = math.inf
     for probe in _geometry_probes(grid):
         nrm_sq = norm_1qw_sq(probe, spec.q, potential)
@@ -131,12 +128,12 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
             raise ResolutionFailureError(
                 f"a geometry probe has squared norm {nrm_sq:.3g} <= 0 on a "
                 f"grid of radius {grid.domain_radius:g}")
-        scaled = probe.with_values(probe.values * (rho_sphere / math.sqrt(nrm_sq)))
+        scaled = probe.with_values(probe.values * (RHO_SPHERE / math.sqrt(nrm_sq)))
         delta0 = min(delta0, energy.total_energy(scaled, spec, potential))
     if not delta0 > 0:
         raise GeometryFailureError(
-            f"no positive energy floor on the rho = {rho_sphere} sphere")
-    seed_bump = families.bump(grid, witness_radius)
+            f"no positive energy floor on the rho = {RHO_SPHERE} sphere")
+    seed_bump = families.bump(grid, WITNESS_RADIUS)
     t = 1.0
     for _ in range(WITNESS_DOUBLINGS):
         candidate = seed_bump.with_values(t * seed_bump.values)
@@ -344,9 +341,7 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     grid = grids.build_grid(config.grid_kind, config.domain_radius,
                             config.resolution)
     spec, potential = config.spec, config.potential
-    delta0, witness = check_mp_geometry(
-        spec, potential, grid, rho_sphere=config.rho_sphere,
-        witness_radius=config.witness_radius)
+    delta0, witness = check_mp_geometry(spec, potential, grid)
     t, level = energy.ray_max(energy.ray_energy(witness, spec, potential),
                               0.5, 0.0, 1.0, 1e-3)
     u = witness.with_values(t * witness.values)
@@ -395,7 +390,7 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         # trust region: a state may not teleport across the ridge zone
         cap = max(0.2 * state_norm(u.values), 1e-3)
         step_norm = state_norm(direction)
-        eta = min(config.descent_step, cap / max(step_norm, 1e-300))
+        eta = min(1.0, cap / max(step_norm, 1e-300))
         # the ray maximum is located to a scale error whose slope error is
         # small against the residual
         xatol = min(1e-3, 1e-2 * residual)

@@ -16,7 +16,7 @@ from logchoquard import (cli, energy, families, grids, kernel, reports, solver,
                          spaces)
 from logchoquard import nonlinearity as nl
 from logchoquard.config import DEFAULTS, load_config
-from logchoquard.errors import InvalidParameterError, ValidationError
+from logchoquard.errors import ValidationError
 
 
 def write_config(tmp_path, text):
@@ -34,7 +34,7 @@ q = 2
 
 def test_load_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE), "solve")
-    assert cfg.domain_radius == 20.0
+    assert cfg.settings["grid"]["domain_radius"] == 20.0
     assert cfg.solver.resolution == 128
     assert cfg.solver.domain_radius == 16.0
 
@@ -125,9 +125,9 @@ def test_moser_scan_past_the_overflow_scale_is_quiet(tmp_path, block):
 
     cfg = load_config(path, "moser-scan")
     row = tables[0][0]
-    rho = cfg.moser["rho"]
+    rho = cfg.settings["moser"]["rho"]
     cap, w = energy.moser_cap(row["n"], rho, energy.moser_grid(row["n"], rho),
-                              q=cfg.q, potential=cfg.potential)
+                              q=cfg.spec.q, potential=cfg.potential)
     w = w.with_values(w.values / math.sqrt(1.0 + cap.delta_n))
     level_at = energy.ray_energy(w, cfg.spec, cfg.potential)
     assert level_at(15.0) == -math.inf
@@ -296,20 +296,25 @@ def test_cli_unknown_nonlinearity_key_rejected(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("setting", ["path_nodes = 16",
-                                     "residual_tolerance = 0",
-                                     "descent_step = 0",
+@pytest.mark.parametrize("setting", ["residual_tolerance = 0",
                                      "grid_kind = hexagonal",
                                      "resolution = 4",
                                      "domain_radius = -1",
                                      "max_iterations = 0",
+                                     "domain_radius = nan",
+                                     # unknown keys: keys that are no longer
+                                     # settings
+                                     "path_nodes = 16",
+                                     "descent_step = 0",
                                      "rho_sphere = -0.5",
-                                     "witness_radius = 0",
-                                     "domain_radius = nan"])
-def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
+                                     "witness_radius = 0"])
+def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, capsys,
+                                                            setting):
     path = write_config(tmp_path, BASE + "\n[solver]\n" + setting + "\n")
     code = cli.main(["check-assumptions", "--config", path])
     assert code == 2
+    unknown = setting.split()[0] not in DEFAULTS["solver"]
+    assert ("unknown key" in capsys.readouterr().err) == unknown
 
 
 @pytest.mark.parametrize("section, setting", [
@@ -339,6 +344,9 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, setting):
     ("embedding", "alpha = 0"),
     ("embedding", "alpha = -1"),
     ("scan", "points = 99"),
+    # 8 pi s_max^2 overflows
+    ("scan", "s_max = 1e154"),
+    ("scan", "s_max = 1e300"),
     # unknown keys: a misspelt one, then keys that are no longer settings
     ("output", "pth = x"),
     ("moser", "ray_samples = 63"),
@@ -401,6 +409,92 @@ def test_cli_check_assumptions_extreme_nonlinearity(tmp_path, block):
     assert cli.main(["check-assumptions", "--config", path,
                      "--output", str(out)]) in (0, 3)
     assert out.exists()
+
+
+@pytest.mark.parametrize("kind", ["exp_minus_one", "power_exp", "piecewise"])
+def test_scan_to_the_largest_admitted_s_max_is_quiet(tmp_path, kind):
+    # 8 pi s_max^2 overflows from s_max ~ 2.7e153; below it every check runs
+    # without an overflow
+    path = write_config(tmp_path, f"[nonlinearity]\nkind = {kind}\nq = 2\n"
+                        "[scan]\ns_max = 2e153\n")
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["check-assumptions", "--config", path,
+                         "--output", str(out)]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert json.loads(out.read_text())["results"]["sample_range"][1] == 2e153
+
+
+# a non-default value in each section a command reads, on small problems
+SMALL_SETTINGS = {
+    "check-assumptions": {"scan": {"s_max": 12.5, "points": 500}},
+    "verify-embedding": {"grid": {"resolution": 256},
+                         "embedding": {"alpha": 3.0, "bound_points": 10,
+                                       "moser_ns": [4, 8], "rho": 0.4}},
+    "moser-scan": {"grid": {"resolution": 256},
+                   "moser": {"ns": [8, 16], "rho": 0.4, "t_max": 3.0}},
+    "solve": {"solver": {"domain_radius": 6.0, "resolution": 48,
+                         "max_iterations": 2000, "residual_tolerance": 2e-4}},
+    "kernel-bench": {"kernel_bench": {"sizes": [8, 16], "pairs": 2,
+                                      "bench_radius": 3.0}},
+}
+
+
+def as_ini(config):
+    """A report's ``config`` (its sections; ``seed`` is a flag) as a file."""
+    lines = []
+    for section, rows in config.items():
+        if isinstance(rows, dict):
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {','.join(map(str, value))}"
+                      if isinstance(value, list) else f"{key} = {value}"
+                      for key, value in rows.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", list(SMALL_SETTINGS))
+def test_a_reports_config_reproduces_the_report(tmp_path, command):
+    # the first run names its report path twice, in [output] and by --output;
+    # neither may reach the report
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    path = tmp_path / "first.cfg"
+    path.write_text(as_ini({"nonlinearity": {"q": 2}, **SMALL_SETTINGS[command],
+                            "output": {"path": first}}))
+    code = cli.main([command, "--config", str(path), "--seed", "7",
+                     "--output", str(first)])
+    report = json.loads(first.read_text())
+    assert set(report["config"]) == set(DEFAULTS) - {"output"} | {"seed"}
+    assert report["config"]["seed"] == 7
+    for section, rows in SMALL_SETTINGS[command].items():
+        for key, value in rows.items():
+            assert report["config"][section][key] == value, (section, key)
+
+    path = tmp_path / "second.cfg"
+    path.write_text(as_ini(report["config"]))
+    assert cli.main([command, "--config", str(path), "--seed", "7",
+                     "--output", str(second)]) == code
+
+    def stable(out):
+        return [line for line in out.read_text().splitlines() if not any(
+            f'"{key}"' in line for key in ("field_file", "direct_seconds",
+                                           "fast_seconds"))]
+    assert stable(first) == stable(second)
+    assert str(tmp_path) not in "\n".join(stable(first) + stable(second))
+    if command == "solve":
+        assert (tmp_path / "first.json.field").read_bytes() \
+            == (tmp_path / "second.json.field").read_bytes()
+
+
+def test_readme_example_configuration_loads_for_every_command(tmp_path,
+                                                              monkeypatch):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        example = handle.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)          # its report path is relative
+    path = write_config(tmp_path, example)
+    for command in cli.COMMANDS:
+        assert load_config(path, command).output_path == "run.json"
 
 
 @pytest.mark.parametrize("command", ["check-assumptions", "solve"])
@@ -505,18 +599,20 @@ def test_fuzzed_ini_files_exit_with_a_documented_code(tmp_path, data):
 
 
 def test_verify_embedding_reports_the_configured_alpha(tmp_path):
-    path = write_config(tmp_path, BASE + "\n[grid]\nresolution = 256\n"
-                        "\n[embedding]\nalpha = 3.5\nbound_points = 10\n"
-                        "moser_ns = 4,8\n")
-    cfg = load_config(path, "verify-embedding")
+    text = (BASE + "\n[grid]\nresolution = 256\n"
+            "\n[embedding]\nbound_points = 10\nmoser_ns = 4,8\n")
+    cfg = load_config(write_config(tmp_path, text + "alpha = 3.5\n"),
+                      "verify-embedding")
     results, _, _ = cli.cmd_verify_embedding(cfg)
     assert results["alpha"] == 3.5
     assert "orlicz_q_variant" not in results      # q = 2
     # an unset alpha means 2 pi; any other value is used as given, never
-    # replaced (a zero that slipped past load_config must not read as unset)
-    cfg.embedding["alpha"] = 0.0
-    with pytest.raises(InvalidParameterError):
-        cli.cmd_verify_embedding(cfg)
+    # replaced: a zero is rejected, not read as unset
+    cfg = load_config(write_config(tmp_path, text), "verify-embedding")
+    assert cfg.settings["embedding"]["alpha"] == 2 * math.pi
+    with pytest.raises(ValidationError):
+        load_config(write_config(tmp_path, text + "alpha = 0\n"),
+                    "verify-embedding")
 
 
 def test_verify_embedding_orlicz_variant_at_q_3(tmp_path):

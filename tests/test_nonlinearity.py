@@ -1,5 +1,6 @@
 """Nonlinearity families, assumption checkers and the threshold constant."""
 
+import decimal
 import math
 import tracemalloc
 
@@ -147,6 +148,21 @@ def test_power_exp_q_limit_and_ar_margin_cancel_in_closed_form(q):
         (q + 2 * a * s**2) * math.exp(a * s**2), rel=1e-12)
     assert report.q_limit_estimate == pytest.approx(q, rel=1e-6)
     assert report.ar_improved_ok
+
+
+@pytest.mark.parametrize("s_max", [10.0, 1e5, 1e9, 1e20])
+def test_exp_minus_one_ar_margin_is_free_of_cancellation(s_max):
+    # F / (s f) = (1 - e^{-x}) / (2x) <= 1/2 with x = 4 pi s^2, so the
+    # improvement holds at every s_max.  A difference of logs of size x, such
+    # as log F - (log s + log f), loses it to rounding from s_max ~ 1e9 on
+    scan = nl.ScanPlan(s_max=s_max)
+    assert nl.check_assumptions(F1, scan).ar_improved_ok
+    s = scan.points()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = [decimal.Decimal(nl.A_CRIT) * decimal.Decimal(v) ** 2 for v in s.tolist()]
+        exact = [float((1 - (-v).exp()).ln() - (2 * v).ln()) for v in x]
+    assert np.max(np.abs(nl.log_F_over_sf(F1, s) - exact)) <= 1e-12
 
 
 def test_ratio_within_f2_band():
