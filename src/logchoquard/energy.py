@@ -95,27 +95,31 @@ def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
     return ray_energy(u, spec, potential)(1.0)
 
 
-def _gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
-              potential: PeriodicCoefficient):
-    """(I_V'(u), B0 * c F(u), c f(u)): the gradient with the two pieces of
-    it that the second variation reuses."""
-    grid = u.grid
-    grad = grids.stiffness_product(grid, u.values) / grid.weights
-    grad += potential.on_grid(grid) * u.values
-    conv = kernel.b0_potential(grid, compose_density(u, spec))
-    cf = compose_f(u, spec)
-    grad -= conv * cf / TWO_PI
-    return grids.GridField(grid, grad), conv, cf
+@dataclass(frozen=True)
+class Gradient:
+    """I_V'(u) and what its one B0 convolution gives besides."""
+    field: grids.GridField      # I_V'(u)
+    conv: np.ndarray            # B0 * c F(u): the one convolution
+    cf: np.ndarray              # c f(u)
+    frak: float                 # B0(c F(u), c F(u)) = sum w conv c F(u)
+    pairing: float              # B0(c F(u), c f(u) u) = sum w conv c f(u) u
 
 
 def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
-                    potential: PeriodicCoefficient) -> grids.GridField:
-    """Grid representation of the first variation of I_V.
-
-    Pairing the result with any test field phi through the quadrature
-    weights reproduces the directional derivative of energy_IV.
-    """
-    return _gradient(u, spec, potential)[0]
+                    potential: PeriodicCoefficient) -> Gradient:
+    """Grid representation of the first variation of I_V: pairing ``.field``
+    with any test field phi through the quadrature weights reproduces the
+    directional derivative of energy_IV."""
+    grid = u.grid
+    density = compose_density(u, spec)
+    grad = grids.stiffness_product(grid, u.values) / grid.weights
+    grad += potential.on_grid(grid) * u.values
+    conv = kernel.b0_potential(grid, density)
+    cf = compose_f(u, spec)
+    grad -= conv * cf / TWO_PI
+    return Gradient(field=grids.GridField(grid, grad), conv=conv, cf=cf,
+                    frak=float(np.sum(grid.weights * conv * density)),
+                    pairing=float(np.sum(grid.weights * conv * cf * u.values)))
 
 
 @dataclass(frozen=True)
@@ -123,21 +127,20 @@ class Linearization:
     """I_V'(u) and the pieces of I_V''(u) that do not depend on the
     direction, so that each ``hessian_product`` costs one B0 convolution."""
 
-    gradient: grids.GridField
+    gradient: Gradient
     mass: np.ndarray            # w V: the potential's mass diagonal
-    cf: np.ndarray              # c f(u)
     cf_prime_conv: np.ndarray   # (B0 * c F(u)) c f'(u)
 
 
 def linearize(u: grids.GridField, spec: nl.NonlinearitySpec,
               potential: PeriodicCoefficient) -> Linearization:
-    """I_V'(u) (one B0 convolution, as ``energy_gradient``) together with
-    the direction-free parts of the second variation at u."""
-    gradient, conv, cf = _gradient(u, spec, potential)
+    """I_V'(u) (one ``energy_gradient``) together with the direction-free
+    parts of the second variation at u."""
+    g = energy_gradient(u, spec, potential)
     c = spec.c_profile.on_grid(u.grid)
     return Linearization(
-        gradient=gradient, mass=u.grid.weights * potential.on_grid(u.grid),
-        cf=cf, cf_prime_conv=conv * c * nl.eval_f_prime(spec, u.values))
+        gradient=g, mass=u.grid.weights * potential.on_grid(u.grid),
+        cf_prime_conv=g.conv * c * nl.eval_f_prime(spec, u.values))
 
 
 def hessian_product(lin: Linearization, v: np.ndarray) -> np.ndarray:
@@ -149,11 +152,11 @@ def hessian_product(lin: Linearization, v: np.ndarray) -> np.ndarray:
     sum(z * hessian_product(lin, v)) is the second variation in the
     directions v and z.  The operator is symmetric in the plain dot
     product."""
-    grid = lin.gradient.grid
+    grid, cf = lin.gradient.field.grid, lin.gradient.cf
     w = grid.weights
     out = grids.stiffness_product(grid, v)
-    conv = kernel.b0_potential(grid, lin.cf * v)
-    out += lin.mass * v - w * (lin.cf * conv + lin.cf_prime_conv * v) / TWO_PI
+    conv = kernel.b0_potential(grid, cf * v)
+    out += lin.mass * v - w * (cf * conv + lin.cf_prime_conv * v) / TWO_PI
     return out
 
 

@@ -41,7 +41,7 @@ from . import energy, families, grids
 from . import nonlinearity as nl
 from .errors import (GeometryFailureError, InvalidParameterError,
                      NonConvergenceError, ResolutionFailureError)
-from .spaces import PeriodicCoefficient, norm_1qw_sq
+from .spaces import PeriodicCoefficient, norm_1qw_sq, norm_V_sq
 
 TRACE_FIELDS = 32           # field-trace size kept for the PS diagnostics
 NEWTON_SWITCH = 2e-2        # descent residual below which Newton is tried
@@ -97,6 +97,13 @@ class SolverResult:
     field_trace: list = dc_field(default_factory=list)   # a PS sequence
 
 
+@dataclass(frozen=True)
+class TraceState:
+    field: grids.GridField   # a state of the PS sequence u
+    frak: float              # B0(c F(u), c F(u)) from its own gradient
+    pairing: float           # B0(c F(u), c f(u) u) from its own gradient
+
+
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
@@ -134,12 +141,10 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
         raise GeometryFailureError(
             f"no positive energy floor on the rho = {RHO_SPHERE} sphere")
     seed_bump = families.bump(grid, WITNESS_RADIUS)
-    t = 1.0
-    for _ in range(WITNESS_DOUBLINGS):
-        candidate = seed_bump.with_values(t * seed_bump.values)
+    for k in range(WITNESS_DOUBLINGS):
+        candidate = seed_bump.with_values(2.0**k * seed_bump.values)
         if energy.total_energy(candidate, spec, potential) < 0:
             return float(delta0), candidate
-        t *= 2.0
     raise GeometryFailureError(
         "no negative-energy point found within the doubling budget "
         "(nonlinearity appears inert)")
@@ -285,7 +290,7 @@ def _minres(apply, precondition, rhs, rtol, maxiter):
 
 @dataclass(frozen=True)
 class NewtonRun:
-    iterates: tuple     # the state after each step
+    iterates: tuple     # the TraceState after each step
     level: float        # I_V at the last state, once the tolerance is met
     residual: float
     products: int       # Hessian products of all the MINRES solves
@@ -308,18 +313,19 @@ def _newton(u, spec, potential, tolerance):
     products = 0
     while True:
         lin = energy.linearize(u, spec, potential)
-        residual, _, _ = _dual_estimate(grid, potential, lin.gradient.values)
+        if iterates:    # the last step's state takes this gradient's pairings
+            iterates[-1] = TraceState(u, lin.gradient.frak, lin.gradient.pairing)
+        residual, _, _ = _dual_estimate(grid, potential, lin.gradient.field.values)
         if residual <= tolerance or len(iterates) == NEWTON_MAX_STEPS:
             break
-        rhs = -(grid.weights * lin.gradient.values)
+        rhs = -(grid.weights * lin.gradient.field.values)
         step, used, _ = _minres(functools.partial(energy.hessian_product, lin),
                                 precondition, rhs, NEWTON_FORCING,
                                 MINRES_MAX_ITERATIONS)
         products += used
         u = grids.GridField(grid, np.maximum(u.values + step, 0.0))
-        iterates.append(u)
-        if (not np.all(np.isfinite(u.values))
-                or np.any(nl.saturation_mask(spec, u.values))):
+        iterates.append(TraceState(u, math.nan, math.nan))
+        if np.any(nl.saturation_mask(spec, u.values)):
             residual = math.inf
             break
     level = (energy.total_energy(u, spec, potential)
@@ -363,17 +369,18 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
         return math.sqrt(float(np.sum(w_flat * values**2)))
 
     for iterations in range(1, config.max_iterations + 1):
-        grad = energy.energy_gradient(u, spec, potential)
-        residual, direction, slope = _dual_estimate(grid, potential, grad.values)
+        g = energy.energy_gradient(u, spec, potential)
+        residual, direction, slope = _dual_estimate(grid, potential, g.field.values)
         ps_trace.append((float(level), float(residual)))
         # the field trace is a Palais-Smale sequence: a descent state joins
         # it only when its residual is a new low.  Decimation keeps
         # ~TRACE_FIELDS of them, always retaining the most recent one.
         if residual < trace_residual:
             trace_residual = residual
-            field_trace.append(u)
+            field_trace.append(TraceState(u, g.frak, g.pairing))
             if len(field_trace) > 2 * TRACE_FIELDS:
                 del field_trace[-2::-2]
+        del g       # its B0 potential is not held through the line search
         if residual <= config.residual_tolerance:
             converged = True
             break
@@ -414,32 +421,31 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
     final = u
     level = path_level = float(level)
     if newton is not None:
-        final, level, residual = (newton.iterates[-1], newton.level,
+        final, level, residual = (newton.iterates[-1].field, newton.level,
                                   newton.residual)
         field_trace.extend(newton.iterates)
     if not converged:
         # the last step moved u after its residual was computed
-        final_grad = energy.energy_gradient(final, spec, potential)
-        residual, _, _ = _dual_estimate(grid, potential, final_grad.values)
+        g = energy.energy_gradient(final, spec, potential)
+        residual, _, _ = _dual_estimate(grid, potential, g.field.values)
+        if not field_trace or field_trace[-1].field is not final:
+            field_trace.append(TraceState(final, g.frak, g.pairing))
 
     if converged and not (0.0 < level < 0.5):
         raise GeometryFailureError(
             f"accepted level {level} outside the compactness window (0, 1/2)")
 
-    vanish = vanishing_check(final, 1.0)
     try:
         rec = recenter(final, potential, spec)
     except InvalidParameterError:
         # incommensurate lattice: exact integer shifts are unavailable,
         # leave the field in place
-        rec = RecenterResult(field=final, shift=(0, 0), energy_delta=0.0)
-    if not field_trace or field_trace[-1] is not final:
-        field_trace.append(final)
+        rec = RecenterResult(final, (0, 0), 0.0, vanishing_check(final, 1.0))
     return SolverResult(
         field=rec.field, level=level, path_level=path_level,
         residual=float(residual), iterations=iterations,
         newton_steps=newton_steps, hessian_products=hessian_products,
-        vanishing_indicator=float(vanish),
+        vanishing_indicator=rec.peak_mass,
         recentering_shift=rec.shift, ps_trace=ps_trace,
         converged=converged,
         status="converged" if converged else "budget-exhausted",
@@ -464,27 +470,22 @@ class PSDiagnostics:
 
 def ps_diagnostics(trace, spec: nl.NonlinearitySpec,
                    potential: PeriodicCoefficient, level: float) -> PSDiagnostics:
-    """Boundedness and improved-integrability probes along a field trace.
+    """Boundedness and improved-integrability probes along a trace of
+    ``TraceState``s, whose B0 pairings are read, not recomputed.
 
     The integrability exponent is alpha = min(1.2, 0.9 / (2 c)) with c the
     level, inside the admissible window [1, 1/(2c))."""
     if not trace:
         raise InvalidParameterError("ps_diagnostics needs a nonempty trace")
-    from . import kernel
-    from .spaces import norm_V_sq
-    sup_v = sup_frak = sup_pair = 0.0
-    for u in trace:
-        sup_v = max(sup_v, norm_V_sq(u, potential))
-        density = grids.GridField(u.grid, energy.compose_density(u, spec))
-        response = grids.GridField(
-            u.grid, energy.compose_f(u, spec) * u.values)
-        sup_frak = max(sup_frak, abs(kernel.b0_form(density, density)))
-        sup_pair = max(sup_pair, abs(kernel.b0_form(density, response)))
     alpha = min(1.2, 0.9 / (2.0 * level)) if level > 0 else 1.2
+    sup_v = sup_frak = sup_pair = 0.0
     integ = []
-    for u in trace:
-        dens = energy.compose_density(
-            u.with_values(np.abs(u.values)), spec)
+    for state in trace:
+        u = state.field
+        sup_v = max(sup_v, norm_V_sq(u, potential))
+        sup_frak = max(sup_frak, abs(state.frak))
+        sup_pair = max(sup_pair, abs(state.pairing))
+        dens = energy.compose_density(u.with_values(np.abs(u.values)), spec)
         integ.append(float(np.sum(u.grid.weights * dens**alpha)))
     return PSDiagnostics(
         sup_norm_V_sq=float(sup_v), sup_abs_frak=float(sup_frak),
@@ -540,10 +541,9 @@ def vanishing_check(u: grids.GridField, r: float) -> float:
             if d == 0.0:
                 frac = (s <= r).astype(float)
             else:
+                # the ring's share of the ball: arccos(-+1) / pi is 1 and 0
                 cosang = (s**2 + d**2 - r**2) / (2 * s * d)
-                frac = np.where(cosang <= -1.0, 1.0,
-                                np.where(cosang >= 1.0, 0.0,
-                                         np.arccos(np.clip(cosang, -1, 1)) / np.pi))
+                frac = np.arccos(np.clip(cosang, -1, 1)) / np.pi
             best = max(best, float(np.sum(mass * frac)))
         return best
     return float(np.max(_lattice_masses(u, r)[1]))
@@ -554,33 +554,39 @@ class RecenterResult:
     field: grids.GridField
     shift: tuple
     energy_delta: float
+    peak_mass: float        # vanishing_check(u, r): the largest local mass
 
 
 def recenter(u: grids.GridField, potential: PeriodicCoefficient,
              spec: nl.NonlinearitySpec, r: float = 1.0) -> RecenterResult:
-    """Shift by the integer vector that moves the largest local mass to the
-    origin.  On cartesian grids the unit cell must divide 1 so that integer
-    shifts are whole-cell rolls (then the shift is exactly energy
-    preserving for 1-periodic coefficients and interior-supported fields).
-    """
+    """Shift by the integer vector that moves the largest local mass (one
+    pass of lattice masses gives it and ``peak_mass``) to the origin; a
+    zero shift leaves u in place.  On cartesian grids the unit cell must
+    divide 1 so that integer shifts are whole-cell rolls (then the shift is
+    exactly energy preserving for 1-periodic coefficients and
+    interior-supported fields)."""
     grid = u.grid
     if grid.kind == "radial":
-        return RecenterResult(field=u, shift=(0, 0), energy_delta=0.0)
+        return RecenterResult(u, (0, 0), 0.0, vanishing_check(u, r))
     cells_per_unit = 1.0 / grid.spacing
     if abs(cells_per_unit - round(cells_per_unit)) > 1e-9:
         raise InvalidParameterError(
             "recentering needs a grid whose cell size divides 1 "
             f"(got spacing {grid.spacing})")
     cells_per_unit = int(round(cells_per_unit))
+    centers, masses = _lattice_masses(u, r)
+    peak = float(np.max(masses))
     best, best_center = -1.0, (0, 0)
-    for center, local in zip(*_lattice_masses(u, r)):
+    for center, local in zip(centers, masses):
         if local > best + 1e-15:
             best, best_center = local, center
     shift = (-int(best_center[0]), -int(best_center[1]))
+    if shift == (0, 0):
+        return RecenterResult(u, shift, 0.0, peak)
     rolled = np.roll(u.values, (shift[0] * cells_per_unit,
                                 shift[1] * cells_per_unit), axis=(0, 1))
     shifted = grids.GridField(grid, rolled)
     before = energy.total_energy(u, spec, potential)
     after = energy.total_energy(shifted, spec, potential)
     return RecenterResult(field=shifted, shift=shift,
-                          energy_delta=float(after - before))
+                          energy_delta=float(after - before), peak_mass=peak)

@@ -175,7 +175,7 @@ def test_moser_scan_t_star_is_the_root_of_the_ray_slope(tmp_path, monkeypatch,
         def slope(t):
             gradient = energy.energy_gradient(w.with_values(t * w.values),
                                               spec, potential)
-            return energy.pair_gradient(gradient, w)
+            return energy.pair_gradient(gradient.field, w)
         lo, hi = ray.t_star - 1e-3, ray.t_star + 1e-3
         assert slope(lo) > 0.0 > slope(hi)
         for _ in range(30):
@@ -224,11 +224,18 @@ def count_energy_evaluations(monkeypatch):
     # the sandwich grid and one anchored grid per Moser cap
     ("verify-embedding", lambda patch: count_calls(patch, grids, "build_grid"),
      1 + len(DEFAULTS["embedding"]["moser_ns"])),
-    # one gradient per descent iteration (11 on the default solve), none
-    # again for the converged state
-    ("solve", lambda patch: count_calls(patch, energy, "energy_gradient"), 11),
+    # one gradient per descent iteration (11 on the default solve) and one
+    # per Newton state through ``linearize`` (the start and its 2 steps),
+    # none again for the converged state
+    ("solve", lambda patch: count_calls(patch, energy, "energy_gradient"), 14),
+    # the geometry check, the descent's ray searches and the Newton level;
+    # a zero recentering shift evaluates nothing
+    ("solve", count_energy_evaluations, 84),
+    # one forward transform per I_V and per B0 convolution, none in the PS
+    # diagnostics
+    ("solve", lambda patch: count_calls(patch, kernel, "_spectrum"), 118),
 ], ids=["moser-scan", "moser-scan-energies", "check-assumptions",
-        "verify-embedding", "solve"])
+        "verify-embedding", "solve", "solve-energies", "solve-spectra"])
 def test_commands_compute_each_quantity_once(tmp_path, monkeypatch, command,
                                              counter, expected):
     calls = counter(monkeypatch)
@@ -236,6 +243,27 @@ def test_commands_compute_each_quantity_once(tmp_path, monkeypatch, command,
     assert cli.main([command, "--config", path,
                      "--output", str(tmp_path / "out.json")]) == 0
     assert len(calls) == expected
+
+
+def test_solve_ps_diagnostics_read_the_trace_pairings(tmp_path, monkeypatch):
+    # the B0 pairings of every trace state come with its gradient: the PS
+    # diagnostics transform nothing and form no B0 pairing
+    calls = [count_calls(monkeypatch, module, name)
+             for module, name in ((kernel, "_spectrum"), (kernel, "b0_form"),
+                                  (energy, "compose_f"))]
+    inside = []
+    ps_diagnostics = solver.ps_diagnostics
+
+    def counted(*args, **kwargs):
+        before = [len(c) for c in calls]
+        out = ps_diagnostics(*args, **kwargs)
+        inside.append([len(c) - b for c, b in zip(calls, before)])
+        return out
+    monkeypatch.setattr(solver, "ps_diagnostics", counted)
+    path = write_config(tmp_path, BASE)
+    assert cli.main(["solve", "--config", path,
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert inside == [[0, 0, 0]]
 
 
 @pytest.mark.parametrize("text", [

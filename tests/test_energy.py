@@ -102,7 +102,8 @@ def test_frak_nonnegative_in_half_ball(rgrid):
 
 def test_gradient_zero_field(rgrid):
     g = energy.energy_gradient(grids.zero_field(rgrid), F1, V1)
-    assert np.all(g.values == 0.0)
+    assert np.all(g.field.values == 0.0)
+    assert g.frak == g.pairing == 0.0
 
 
 @pytest.mark.parametrize("spec", [F1, F2], ids=["F1", "F2p2"])
@@ -117,7 +118,7 @@ def test_gradient_consistency(spec, rgrid):
         u = u.with_values(0.3 * u.values / max(np.abs(u.values).max(), 1e-9))
         phi = families.random_smooth(rgrid, rng, max_center=1.5)
         phi = phi.with_values(phi.values / max(np.abs(phi.values).max(), 1e-9))
-        grad = energy.energy_gradient(u, spec, V1)
+        grad = energy.energy_gradient(u, spec, V1).field
         pair = energy.pair_gradient(grad, phi)
         up = u.with_values(u.values + h * phi.values)
         um = u.with_values(u.values - h * phi.values)
@@ -131,7 +132,7 @@ def test_gradient_consistency_cartesian():
     rng = np.random.default_rng(3)
     u = families.gaussian(g, 1.0, amplitude=0.5)
     phi = families.random_smooth(g, rng, max_center=3.0)
-    grad = energy.energy_gradient(u, F1, V1)
+    grad = energy.energy_gradient(u, F1, V1).field
     pair = energy.pair_gradient(grad, phi)
     h = 1e-4
     up = u.with_values(u.values + h * phi.values)
@@ -170,7 +171,7 @@ def test_hessian_product_matches_gradient_differences(kind):
 
     def difference(h):
         up, um = (energy.energy_gradient(u.with_values(u.values + s * v),
-                                         spec, potential).values
+                                         spec, potential).field.values
                   for s in (h, -h))
         return np.max(np.abs(w * (up - um) / (2 * h) - hv)) / np.max(np.abs(hv))
     coarse, fine = difference(1e-3), difference(1e-4)

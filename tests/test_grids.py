@@ -352,7 +352,7 @@ def test_radial_gradient_and_hessian_bit_identical_to_sparse_product(
 
     def both():
         lin = energy.linearize(u, spec, potential)
-        return lin.gradient.values, energy.hessian_product(lin, v)
+        return lin.gradient.field.values, energy.hessian_product(lin, v)
     banded = both()
     monkeypatch.setattr(grids, "stiffness_product", lambda grid, x: ref @ x)
     for got, expected in zip(banded, both()):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from logchoquard import energy, families, grids, solver
+from logchoquard import energy, families, grids, kernel, solver
 from logchoquard import nonlinearity as nl
 from logchoquard.errors import (GeometryFailureError, InvalidParameterError,
                                 NonConvergenceError)
@@ -121,13 +121,13 @@ def test_dual_estimate_bounds_the_pairing_with_every_direction(spec, potential,
     directions = smooth_directions(grid, np.random.default_rng(2))
     norms = [math.sqrt(norm_1qw_sq(phi, spec.q, potential)) for phi in directions]
     for u in (res.field, witness, witness.with_values(0.3 * witness.values)):
-        grad = energy.energy_gradient(u, spec, potential)
+        grad = energy.energy_gradient(u, spec, potential).field
         dual, _, _ = solver._dual_estimate(grid, potential, grad.values)
         for phi, norm in zip(directions, norms):
             assert abs(energy.pair_gradient(grad, phi)) <= dual * norm * (1 + 1e-9)
     # at the accepted state the estimate is the reported residual, and
     # d = K^{-1} r attains the bound: its K norm is ||grad d||^2 + int V d^2
-    grad = energy.energy_gradient(res.field, spec, potential)
+    grad = energy.energy_gradient(res.field, spec, potential).field
     dual, descent, _ = solver._dual_estimate(grid, potential, grad.values)
     assert abs(dual - res.residual) < 1e-10 * (1 + res.residual)
     d = grids.GridField(grid, descent)
@@ -157,7 +157,9 @@ def test_vanishing_check_and_recenter_see_the_corners_of_the_square():
     mass = grids.integrate(u, lambda s: s**2)
     assert mass > 0
     assert abs(solver.vanishing_check(u, 1.0) - mass) < 1e-12 * mass
-    assert solver.recenter(u, V1, F1).shift == (-7, -7)
+    rec = solver.recenter(u, V1, F1)
+    assert rec.shift == (-7, -7)
+    assert rec.peak_mass == solver.vanishing_check(u, 1.0)
 
 
 def test_vanishing_check_radial_profile():
@@ -201,11 +203,36 @@ def test_recenter_off_center_bump(center, shift):
     assert solver.recenter(u, V1, F1).shift == shift
 
 
-def test_recenter_centered_bump():
+def test_recenter_centered_bump(monkeypatch):
+    # a zero shift leaves the field in place and evaluates no energy
+    monkeypatch.setattr(energy, "total_energy", None)
     g = grids.build_grid("cartesian", 8.0, 64)   # h = 0.25 divides 1
     u = families.bump(g, radius=0.5)
     rec = solver.recenter(u, V1, F1)
     assert rec.shift == (0, 0)
+    assert rec.field is u and rec.energy_delta == 0.0
+
+
+def test_solve_takes_the_lattice_masses_once(monkeypatch):
+    # the vanishing indicator and the recentering of a solve come from one
+    # pass of lattice masses in ``recenter``, and equal the public
+    # functions' results
+    calls = []
+    lattice_masses = solver._lattice_masses
+
+    def counted(u, r):
+        calls.append(r)
+        return lattice_masses(u, r)
+    monkeypatch.setattr(solver, "_lattice_masses", counted)
+    res = solver.solve_mountain_pass(
+        solver.SolverConfig(spec=F1, potential=V1, **C12_SETTINGS))
+    assert calls == [1.0]
+    final = res.field_trace[-1].field
+    assert res.vanishing_indicator == solver.vanishing_check(final, 1.0)
+    rec = solver.recenter(final, V1, F1)
+    assert res.recentering_shift == rec.shift
+    assert res.recentering_energy_delta == rec.energy_delta
+    assert np.array_equal(res.field.values, rec.field.values)
 
 
 def test_recenter_translated_bump_exact_energy():
@@ -239,10 +266,34 @@ def test_recenter_incommensurate_grid_rejected():
 
 def test_ps_diagnostics_constant_zero_trace():
     g = grids.build_grid("cartesian", 8.0, 48)
-    diag = solver.ps_diagnostics([grids.zero_field(g)], F1, V1, level=0.3)
+    zero = grids.zero_field(g)
+    gradient = energy.energy_gradient(zero, F1, V1)
+    state = solver.TraceState(zero, gradient.frak, gradient.pairing)
+    diag = solver.ps_diagnostics([state], F1, V1, level=0.3)
     assert diag.sup_norm_V_sq == 0.0
     assert diag.sup_abs_frak == 0.0
     assert diag.sup_abs_pairing == 0.0
+
+
+@pytest.mark.parametrize("kind, resolution", [("cartesian", 128),
+                                              ("radial", 512)])
+def test_trace_pairings_match_the_b0_form(kind, resolution):
+    # every trace state records the pairings its own gradient formed against
+    # the potential B0 * c F(u); the Parseval route (cartesian) and the
+    # prefix sums of the ring coupling (radial) are the oracle
+    cfg = solver.SolverConfig(spec=F1, potential=V1, grid_kind=kind,
+                              resolution=resolution)
+    res = solver.solve_mountain_pass(cfg)
+    assert res.converged and res.newton_steps > 0 and len(res.field_trace) > 2
+    assert np.array_equal(res.field_trace[-1].field.values, res.field.values)
+    for state in res.field_trace:
+        u = state.field
+        density = grids.GridField(u.grid, energy.compose_density(u, F1))
+        response = grids.GridField(u.grid, energy.compose_f(u, F1) * u.values)
+        frak = kernel.b0_form(density, density)
+        pairing = kernel.b0_form(density, response)
+        assert abs(state.frak - frak) <= 1e-12 * abs(frak)
+        assert abs(state.pairing - pairing) <= 1e-12 * abs(pairing)
 
 
 def test_ps_diagnostics_solver_trace(small_result):
@@ -288,7 +339,7 @@ def test_descent_states_are_ray_maxima(kind, resolution, monkeypatch):
         states.append(u)
         return gradient(u, spec, potential)
     monkeypatch.setattr(energy, "energy_gradient", recorded)
-    monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 0)   # a longer descent
+    monkeypatch.setattr(solver, "NEWTON_SWITCH", 0.0)    # no Newton: a longer descent
     cfg = solver.SolverConfig(spec=F1, potential=V1, grid_kind=kind,
                               **dict(C12_SETTINGS, resolution=resolution))
     res = solver.solve_mountain_pass(cfg)
@@ -298,7 +349,7 @@ def test_descent_states_are_ray_maxima(kind, resolution, monkeypatch):
     xatols = [1e-3] + [min(1e-3, 1e-2 * r) for _, r in res.ps_trace]
     for u, xatol in zip(states[:res.iterations], xatols):
         lin = energy.linearize(u, F1, V1)
-        ray_slope = energy.pair_gradient(lin.gradient, u)
+        ray_slope = energy.pair_gradient(lin.gradient.field, u)
         curvature = float(np.sum(u.values * energy.hessian_product(lin, u.values)))
         assert curvature < 0
         assert abs(ray_slope) <= 2 * xatol * abs(curvature)
@@ -313,7 +364,7 @@ def test_ray_slope_matches_central_differences(kind, resolution, t):
     grid = grids.build_grid(kind, 6.0, resolution)
     v = families.bump(grid, 0.5, amplitude=0.6)
     slope = energy.pair_gradient(
-        energy.energy_gradient(v.with_values(t * v.values), F1, V1), v)
+        energy.energy_gradient(v.with_values(t * v.values), F1, V1).field, v)
 
     def level(s):
         return energy.total_energy(v.with_values(s * v.values), F1, V1)
@@ -342,7 +393,7 @@ def test_ray_max_of_the_witness_is_interior(kind, resolution):
     assert curvature < 0
     # t is the maximizer of the witness ray to within xatol, so the slope
     # along u = t witness is at most about |<I_V''(u) u, u>| xatol / t
-    assert abs(energy.pair_gradient(lin.gradient, u)) <= 2 * xatol * abs(curvature) / t
+    assert abs(energy.pair_gradient(lin.gradient.field, u)) <= 2 * xatol * abs(curvature) / t
 
 
 @pytest.mark.parametrize("kind, resolution", [("cartesian", 48), ("radial", 512)])
@@ -422,7 +473,7 @@ def slope_root(v, lo, hi, spec=F1, potential=V1):
     def slope(t):
         gradient = energy.energy_gradient(v.with_values(t * v.values), spec,
                                           potential)
-        return energy.pair_gradient(gradient, v)
+        return energy.pair_gradient(gradient.field, v)
     assert slope(lo) > 0.0 > slope(hi)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
@@ -496,8 +547,8 @@ def test_budget_exhausted_residual_is_the_final_states():
                               **dict(C12_SETTINGS, max_iterations=3))
     res = solver.solve_mountain_pass(cfg)
     assert not res.converged and res.newton_steps == 0
-    final = res.field_trace[-1]
-    grad = energy.energy_gradient(final, F1, V1)
+    final = res.field_trace[-1].field
+    grad = energy.energy_gradient(final, F1, V1).field
     residual, _, _ = solver._dual_estimate(final.grid, V1, grad.values)
     assert res.residual == residual != res.ps_trace[-1][1]
 
@@ -506,8 +557,8 @@ def test_converged_residual_is_the_accepted_states(small_result):
     # a converged run reports the residual it computed at the state it
     # accepted; recomputing it there gives the same number
     assert small_result.converged
-    final = small_result.field_trace[-1]
-    grad = energy.energy_gradient(final, F1, V1)
+    final = small_result.field_trace[-1].field
+    grad = energy.energy_gradient(final, F1, V1).field
     residual, _, _ = solver._dual_estimate(final.grid, V1, grad.values)
     assert small_result.residual == residual
 
@@ -575,7 +626,7 @@ def test_minres_meets_the_forcing_term(kind, resolution, amplitude):
 
     def apply(x):
         return energy.hessian_product(lin, x)
-    rhs = -(grid.weights * lin.gradient.values)
+    rhs = -(grid.weights * lin.gradient.field.values)
     x, products, estimate = solver._minres(apply, precondition, rhs,
                                            solver.NEWTON_FORCING, 200)
 
