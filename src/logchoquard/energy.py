@@ -98,6 +98,7 @@ def total_energy(u: grids.GridField, spec: nl.NonlinearitySpec,
 @dataclass(frozen=True)
 class Gradient:
     """I_V'(u) and what its one B0 convolution gives besides."""
+    u: grids.GridField          # the state
     field: grids.GridField      # I_V'(u)
     conv: np.ndarray            # B0 * c F(u): the one convolution
     cf: np.ndarray              # c f(u)
@@ -117,7 +118,7 @@ def energy_gradient(u: grids.GridField, spec: nl.NonlinearitySpec,
     conv = kernel.b0_potential(grid, density)
     cf = compose_f(u, spec)
     grad -= conv * cf / TWO_PI
-    return Gradient(field=grids.GridField(grid, grad), conv=conv, cf=cf,
+    return Gradient(u=u, field=grids.GridField(grid, grad), conv=conv, cf=cf,
                     frak=float(np.sum(grid.weights * conv * density)),
                     pairing=float(np.sum(grid.weights * conv * cf * u.values)))
 
@@ -132,15 +133,15 @@ class Linearization:
     cf_prime_conv: np.ndarray   # (B0 * c F(u)) c f'(u)
 
 
-def linearize(u: grids.GridField, spec: nl.NonlinearitySpec,
+def linearize(g: Gradient, spec: nl.NonlinearitySpec,
               potential: PeriodicCoefficient) -> Linearization:
-    """I_V'(u) (one ``energy_gradient``) together with the direction-free
-    parts of the second variation at u."""
-    g = energy_gradient(u, spec, potential)
-    c = spec.c_profile.on_grid(u.grid)
+    """The gradient g at u (an ``energy_gradient``) together with the
+    direction-free parts of the second variation at u; no convolution."""
+    grid = g.u.grid
     return Linearization(
-        gradient=g, mass=u.grid.weights * potential.on_grid(u.grid),
-        cf_prime_conv=g.conv * c * nl.eval_f_prime(spec, u.values))
+        gradient=g, mass=grid.weights * potential.on_grid(grid),
+        cf_prime_conv=g.conv * spec.c_profile.on_grid(grid)
+        * nl.eval_f_prime(spec, g.u.values))
 
 
 def hessian_product(lin: Linearization, v: np.ndarray) -> np.ndarray:

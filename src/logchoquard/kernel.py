@@ -24,10 +24,10 @@ Every cartesian form is paired by Parseval, with no inverse FFT:
 B(u, v) = (1/m^2) sum_k c_k K_hat(k) Re(conj(uhat_k) vhat_k) over the
 rfft2 half spectrum, and one forward FFT when v is u.  ``b0_form`` (B0
 alone, the energy's form) runs the same pairing.  The pad m >= 2n - 1
-leaves no wrap-around terms, and every forward transform is pruned to the
-n nonzero rows of the pad (``_spectrum``).  The one convolution is
-``convolve_kernel`` (B0), which the energy gradient and the Hessian
-products need as a nodal field.
+leaves no wrap-around terms.  ``_spectrum`` fills one zeroed half spectrum
+in place, its row pass on the n nonzero rows of the pad only.  The one
+convolution is ``convolve_kernel`` (B0), which the energy gradient and the
+Hessian products need as a nodal field; its inverse runs in place too.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _fft_kernels(grid: grids.Grid):
     "B2" and "B0" the table c_k Re(K hat)_k / m^2 on the rfft2 half spectrum,
     c_k = 1 on column 0 (and on the Nyquist column when m is even), 2
     elsewhere.  Every kernel table depends on |offset| only, so its
-    transform is real.  Cached per grid."""
+    transform is real.  Cached per grid, and read-only."""
     def build():
         n, h = grid.resolution, grid.spacing
         m = _fast_len(2 * n - 1)
@@ -168,16 +168,21 @@ def _fft_kernels(grid: grids.Grid):
             c[-1] = 1.0
         tables = {name: c * khat.real / (m * m)
                   for name, khat in (("B1", k1hat), ("B2", k2hat), ("B0", k0hat))}
+        for table in (k0hat, *tables.values()):
+            table.flags.writeable = False
         return m, k0hat, tables
     return grid._cached("fft_kernels", build)
 
 
 def _spectrum(grid: grids.Grid, density: np.ndarray) -> np.ndarray:
-    """rfft2 of the m x m zero pad of the weighted nodal density, with the
-    forward pass pruned to the n nonzero rows (bit-identical to rfft2)."""
+    """rfft2 of the m x m zero pad of the weighted nodal density (bit-identical
+    to rfft2), in one fresh zeroed array: the row pass on the n nonzero rows
+    writes into it and the column pass runs in place, with no padding copy."""
     m = _fft_kernels(grid)[0]
-    rows = np.fft.rfft(grid.weights * density, n=m, axis=1)
-    return np.fft.fft(rows, n=m, axis=0)
+    n = grid.resolution
+    spectrum = np.zeros((m, m // 2 + 1), dtype=complex)
+    np.fft.rfft(grid.weights * density, n=m, axis=1, out=spectrum[:n])
+    return np.fft.fft(spectrum, axis=0, out=spectrum)
 
 
 def _cross_spectrum(u: grids.GridField, v: grids.GridField) -> np.ndarray:
@@ -191,17 +196,18 @@ def _cross_spectrum(u: grids.GridField, v: grids.GridField) -> np.ndarray:
 
 def convolve_kernel(grid: grids.Grid, density: np.ndarray):
     """(log(1/|.|) * density) sampled at the nodes of a uniform cartesian
-    grid, density given as nodal values (quadrature weights applied
-    internally)."""
+    grid, density given as nodal values (weights applied internally); the
+    kernel product and the inverse column pass run in place on its spectrum."""
     if grid.kind != "cartesian":
         raise UnsupportedGridError("FFT convolution needs a cartesian grid")
     m, k0hat, _ = _fft_kernels(grid)
     n = grid.resolution
     dhat = _spectrum(grid, density)
+    np.multiply(k0hat, dhat, out=dhat)  # operand order sets the rounding
     # irfft2 pruned to the n rows that are kept.  Like irfft2, both passes
     # run unscaled and the 1/m^2 is applied once, so the result is the same.
-    rows = np.fft.ifft(k0hat * dhat, axis=0, norm="forward")[:n]
-    return np.fft.irfft(rows, n=m, axis=1, norm="forward")[:, :n] * (1.0 / (m * m))
+    np.fft.ifft(dhat, axis=0, norm="forward", out=dhat)
+    return np.fft.irfft(dhat[:n], n=m, axis=1, norm="forward")[:, :n] * (1.0 / (m * m))
 
 
 def _pair_sum(grid: grids.Grid, a: np.ndarray, b: np.ndarray, kernels):

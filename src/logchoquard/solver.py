@@ -297,37 +297,39 @@ class NewtonRun:
     accepted: bool
 
 
-def _newton(u, spec, potential, tolerance):
-    """Inexact Newton on I_V'(u) = 0 from u.  Each step solves the second
-    variation system I_V''(u) d = -I_V'(u) by MINRES, preconditioned by
-    the quadratic-part solve, to the relative residual NEWTON_FORCING
-    (Dembo, Eisenstat & Steihaug 1982), then projects u + d onto u >= 0,
-    as the descent step does.
+def _newton(g, residual, spec, potential, tolerance):
+    """Inexact Newton on I_V'(u) = 0 from the gradient g at u and its dual
+    residual.  Each step solves the second variation system
+    I_V''(u) d = -I_V'(u) by MINRES, preconditioned by the quadratic-part
+    solve, to the relative residual NEWTON_FORCING (Dembo, Eisenstat &
+    Steihaug 1982), then projects u + d onto u >= 0, as the descent does.
 
     The run is accepted when it meets the tolerance within NEWTON_MAX_STEPS
     steps, at a state where no node saturates and whose level lies in the
-    compactness window (0, 1/2)."""
+    compactness window (0, 1/2); a non-finite step ends it unaccepted."""
+    u = g.u
     grid = u.grid
     precondition = _quadratic_preconditioner(grid, potential)
     iterates = []
     products = 0
-    while True:
-        lin = energy.linearize(u, spec, potential)
-        if iterates:    # the last step's state takes this gradient's pairings
-            iterates[-1] = TraceState(u, lin.gradient.frak, lin.gradient.pairing)
-        residual, _, _ = _dual_estimate(grid, potential, lin.gradient.field.values)
-        if residual <= tolerance or len(iterates) == NEWTON_MAX_STEPS:
-            break
-        rhs = -(grid.weights * lin.gradient.field.values)
+    while residual > tolerance and len(iterates) < NEWTON_MAX_STEPS:
+        lin = energy.linearize(g, spec, potential)
+        rhs = -(grid.weights * g.field.values)
         step, used, _ = _minres(functools.partial(energy.hessian_product, lin),
                                 precondition, rhs, NEWTON_FORCING,
                                 MINRES_MAX_ITERATIONS)
         products += used
-        u = grids.GridField(grid, np.maximum(u.values + step, 0.0))
-        iterates.append(TraceState(u, math.nan, math.nan))
-        if np.any(nl.saturation_mask(spec, u.values)):
+        if not np.all(np.isfinite(step)):
             residual = math.inf
             break
+        u = grids.GridField(grid, np.maximum(u.values + step, 0.0))
+        if np.any(nl.saturation_mask(spec, u.values)):
+            iterates.append(TraceState(u, math.nan, math.nan))
+            residual = math.inf
+            break
+        g = energy.energy_gradient(u, spec, potential)
+        iterates.append(TraceState(u, g.frak, g.pairing))
+        residual, _, _ = _dual_estimate(grid, potential, g.field.values)
     level = (energy.total_energy(u, spec, potential)
              if residual <= tolerance else math.nan)
     return NewtonRun(tuple(iterates), level, residual, products,
@@ -380,12 +382,12 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
             field_trace.append(TraceState(u, g.frak, g.pairing))
             if len(field_trace) > 2 * TRACE_FIELDS:
                 del field_trace[-2::-2]
-        del g       # its B0 potential is not held through the line search
         if residual <= config.residual_tolerance:
             converged = True
             break
         if residual < newton_below:
-            run = _newton(u, spec, potential, config.residual_tolerance)
+            run = _newton(g, residual, spec, potential,
+                          config.residual_tolerance)
             newton_steps += len(run.iterates)
             hessian_products += run.products
             if run.accepted:
@@ -394,6 +396,7 @@ def solve_mountain_pass(config: SolverConfig) -> SolverResult:
             # discarded: the descent goes on, and Newton is tried again
             # once the descent residual has halved
             newton_below = residual / 2
+        del g       # its B0 potential is not held through the line search
         # trust region: a state may not teleport across the ridge zone
         cap = max(0.2 * state_norm(u.values), 1e-3)
         step_norm = state_norm(direction)

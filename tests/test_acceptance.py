@@ -283,7 +283,8 @@ RADIAL_P1_LEVEL = 0.078195
 # shift skips its two total_energy calls: 84.  ``linearize`` takes its
 # gradient from ``energy_gradient``, so the 3 linearizations are counted
 # there: 84 + 14 gradients (11 descent, 3 Newton) + 15 Hessian products
-# = 113 evaluations.
+# = 113 evaluations.  Newton starts from the descent's last gradient: 84 +
+# 13 gradients (11 descent, 2 Newton steps) + 15 Hessian products = 112.
 C12_ENERGY_BUDGET = 92
 C12_EVALUATION_BUDGET = 124
 

@@ -225,15 +225,15 @@ def count_energy_evaluations(monkeypatch):
     ("verify-embedding", lambda patch: count_calls(patch, grids, "build_grid"),
      1 + len(DEFAULTS["embedding"]["moser_ns"])),
     # one gradient per descent iteration (11 on the default solve) and one
-    # per Newton state through ``linearize`` (the start and its 2 steps),
-    # none again for the converged state
-    ("solve", lambda patch: count_calls(patch, energy, "energy_gradient"), 14),
+    # per Newton step (2): Newton starts from the descent's last gradient,
+    # and none is computed again for the converged state
+    ("solve", lambda patch: count_calls(patch, energy, "energy_gradient"), 13),
     # the geometry check, the descent's ray searches and the Newton level;
     # a zero recentering shift evaluates nothing
     ("solve", count_energy_evaluations, 84),
     # one forward transform per I_V and per B0 convolution, none in the PS
     # diagnostics
-    ("solve", lambda patch: count_calls(patch, kernel, "_spectrum"), 118),
+    ("solve", lambda patch: count_calls(patch, kernel, "_spectrum"), 117),
 ], ids=["moser-scan", "moser-scan-energies", "check-assumptions",
         "verify-embedding", "solve", "solve-energies", "solve-spectra"])
 def test_commands_compute_each_quantity_once(tmp_path, monkeypatch, command,
@@ -264,6 +264,31 @@ def test_solve_ps_diagnostics_read_the_trace_pairings(tmp_path, monkeypatch):
     assert cli.main(["solve", "--config", path,
                      "--output", str(tmp_path / "out.json")]) == 0
     assert inside == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("poisoned", ["first", "every"])
+def test_a_non_finite_newton_step_discards_the_run(tmp_path, monkeypatch,
+                                                   poisoned):
+    # a nan in a Newton step ends that Newton run unaccepted; the descent
+    # goes on and the solve still converges, instead of exiting 2
+    minres = solver._minres
+    steps = []
+
+    def nan_step(*args):
+        x, products, estimate = minres(*args)
+        steps.append(x)
+        if poisoned == "every" or len(steps) == 1:
+            x = x.copy()
+            x.flat[x.size // 2] = np.nan
+        return x, products, estimate
+    monkeypatch.setattr(solver, "_minres", nan_step)
+    out = tmp_path / "out.json"
+    assert cli.main(["solve", "--config", write_config(tmp_path, BASE),
+                     "--output", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["status"] == "converged" and len(steps) > 1
+    assert results["level"] == pytest.approx(0.0777016879, abs=1e-8)
+    assert (results["newton_steps"] == 0) == (poisoned == "every")
 
 
 @pytest.mark.parametrize("text", [

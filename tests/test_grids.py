@@ -351,7 +351,8 @@ def test_radial_gradient_and_hessian_bit_identical_to_sparse_product(
     ref = (d.T @ sp.diags(g.weights) @ d).tocsr()
 
     def both():
-        lin = energy.linearize(u, spec, potential)
+        lin = energy.linearize(energy.energy_gradient(u, spec, potential),
+                               spec, potential)
         return lin.gradient.field.values, energy.hessian_product(lin, v)
     banded = both()
     monkeypatch.setattr(grids, "stiffness_product", lambda grid, x: ref @ x)

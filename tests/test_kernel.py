@@ -567,3 +567,46 @@ def test_cartesian_total_energy_runs_one_forward_fft_and_no_inverse(monkeypatch)
     calls.clear()
     kernel.convolve_kernel(grid, u.values)    # the counters do see a convolution
     assert calls == ["rfft", "fft", "ifft", "irfft"]
+
+
+@pytest.mark.parametrize("n", SPECTRAL_SIZES)
+def test_cross_spectrum_is_fresh_and_bit_identical_to_rfft2_pair(n):
+    # u is not v: two spectra, each filled in place in its own array, must
+    # not alias each other or anything a later call returns
+    import scipy.fft as spfft
+    grid = grids.build_grid("cartesian", 4.0, n)
+    m = kernel._fft_kernels(grid)[0]
+    rng = np.random.default_rng(n)
+    u = grids.GridField(grid, rng.normal(size=grid.shape))
+    v = grids.GridField(grid, rng.normal(size=grid.shape))
+
+    def padded_rfft2(f):
+        pad = np.zeros((m, m))
+        pad[:n, :n] = grid.weights * f.values
+        return spfft.rfft2(pad)
+    # Re(conj(uhat) vhat), expanded: numpy's complex product rounds otherwise
+    uhat, vhat = padded_rfft2(u), padded_rfft2(v)
+    ref = uhat.real * vhat.real + uhat.imag * vhat.imag
+    cross = kernel._cross_spectrum(u, v)
+    assert np.array_equal(cross, ref)
+    cross[...] = np.nan
+    spectrum = kernel._spectrum(grid, u.values)
+    spectrum[...] = np.nan
+    assert np.array_equal(kernel._cross_spectrum(u, v), ref)
+    assert np.array_equal(kernel._spectrum(grid, u.values), padded_rfft2(u))
+
+
+@pytest.mark.parametrize("n", [8, 33])
+def test_fft_tables_are_read_only(n):
+    # a stray out= or in-place product raises instead of corrupting the
+    # tables every later call reads
+    grid = grids.build_grid("cartesian", 4.0, n)
+    _, k0hat, tables = kernel._fft_kernels(grid)
+    density = np.random.default_rng(n).normal(size=grid.shape)
+    first = kernel.convolve_kernel(grid, density)
+    for table in (k0hat, *tables.values()):
+        with pytest.raises(ValueError):
+            table *= 2.0
+        with pytest.raises(ValueError):
+            np.multiply(table, table, out=table)
+    assert np.array_equal(kernel.convolve_kernel(grid, density), first)

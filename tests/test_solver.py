@@ -348,7 +348,7 @@ def test_descent_states_are_ray_maxima(kind, resolution, monkeypatch):
     # xatol of the residual it starts from
     xatols = [1e-3] + [min(1e-3, 1e-2 * r) for _, r in res.ps_trace]
     for u, xatol in zip(states[:res.iterations], xatols):
-        lin = energy.linearize(u, F1, V1)
+        lin = energy.linearize(gradient(u, F1, V1), F1, V1)
         ray_slope = energy.pair_gradient(lin.gradient.field, u)
         curvature = float(np.sum(u.values * energy.hessian_product(lin, u.values)))
         assert curvature < 0
@@ -388,7 +388,7 @@ def test_ray_max_of_the_witness_is_interior(kind, resolution):
     assert level == pytest.approx(energy.total_energy(u, F1, V1), rel=1e-13)
     for s in (t - 1e-2, t + 1e-2):
         assert level_at(s) < level
-    lin = energy.linearize(u, F1, V1)
+    lin = energy.linearize(energy.energy_gradient(u, F1, V1), F1, V1)
     curvature = float(np.sum(u.values * energy.hessian_product(lin, u.values)))
     assert curvature < 0
     # t is the maximizer of the witness ray to within xatol, so the slope
@@ -620,8 +620,9 @@ def test_minres_meets_the_forcing_term(kind, resolution, amplitude):
     potential = PeriodicCoefficient(1.0, amplitude)
     spec = nl.NonlinearitySpec("exp_minus_one",
                                c_profile=PeriodicCoefficient(1.0, amplitude))
-    lin = energy.linearize(families.gaussian(grid, 1.0, amplitude=0.4),
-                           spec, potential)
+    u = families.gaussian(grid, 1.0, amplitude=0.4)
+    lin = energy.linearize(energy.energy_gradient(u, spec, potential), spec,
+                           potential)
     precondition = solver._quadratic_preconditioner(grid, potential)
 
     def apply(x):
