@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (GridMismatchError, InvalidParameterError,
-                     ResolutionFailureError, UnsupportedGridError)
+                     ResolutionFailureError)
 
 MIN_RESOLUTION = 8
 PLATEAU_MIN_NODES = 4       # nodes a plateau or witness disc must hold
@@ -281,65 +281,33 @@ def _radial_stencil(nodes: np.ndarray):
     return coeffs, np.clip(np.arange(n) - 1, 0, n - 3)
 
 
-def _radial_bands(grid: Grid) -> np.ndarray:
-    """The radial stiffness D^T W D as five bands, shape (5, n): row m holds
-    the entries A[j, j + m - 2], zero where that column is off the matrix.
-
-    Entry (j, k) sums the contributions (d_ij w_i) d_ik over the rows i of
-    D in ascending order, starting from 0, which is the order and the
-    rounding of scipy's sparse product ``D.T @ diags(w) @ D``; so the bands
-    carry that product's bits, and A is not exactly symmetric.
-    """
+def derivative_stencil(grid: Grid):
+    """The 3-point derivative D of a radial grid as (coeffs, columns), cached
+    on the grid: row i of D holds ``coeffs[i]`` at the nodes ``columns[i]``."""
     def build():
         coeffs, base = _radial_stencil(grid.nodes)
-        n, col = grid.resolution, np.arange(3)
-        contributions = (coeffs * grid.weights[:, None])[:, :, None] * coeffs[:, None, :]
-        rows = np.broadcast_to((base[:, None] + col)[:, :, None], (n, 3, 3))
-        bands = np.zeros((5, n))
-        np.add.at(bands, (col - col[:, None] + 2, rows), contributions)
-        bands.flags.writeable = False
-        return bands
-    return grid._cached("bands", build)
+        return coeffs, base[:, None] + np.arange(3)
+    return grid._cached("derivative", build)
 
 
-def _band_product(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for the banded A, summed from the lowest band up and starting
-    from 0, as scipy's CSR product sums a row with sorted columns."""
-    n = len(x)
-    padded = np.zeros(n + 4)
-    padded[2:-2] = x
-    out = np.zeros(n)
-    for m, band in enumerate(bands):
-        out += band * padded[m:m + n]
-    return out
-
-
-def stiffness_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
-    """The radial stiffness D^T W D (E(u) = u^T A u) as a CSR matrix, built
-    from its bands with the exact zeros dropped (as scipy's sparse product
-    drops them), so that its entries and pattern are the product's.
-    Cartesian grids apply their stiffness matrix-free and have none."""
-    if grid.kind != "radial":
-        raise UnsupportedGridError("the stiffness matrix is built on radial grids only")
-
-    def build():
-        import scipy.sparse as sp
-        bands = _radial_bands(grid).T       # row j: A[j, j-2 .. j+2]
-        n = grid.resolution
-        keep = bands != 0
-        columns = np.arange(n)[:, None] + np.arange(-2, 3)
-        indptr = np.concatenate(([0], np.cumsum(np.sum(keep, axis=1))))
-        return sp.csr_matrix((bands[keep], columns[keep], indptr), shape=(n, n))
-    return grid._cached("stiffness", build)
+def radial_derivative(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """u' = D u at every node of a radial grid, for u in grid shape."""
+    coeffs, columns = derivative_stencil(grid)
+    return np.sum(coeffs * values[columns], axis=1)
 
 
 def stiffness_product(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """A v for the stiffness matrix A and v in grid shape: the band product
-    on radial grids; on cartesian ones the edge form sum_e (v_a - v_b)^2
-    over the neighbour pairs, applied as D^T D v over both axes with D the
-    forward differences (the cell-centred Neumann Laplacian)."""
+    """A v for the stiffness matrix A and v in grid shape, matrix-free.
+    Radial grids apply A = D^T W D as D^T (w D v), with D the 3-point
+    derivative and W the quadrature weights.  Cartesian ones apply the edge
+    form sum_e (v_a - v_b)^2 over the neighbour pairs as D^T D v over both
+    axes with D the forward differences (the cell-centred Neumann
+    Laplacian)."""
     if grid.kind == "radial":
-        return _band_product(_radial_bands(grid), values)
+        coeffs, columns = derivative_stencil(grid)
+        flux = grid.weights * radial_derivative(grid, values)
+        return np.bincount(columns.ravel(), (coeffs * flux[:, None]).ravel(),
+                           grid.resolution)
     out = np.zeros(grid.shape)
     dx, dy = values[1:] - values[:-1], values[:, 1:] - values[:, :-1]
     out[1:] += dx
@@ -352,12 +320,13 @@ def stiffness_product(grid: Grid, values: np.ndarray) -> np.ndarray:
 def dirichlet_energy(u: GridField) -> float:
     """Quadrature of |grad u|^2 over the truncated domain (radial: (u')^2 2 pi r dr).
 
+    Both grid kinds sum squares with ``np.sum``, so the value is never
+    negative, cancels nothing and does not depend on the BLAS thread count.
     Cartesian grids sum the edge form sum_e (u_a - u_b)^2 over the x- and
-    y-neighbour pairs with ``np.sum`` (no BLAS call, so the value does not
-    depend on the BLAS thread count).  The form charges the odd-even
-    (checkerboard) mode about 8 / h^2 per unit mass, so no lattice mode is
-    nearly free (Patankar 1980).  Radial grids pair u with the band product
-    ``u @ (A u)``.
+    y-neighbour pairs.  The form charges the odd-even (checkerboard) mode
+    about 8 / h^2 per unit mass, so no lattice mode is nearly free
+    (Patankar 1980).  Radial grids sum sum_i w_i (D u)_i^2 with D the
+    3-point derivative.
     """
     if u.grid.num_nodes < 3:
         raise GridMismatchError("grid too small for finite differences")
@@ -365,7 +334,7 @@ def dirichlet_energy(u: GridField) -> float:
         v = u.values
         return float(np.sum((v[1:] - v[:-1]) ** 2)
                      + np.sum((v[:, 1:] - v[:, :-1]) ** 2))
-    return float(u.values @ stiffness_product(u.grid, u.values))
+    return float(np.sum(u.grid.weights * radial_derivative(u.grid, u.values) ** 2))
 
 
 def require_same_grid(u: GridField, v: GridField):

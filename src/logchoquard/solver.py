@@ -19,10 +19,12 @@ about 1.6e-2 to 2.4e-2 on the default problem), so Newton takes over where
 the descent stops gaining.  A run that does not reach the tolerance is
 discarded and the descent goes on; it is tried again when the descent
 residual has halved.  K is symmetric positive definite.  On radial grids
-it is factored once per grid by an LU with a symmetric minimum-degree
-ordering and diagonal pivots; on cartesian grids, which cover the square
-with equal weights, a 2-D cosine transform diagonalizes it for constant V
-and preconditions the same MINRES for a periodic one.
+it is assembled from the 3-point derivative's stencil and factored once
+per grid by an LU with a symmetric minimum-degree ordering and diagonal
+pivots, and each solve takes one refinement step against K applied
+matrix-free; on cartesian grids, which cover the square with equal
+weights, a 2-D cosine transform diagonalizes it for constant V and
+preconditions the same MINRES for a periodic one.
 
 Stopping uses a dual-norm estimate of I_V': sqrt(r^T K^{-1} r) with r the
 residual covector, which upper-bounds the pairing against every test
@@ -131,7 +133,7 @@ def check_mp_geometry(spec: nl.NonlinearitySpec, potential: PeriodicCoefficient,
     for probe in _geometry_probes(grid):
         nrm_sq = norm_1qw_sq(probe, spec.q, potential)
         if not nrm_sq > 0:
-            # rounding of the Dirichlet form outweighs a mass of order R^2
+            # the probe is scaled by 1 / sqrt(nrm_sq) onto the sphere
             raise ResolutionFailureError(
                 f"a geometry probe has squared norm {nrm_sq:.3g} <= 0 on a "
                 f"grid of radius {grid.domain_radius:g}")
@@ -181,7 +183,10 @@ def _idct(y):
 def _quadratic_preconditioner(grid, potential):
     """b -> K^{-1} b for K = A + w V (stiffness plus V-mass), b in grid shape.
 
-    Radial: an LU of K.  Cartesian: A is the cell-centred Neumann Laplacian
+    Radial: an LU of K = D^T W D + diag(w V), assembled by scipy from the
+    3-point derivative D, and one refinement step x + LU^{-1}(b - K x) with
+    K x matrix-free, which takes the LU's rounding out of the dual estimate's
+    identity.  Cartesian: A is the cell-centred Neumann Laplacian
     and w = h^2, so A + s I is diagonal in the 2-D DCT-II, with eigenvalues
     l_i + l_j + s, l_k = 2 - 2 cos(pi k / n) = 4 sin^2(pi k / 2n) (the form
     exact for small k).  s = w V solves a constant V exactly; a periodic V
@@ -192,15 +197,25 @@ def _quadratic_preconditioner(grid, potential):
 
     def build():
         mass = grid.weights * potential.on_grid(grid)
+
+        def apply(x):
+            return grids.stiffness_product(grid, x) + mass * x
         if grid.kind == "radial":
             import scipy.sparse as sp
             import scipy.sparse.linalg as spla
-            k = (grids.stiffness_matrix(grid) + sp.diags(mass)).tocsc()
+            coeffs, columns = grids.derivative_stencil(grid)
+            d = sp.csr_matrix((coeffs.ravel(), columns.ravel(),
+                               np.arange(0, coeffs.size + 1, 3)))
+            k = (d.T @ sp.diags(grid.weights) @ d + sp.diags(mass)).tocsc()
             # K is symmetric positive definite: a symmetric fill-reducing
             # ordering with diagonal pivots needs no pivoting for stability
-            return spla.splu(k, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True}).solve
+            lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True}).solve
+
+            def refined_solve(b):
+                x = lu(b)
+                return x + lu(b - apply(x))
+            return refined_solve
         n = grid.resolution
         eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
         shift = grid.weights[0, 0] * (potential.floor + 0.5 * potential.amplitude)
@@ -211,9 +226,6 @@ def _quadratic_preconditioner(grid, potential):
             return _idct(_idct(_dct(_dct(b).T) / divisor).T)
         if potential.is_constant:
             return shifted_solve
-
-        def apply(x):
-            return grids.stiffness_product(grid, x) + mass * x
 
         def solve(b):
             x, _, residual = _minres(apply, shifted_solve, b, K_SOLVE_TOLERANCE,

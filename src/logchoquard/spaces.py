@@ -194,7 +194,7 @@ def sandwich_ratio(u: grids.GridField):
         raise GridMismatchError("sandwich_ratio requires a radial profile")
     r = u.grid.nodes
     t, tp = radial_map_T(r), radial_map_T_prime(r)
-    du = np.gradient(u.values, r, edge_order=2)
+    du = grids.radial_derivative(u.grid, u.values)
     h1 = float(np.sum(u.grid.weights
                       * (du**2 * t / (r * tp) + u.values**2 * t * tp / r)))
     w0 = norm_w0_sq(u)

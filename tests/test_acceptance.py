@@ -17,6 +17,7 @@ import pytest
 from logchoquard import (cli, energy, families, grids, kernel, solver,
                          spaces)
 from logchoquard import nonlinearity as nl
+from logchoquard.config import DEFAULTS
 from logchoquard.spaces import PeriodicCoefficient
 from test_cli import count_energy_evaluations
 
@@ -340,9 +341,10 @@ def test_c12_level_and_energy_budget(tmp_path, monkeypatch):
           f"{C12_EVALUATION_BUDGET}")
 
 
-def _solve_at_blas_threads(tmp_path, config_text, seed):
-    """(report lines without field_file, .field bytes) of one CLI solve
-    per BLAS thread count, 1 and 2, each in a fresh interpreter."""
+def _solve_at_blas_threads(tmp_path, config_text, seed, command="solve"):
+    """(report lines without field_file, .field bytes or None) of one CLI
+    run of ``command`` per BLAS thread count, 1 and 2, each in a fresh
+    interpreter."""
     cfg_path = tmp_path / "threads.cfg"
     cfg_path.write_text(config_text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -353,13 +355,14 @@ def _solve_at_blas_threads(tmp_path, config_text, seed):
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        subprocess.run([sys.executable, "-m", "logchoquard.cli", "solve",
+        subprocess.run([sys.executable, "-m", "logchoquard.cli", command,
                         "--config", str(cfg_path), "--seed", seed,
                         "--output", str(out)],
                        env=env, check=True, capture_output=True)
         report = [line for line in out.read_bytes().splitlines()
                   if b'"field_file"' not in line]
-        outputs.append((report, (tmp_path / f"threads{threads}.json.field").read_bytes()))
+        field = tmp_path / f"threads{threads}.json.field"
+        outputs.append((report, field.read_bytes() if field.exists() else None))
     return outputs
 
 
@@ -385,8 +388,7 @@ def test_default_solve_independent_of_blas_threads(tmp_path):
 
 
 def test_radial_solve_independent_of_blas_threads(tmp_path):
-    # the radial Dirichlet energy is the one BLAS product (a ddot) on a
-    # solve trajectory, and the preconditioner solves run through SuperLU
+    # the preconditioner solves run through SuperLU
     (report1, field1), (report2, field2) = _solve_at_blas_threads(
         tmp_path, "[nonlinearity]\nq = 2\n\n[solver]\ngrid_kind = radial\n"
         "resolution = 512\n", "1")
@@ -395,6 +397,17 @@ def test_radial_solve_independent_of_blas_threads(tmp_path):
     assert b'    "converged": true,' in report1
     print("ACCEPTANCE 12f PASS: the 512-node radial solve report and field "
           "file are byte-identical at one and two BLAS threads")
+
+
+@pytest.mark.parametrize("command", ["moser-scan", "verify-embedding"])
+def test_radial_commands_independent_of_blas_threads(tmp_path, command):
+    # each Moser index and sandwich profile gets a fresh radial grid of the
+    # default 2048 nodes, whose norms are stiffness sums of squares
+    assert DEFAULTS["grid"]["resolution"] == 2048
+    (report1, field1), (report2, field2) = _solve_at_blas_threads(
+        tmp_path, "[nonlinearity]\nq = 2\n", "1", command)
+    assert report1 == report2
+    assert field1 is None and field2 is None
 
 
 POWER_EXP_RADIAL_CONFIG = """

@@ -807,7 +807,7 @@ def test_solve_whose_quadratic_solve_misses_its_tolerance_exits_2(
 RESOLUTION = "node(s) inside radius 0.25"
 ZERO_NORM = "zero norm on the radial grid"
 SCALE = "4th power is not a normal float"
-PROBE_NORM = "a geometry probe has squared norm"
+NO_FLOOR = "no positive energy floor on the rho = 0.01 sphere"
 TINY_RADIAL = [(64, "1e-7"), (64, "1e-8"), (64, "1e-9"), (64, "1e-10"),
                (64, "1e-15"), (512, "1e-8")]
 
@@ -828,16 +828,10 @@ TINY_RADIAL = [(64, "1e-7"), (64, "1e-8"), (64, "1e-9"), (64, "1e-10"),
     ("solve", "[solver]\ndomain_radius = 1e-100", SCALE),
     ("kernel-bench", "[kernel_bench]\nbench_radius = 1e-300", SCALE),
     ("kernel-bench", "[kernel_bench]\nbench_radius = 1e300", SCALE),
-] + [
-    # the rounding of the Dirichlet form outweighs a probe's mass of order
-    # R^2, so its squared norm is not positive
-    ("solve", f"[solver]\ngrid_kind = radial\ndomain_radius = {radius}\n"
-     f"resolution = {n}", PROBE_NORM) for n, radius in TINY_RADIAL
 ], ids=["solve-cartesian-1e6", "solve-radial-1e6-8", "solve-radial-1e6-4096",
         "verify-embedding-1e5", "solve-radial-1e300", "moser-scan-1e300",
         "verify-embedding-1e300", "solve-1e-100", "kernel-bench-1e-300",
-        "kernel-bench-1e300"]
-   + [f"solve-radial-{radius}-{n}" for n, radius in TINY_RADIAL])
+        "kernel-bench-1e300"])
 def test_grids_out_of_scale_or_unresolved_exit_2(tmp_path, capsys, command,
                                                  block, message):
     path = write_config(tmp_path, BASE + "\n" + block + "\n")
@@ -845,6 +839,25 @@ def test_grids_out_of_scale_or_unresolved_exit_2(tmp_path, capsys, command,
                      "--output", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("n, radius", TINY_RADIAL,
+                         ids=[f"{radius}-{n}" for n, radius in TINY_RADIAL])
+def test_tiny_radial_grids_have_no_energy_floor_exit_3(tmp_path, capsys, n,
+                                                       radius):
+    # every geometry probe has a positive squared norm, since the Dirichlet
+    # form is a sum of squares, but on a disc this small no probe has a
+    # positive energy on the rho sphere
+    grid = grids.build_grid("radial", float(radius), n)
+    for probe in solver._geometry_probes(grid):
+        assert spaces.norm_1qw_sq(probe, 2.0, spaces.PeriodicCoefficient(1.0)) > 0
+    path = write_config(tmp_path, BASE + "\n[solver]\ngrid_kind = radial\n"
+                        f"domain_radius = {radius}\nresolution = {n}\n")
+    assert cli.main(["solve", "--config", path,
+                     "--output", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"geometry/admissibility failure: {NO_FLOOR}\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -938,23 +951,20 @@ def _in_radial_branch(path):
 
 
 def test_scipy_is_imported_only_on_the_radial_path():
-    # a cartesian solve runs on numpy alone: scipy.sparse serves the
-    # radial stiffness matrix and the radial LU, and nothing else
-    allowed = {
-        "grids.py": lambda up: _in_function(up, "stiffness_matrix"),
-        "solver.py": lambda up: (_in_function(up, "_quadratic_preconditioner")
-                                 and _in_radial_branch(up)),
-    }
+    # a cartesian solve runs on numpy alone: scipy.sparse assembles and
+    # factors the radial K, and nothing else
     seen = set()
     for name, line, module, path in _package_imports():
         if module.split(".")[0] != "scipy":
             continue
         assert module in ("scipy.sparse", "scipy.sparse.linalg"), \
             f"{name}:{line} imports {module}"
-        assert name in allowed and allowed[name](path), \
+        assert (name == "solver.py"
+                and _in_function(path, "_quadratic_preconditioner")
+                and _in_radial_branch(path)), \
             f"{name}:{line} imports {module} off the radial path"
-        seen.add(name)
-    assert seen == set(allowed)
+        seen.add(module)
+    assert seen == {"scipy.sparse", "scipy.sparse.linalg"}
 
 
 def test_field_roundtrip(tmp_path):

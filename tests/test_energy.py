@@ -307,9 +307,8 @@ def test_ray_energy_is_total_energy_along_the_ray(direction):
     # ray_energy takes total_energy's B0 self-pairing and t^2 (1/2)||v||_V^2
     # for the quadratic part.  Where t v is exact (t a power of two) the two
     # levels are equal.  Elsewhere they differ by the rounding of
-    # ||t v||_V^2 alone: the radial band product cancels in the stiffness
-    # rows, to 5.3e-11 relative on the Moser cap, so total_energy's
-    # quadratic part is noisy in t while the closure's is t^2 times one value
+    # ||t v||_V^2 alone, a sum of squares that cancels nothing (2e-15
+    # relative on the Moser cap), while the closure's is t^2 times one value
     v = direction()
     level_at = energy.ray_energy(v, F1, V1)
     half_norm = 0.5 * norm_V_sq(v, V1)
@@ -320,7 +319,7 @@ def test_ray_energy_is_total_energy_along_the_ray(direction):
         tv = v.with_values(t * v.values)
         expected = energy.total_energy(tv, F1, V1)
         rounding = t * t * half_norm - 0.5 * norm_V_sq(tv, V1)
-        assert abs(rounding) <= 1e-10 * t * t * half_norm
+        assert abs(rounding) <= 1e-14 * t * t * half_norm
         assert abs(level_at(t) - expected - rounding) <= 1e-13 * abs(expected)
 
 
