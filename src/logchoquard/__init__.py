@@ -10,7 +10,7 @@ from .grids import (Grid, GridField, build_grid, dirichlet_energy,
                     field_from_radial, integrate, zero_field)
 from .kernel import (KernelForm, bilinear_direct_many, bilinear_fast,
                      kernel_split)
-from .nonlinearity import (AssumptionReport, NonlinearitySpec, ScanPlan,
+from .nonlinearity import (AssumptionReport, NonlinearitySpec,
                            check_assumptions, compute_script_V, eval_F,
                            eval_f, eval_f_prime, ratio_Ffprime_f2)
 from .solver import (PSDiagnostics, RecenterResult, SolverConfig,

@@ -47,22 +47,19 @@ def _tail_mass_fraction(field: grids.GridField) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_check_assumptions(cfg: RunConfig):
-    report = nl.check_assumptions(cfg.spec, cfg.scan, potential=cfg.potential)
+    report = nl.check_assumptions(cfg.spec, cfg.potential)
     results = {
         "f1_ok": report.f1_ok, "f2_ok": report.f2_ok,
         "f3_ok": report.f3_ok, "f4_ok": report.f4_ok,
         "delta_estimate": report.delta_estimate,
         "C_estimate": report.C_estimate,
-        "f3_limit_estimate": report.f3_limit_estimate,
-        "f4_liminf_estimate": report.f4_liminf_estimate,
+        "f4_tail_power": report.f4_tail_power,
         "script_V": report.script_V,
         "script_V_argmin_rho": report.script_V_argmin,
         "ambrosetti_rabinowitz_improved": report.ar_improved_ok,
-        "envelope_constant": report.envelope_constant,
-        "q_limit_estimate": report.q_limit_estimate,
+        "q_limit": report.q_limit,
         "s_epsilon": report.s_epsilon,
         "epsilon": report.epsilon,
-        "sample_range": list(report.sample_range),
     }
     diagnostics = {"saturation_onset": float(np.sqrt(spaces.EXP_GUARD / (4 * np.pi)))}
     code = EXIT_OK if report.all_ok else EXIT_ADMISSIBILITY

@@ -1,7 +1,7 @@
 """Run configuration: a plain key-value text file with nested sections.
 
 Sections: [grid], [nonlinearity], [potential], [solver], [embedding],
-[moser], [kernel_bench], [scan], [output].  ``DEFAULTS`` is the one table
+[moser], [kernel_bench], [output].  ``DEFAULTS`` is the one table
 of keys; each default's value gives the key's type: str, int, float,
 ``None`` for an optional float and a tuple for a comma list of ints.  The
 [solver] rows are the defaults of ``SolverConfig``.  ``%`` is literal.
@@ -37,7 +37,6 @@ DEFAULTS = {
                   "moser_ns": (4, 8, 16, 32, 64), "rho": 0.5},
     "moser": {"ns": (8, 16, 32, 64), "rho": 0.5, "t_max": 4.0},
     "kernel_bench": {"sizes": (16, 32, 64), "pairs": 20, "bench_radius": 4.0},
-    "scan": {"s_max": 10.0, "points": 2000},
     "output": {"path": ""},
 }
 
@@ -76,7 +75,6 @@ class RunConfig:
     spec: nl.NonlinearitySpec
     potential: PeriodicCoefficient
     solver: SolverConfig
-    scan: nl.ScanPlan
     settings: dict          # every section of DEFAULTS but [output], resolved
     output_path: Optional[str] = None
     output_format: str = "json"
@@ -164,8 +162,6 @@ def load_config(path: Optional[str], command: str, output_path=None,
         command=command, spec=spec, potential=potential,
         solver=_build("solver", SolverConfig, spec=spec, potential=potential,
                       **values["solver"]),
-        scan=_build("scan", nl.ScanPlan, s_max=values["scan"]["s_max"],
-                    num=values["scan"]["points"]),
         settings=values, output_path=output_path, output_format=output_format,
         seed=seed,
     )

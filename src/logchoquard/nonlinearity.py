@@ -10,9 +10,10 @@ The kinds (a = 4 pi throughout):
 
 f(s) = 0 for s <= 0 (only positive solutions are sought), F(0) = 0.
 Exponents a s^2 > 700 are clamped; query ``saturation_mask`` for the flag.
-Evaluations that would overflow (tail checks, envelope fits) run in log
-space through the closed forms.  The threshold constant is minimized in
-log rho by ``energy.ray_max``, the package's one 1D search.
+Saturated evaluations run in log space through the closed forms.  The
+assumption checker decides (f1)-(f4) from closed forms on each piece; the
+two extrema of exp_minus_one that have none, and the threshold constant in
+log rho, are found by ``energy.ray_max``, the package's one 1D search.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .spaces import EXP_GUARD, PeriodicCoefficient
 
 A_CRIT = 4.0 * np.pi
 ONSET_EPSILON = 0.1         # s_epsilon: onset of sqrt(F f' / f^2) >= 1 - eps
-F3_TOLERANCE = 0.01         # (f3) holds if |tail limit - 1| is below this
 
 KINDS = ("exp_minus_one", "power_exp", "piecewise")
 
@@ -98,12 +98,9 @@ def _by_piece(spec: NonlinearitySpec, s, form, log: bool = False):
     return form(math.log(c) if log else c, p, A_CRIT)
 
 
-def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False,
-                 power: float = 0.0):
+def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False):
     """F^(k)(s) at s > 0; the value form clamps its exponent at the guard.
-    With ``log`` it is log(F^(k)(s) / s^power), the powers of s cancelled
-    on each piece c s^p e^{a s^2} (not in the F of exp_minus_one): +-inf
-    where (p - k - power) log s overflows."""
+    With ``log`` it is log F^(k)(s): +-inf where (p - k) log s overflows."""
     if spec.kind == "exp_minus_one":
         if k == 0:
             x = A_CRIT * s**2
@@ -113,7 +110,7 @@ def _closed_form(spec: NonlinearitySpec, s, k: int, log: bool = False,
     if log:
         with np.errstate(over="ignore"):
             return _by_piece(spec, s, lambda log_c, p, a: log_c
-                             + (p - k - power) * np.log(s)
+                             + (p - k) * np.log(s)
                              + np.log(_poly(p, a, k, s)) + a * s**2, log=True)
     return _by_piece(spec, s, lambda c, p, a: c * s ** (p - k) * _poly(p, a, k, s)
                      * np.exp(np.minimum(a * s**2, EXP_GUARD)))
@@ -150,34 +147,19 @@ def eval_f_prime(spec: NonlinearitySpec, s):
     return _evaluate(spec, s, 2)
 
 
-# log-space closed forms for overflow-free tail checks ----------------------
-
-def log_F(spec: NonlinearitySpec, s):
-    return _evaluate(spec, s, 0, log=True)
-
-
-def log_f(spec: NonlinearitySpec, s):
-    return _evaluate(spec, s, 1, log=True)
-
-
-def _log_over_power(spec: NonlinearitySpec, s, k: int, power: float):
-    """log(F^(k)(s) / s^power) at s > 0 for k = 0, 1.  The powers of s cancel
-    in the closed form, so p = q near 1e308 loses no digit; exp_minus_one
-    (p = 1, nothing cancels) divides in log space."""
-    if spec.kind == "exp_minus_one":
-        return (log_F, log_f)[k](spec, s) - power * np.log(s)
-    return _closed_form(spec, s, k, log=True, power=power)
-
-
-def log_s3fF_tail(spec: NonlinearitySpec, s):
-    """log of s^3 f(s) F(s) e^{-8 pi s^2}, the liminf quantity of the
-    growth-floor assumption, computed without overflow."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore"):          # +inf for p near the float limit
-        return 3.0 * np.log(s) + log_f(spec, s) + log_F(spec, s) - 2 * A_CRIT * s**2
-
-
 # the ratio F f' / f^2 -------------------------------------------------------
+
+def _piece_ratio(p, x):
+    """F f' / f^2 = 1 + (x - p) / P^2 on a piece c s^p e^{a s^2}, with
+    x = 2 a s^2 and P = p + x, term by term over P: with u = p / P and
+    v = x / P it is u (p - 1) / P + v (2u + 1 / P + v).  P^2 overflows once
+    p passes ~1e154, and the equal 1 + (x - p) / P^2 cancels to rounding
+    noise for p near 1 at small x; where P itself overflows the ratio is 1."""
+    with np.errstate(invalid="ignore"):       # inf / inf where P overflows
+        P = p + x
+        u, v = p / P, x / P
+        return np.where(P < np.inf, u * ((p - 1) / P) + v * (2 * u + 1 / P + v), 1.0)
+
 
 def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
     """F f' / f^2 in cancellation-safe closed forms."""
@@ -188,50 +170,11 @@ def ratio_Ffprime_f2(spec: NonlinearitySpec, s):
         x = A_CRIT * s**2
         out = -np.expm1(-x) * (1.0 + 1.0 / (2.0 * x))
     else:
-        # P_2 / P_1^2 term by term over P_1 = p + x, x = 2 a s^2: with
-        # u = p / P_1 and v = x / P_1 it is u (p - 1) / P_1 + v (2u + 1 / P_1 + v).
-        # P_1^2 overflows once p passes ~1e154, and the equal
-        # 1 + (x - p) / P_1^2 cancels to rounding noise for p near 1 at small s
-        def ratio(c, p, a):
-            p1 = _poly(p, a, 1, s)
-            u, v = p / p1, 2 * a * s**2 / p1
-            return u * ((p - 1) / p1) + v * (2 * u + 1 / p1 + v)
-        out = _by_piece(spec, s, ratio)
+        out = _by_piece(spec, s, lambda c, p, a: _piece_ratio(p, 2 * a * s**2))
     return out if out.ndim else float(out)
 
 
 # assumption checking --------------------------------------------------------
-
-def log_F_over_sf(spec: NonlinearitySpec, s):
-    """log(F(s) / (s f(s))) at s > 0 without cancellation: F / (s f) is
-    (1 - e^{-x}) / 2x, x = a s^2, for exp_minus_one, 1 / P_1 on a piece."""
-    if spec.kind == "exp_minus_one":
-        x = A_CRIT * s**2
-        return np.log(-np.expm1(-x)) - np.log(2 * x)
-    return -np.log(_by_piece(spec, s, lambda c, p, a: _poly(p, a, 1, s)))
-
-
-@dataclass(frozen=True)
-class ScanPlan:
-    """Sampling plan for assumption checks on (0, s_max]."""
-
-    s_max: float = 10.0
-    num: int = 2000
-    s_min: float = 1e-4
-
-    def __post_init__(self):
-        if not self.s_max >= 10.0:
-            raise InvalidParameterError("scan must reach s_max >= 10")
-        # the (f4) tail check forms 8 pi s^2, which overflows from s_max ~ 2.7e153
-        if not math.isfinite(8 * math.pi * self.s_max * self.s_max):
-            raise InvalidParameterError(
-                f"scan needs a finite 8 pi s_max^2, got s_max = {self.s_max:g}")
-        if self.num < 100:
-            raise InvalidParameterError("scan needs at least 100 points")
-
-    def points(self) -> np.ndarray:
-        return np.geomspace(self.s_min, self.s_max, self.num)
-
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -239,17 +182,14 @@ class AssumptionReport:
     f2_ok: bool
     f3_ok: bool
     f4_ok: bool
-    delta_estimate: float
-    C_estimate: float
-    f3_limit_estimate: float
-    f4_liminf_estimate: float
+    delta_estimate: float         # 0.99 inf F f' / f^2
+    C_estimate: float             # 1.01 sup F f' / f^2
+    f4_tail_power: float          # s^3 f F e^{-8 pi s^2} grows like s^this
     script_V: float
     script_V_argmin: float        # the rho at which script_V is attained
-    sample_range: tuple
-    ar_improved_ok: bool          # F(s) <= (1 - delta) s f(s) on the scan
-    envelope_constant: float      # fitted C of the two-branch growth envelope
-    q_limit_estimate: float       # limit of f(s)/s^{q-1} at 0
-    s_epsilon: float              # onset of the (1 - eps) regime; nan if unreached
+    ar_improved_ok: bool          # F(s) <= (1 - delta) s f(s) for all s > 0
+    q_limit: float                # limit of f(s)/s^{q-1} at 0
+    s_epsilon: float              # onset of the (1 - eps) regime
     epsilon: float
 
     @property
@@ -257,73 +197,86 @@ class AssumptionReport:
         return self.f1_ok and self.f2_ok and self.f3_ok and self.f4_ok
 
 
-def check_assumptions(spec: NonlinearitySpec, scan: ScanPlan = ScanPlan(),
+def _exp_minus_one_extrema(spec: NonlinearitySpec, floor: float):
+    """(max of F f' / f^2, the onset s_eps of ratio >= floor) for
+    exp_minus_one, which has no closed form for either: the ratio
+    (1 - e^{-y})(1 + 1/2y), y = a s^2, rises from 1/2 at 0 to its maximum
+    1.1091... near s = 0.5057 and falls to 1.  ``energy.ray_max`` finds the
+    maximum, then the root of ratio - floor below it as the maximum of
+    -(ratio - floor)^2."""
+    from .energy import ray_max
+
+    def ratio(s):
+        return ratio_Ffprime_f2(spec, s)
+    s_peak, peak = ray_max(ratio, 0.5, 1e-3, 2.0, 1e-10)
+    s_eps = ray_max(lambda s: -(ratio(s) - floor) ** 2, 0.5 * s_peak, 1e-3,
+                    s_peak, 1e-12)[0]
+    return peak, s_eps
+
+
+def check_assumptions(spec: NonlinearitySpec,
                       potential: Optional[PeriodicCoefficient] = None) -> AssumptionReport:
-    """Evaluate the growth assumptions on the scan; failures are reported,
-    never raised."""
-    s = scan.points()
-    ratios = np.asarray(ratio_Ffprime_f2(spec, s))
+    """Decide the growth assumptions from closed forms on each piece
+    c s^p e^{a s^2} of F, with x = 2 a s^2; nothing is sampled, and
+    failures are reported, never raised.
 
-    # (f1): sign, behaviour at 0, exponential envelope at infinity
-    f_vals = eval_f(spec, s)
-    nonneg = bool(np.all(f_vals >= 0))
-    head = s <= min(10 * scan.s_min, 0.05)
-    with np.errstate(over="ignore"):          # inf for a huge q; reported
-        small = np.exp(_log_over_power(spec, s[head], 1, spec.q - 1))
-    q_limit = float(small[0]) if small.size else float("nan")
-    small_ok = bool(small.size and np.all(np.isfinite(small)) and np.all(small > 0)
-                    and small.max() / max(small.min(), 1e-12) < 100)
-    tail = s >= scan.s_max / 2
-    log_env = _log_over_power(spec, s[tail], 1, spec.p) - A_CRIT * s[tail]**2
-    f1_ok = nonneg and small_ok and bool(np.all(np.isfinite(log_env)))
+    * (f1): f >= 0, which every kind with p > 0 meets, and the limit of
+      f / s^{q-1} at 0 is finite.
+    * (f2): F f' / f^2 = 1 + (x - p) / (p + x)^2 rises from (p - 1)/p at
+      x = 0 to 1 + 1/(8p) at x = 3p, then falls to 1; (f2) needs a uniform
+      delta > 0, so an infimum 0 fails.
+    * (f3): the ratio tends to 1 on every kind.
+    * (f4): s^3 f F e^{-8 pi s^2} is c^2 s^{2p+2} (p + x) on a piece and
+      2a s^4 (1 - e^{-a s^2}) for exp_minus_one; it grows like s to the
+      reported tail power, so its liminf is +inf, above any finite
+      threshold script_V.
+    * AR: F / (s f) is 1 / (p + x) on a piece and (1 - e^{-y}) / 2y,
+      y = a s^2, for exp_minus_one; the improvement needs delta > 0 and
+      its sup at most 1 - delta.
+    * s_epsilon: the least s past which sqrt(F f' / f^2) >= 1 - eps; on a
+      piece the ratio reaches (1 - eps)^2 = 1 - k at
+      x = 2p(1 - kp) / (sqrt(1 + 8kp) + 1 + 2kp) if kp < 1, and never
+      falls below it otherwise.
+    """
+    a, eps = A_CRIT, ONSET_EPSILON
+    k = 1.0 - (1.0 - eps) ** 2
+    if spec.kind == "exp_minus_one":
+        lo, ar_sup, tail_power = 0.5, 0.5, 4.0
+        hi, s_eps = _exp_minus_one_extrema(spec, 1.0 - k)
+        q_limit = 2 * a if spec.q == 2 else math.inf      # f / s = 2a e^{a s^2}
+    else:
+        # the exponential piece starts at x0: at 0 for power_exp, at the
+        # splice for piecewise (s0 * s0, not s0**2, is inf past ~1e154)
+        p, q = float(spec.p), float(spec.q)
+        x0 = 2 * a * spec.s0 * spec.s0 if spec.kind == "piecewise" else 0.0
+        # the piece's inf is min(ratio at x0, 1): at x0 = 0, (p - 1)/p < 1,
+        # and a splice adds the power piece's (q - 1)/q < 1
+        lo = float(_piece_ratio(p, x0))
+        hi = 1 + 1 / (8 * p) if x0 <= 3 * p else lo
+        ar_sup, tail_power = 1 / (p + x0), 2 * p + 4
+        onset = 2 * p * (1 - k * p) / (math.sqrt(1 + 8 * k * p) + 1 + 2 * k * p) \
+            if k * p < 1 else 0.0
+        s_eps = math.sqrt(onset / (2 * a)) if onset > x0 else 0.0
+        # f / s^{q-1} = s^{p-q} (p + x) e^{a s^2} on power_exp
+        q_limit = p if p == q else (0.0 if p > q else math.inf)
+        if spec.kind == "piecewise":            # F = s^q below the splice
+            # there F / (s f) = 1/q < 1 - 0.99 (q - 1)/q <= 1 - delta
+            below = (q - 1) / q
+            lo, hi, q_limit = min(lo, below), max(hi, below), q
+            if s_eps == 0.0 and below < 1.0 - k:
+                s_eps = spec.s0
 
-    # (f2): two-sided bounds of the ratio, with a 1% safety margin
-    rmin, rmax = float(ratios.min()), float(ratios.max())
-    delta_est = 0.99 * rmin
-    c_est = 1.01 * rmax
-    f2_ok = rmin > 0 and np.isfinite(rmax)
-
-    # (f3): tail limit by Richardson extrapolation in 1/s^2
-    r_half = float(ratio_Ffprime_f2(spec, scan.s_max / 2))
-    r_full = float(ratio_Ffprime_f2(spec, scan.s_max))
-    f3_limit = (4.0 * r_full - r_half) / 3.0
-    f3_ok = abs(f3_limit - 1.0) < F3_TOLERANCE
-
-    # (f4): liminf of s^3 f F e^{-8 pi s^2} compared with the threshold
+    # (f2) keeps a 1% safety margin on both bounds
+    delta_est, c_est = 0.99 * lo, 1.01 * hi
     pot = potential if potential is not None else PeriodicCoefficient(1.0)
     script_v, script_v_argmin = compute_script_V(spec.q, pot.max_within(0.5))
-    tail_log = log_s3fF_tail(spec, s[tail])
-    liminf_est = float(np.exp(min(np.min(tail_log), 690.0)))
-    f4_ok = bool(liminf_est > script_v)
-
-    # Ambrosetti-Rabinowitz improvement F <= (1 - delta) s f, in log space
-    margin = log_F_over_sf(spec, s)
-    ar_ok = bool(np.all(margin <= math.log(max(1.0 - delta_est, 1e-12)) + 1e-12))
-
-    # two-branch growth envelope constant
-    below = s <= spec.s0
-    with np.errstate(over="ignore"):          # inf for a huge q; reported
-        env_low = np.exp(_log_over_power(spec, s[below], 0, spec.q)) \
-            if np.any(below) else np.array([0.0])
-        env_high = np.exp(_log_over_power(spec, s[~below], 0, spec.p - 1)
-                          - A_CRIT * s[~below]**2) \
-            if np.any(~below) else np.array([0.0])
-    envelope_c = float(max(env_low.max(), env_high.max()))
-
-    # onset of sqrt(ratio) >= 1 - eps: the point after the last failure,
-    # s[0] without failures, nan if the last fails
-    good = np.sqrt(np.maximum(ratios, 0.0)) >= 1.0 - ONSET_EPSILON
-    idx = np.nonzero(~good)[0]
-    s_eps = float(np.append(s, np.nan)[idx[-1] + 1]) if idx.size else float(s[0])
-
     return AssumptionReport(
-        f1_ok=f1_ok, f2_ok=f2_ok, f3_ok=f3_ok, f4_ok=f4_ok,
-        delta_estimate=delta_est, C_estimate=c_est,
-        f3_limit_estimate=f3_limit, f4_liminf_estimate=liminf_est,
+        f1_ok=q_limit < math.inf, f2_ok=lo > 0 and hi < math.inf, f3_ok=True,
+        f4_ok=script_v < math.inf,              # the liminf is +inf
+        delta_estimate=delta_est, C_estimate=c_est, f4_tail_power=tail_power,
         script_V=script_v, script_V_argmin=script_v_argmin,
-        sample_range=(float(s[0]), float(s[-1])),
-        ar_improved_ok=ar_ok, envelope_constant=envelope_c,
-        q_limit_estimate=q_limit, s_epsilon=s_eps, epsilon=ONSET_EPSILON,
+        ar_improved_ok=delta_est > 0 and ar_sup <= 1.0 - delta_est,
+        q_limit=q_limit, s_epsilon=s_eps, epsilon=eps,
     )
 
 

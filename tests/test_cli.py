@@ -380,7 +380,6 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, capsys,
     ("nonlinearity", "c_floor = nan"),
     ("nonlinearity", "c_floor = 0"),
     ("nonlinearity", "c_amplitude = nan"),
-    ("scan", "s_max = nan"),
     ("nonlinearity", "q = inf"),
     ("potential", "floor = inf"),
     ("grid", "domain_radius = inf"),
@@ -396,10 +395,6 @@ def test_cli_invalid_solver_block_rejected_by_every_command(tmp_path, capsys,
     ("moser", "t_max = 0"),
     ("embedding", "alpha = 0"),
     ("embedding", "alpha = -1"),
-    ("scan", "points = 99"),
-    # 8 pi s_max^2 overflows
-    ("scan", "s_max = 1e154"),
-    ("scan", "s_max = 1e300"),
     # unknown keys: a misspelt one, then keys that are no longer settings
     ("output", "pth = x"),
     ("moser", "ray_samples = 63"),
@@ -419,6 +414,24 @@ def test_cli_non_finite_and_nonpositive_settings_rejected(tmp_path, section, set
         assert cli.main([command, "--config", path,
                          "--output", str(tmp_path / "out.json")]) == 2
         assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("setting", ["s_max = nan", "points = 99",
+                                     "s_max = 1e154", "s_max = 1e300"])
+def test_removed_scan_section_is_an_unknown_section(tmp_path, capsys, setting):
+    # check-assumptions samples nothing, so [scan] is no longer a section
+    path = write_config(tmp_path, BASE + f"\n[scan]\n{setting}\n")
+    for command in ("check-assumptions", "verify-embedding"):
+        assert cli.main([command, "--config", path,
+                         "--output", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err \
+            == "validation error: unknown config section [scan]\n"
+        assert not os.path.exists(tmp_path / "out.json")
+
+
+def test_settable_values_are_counted():
+    # a new option has to raise this count on purpose
+    assert sum(len(rows) for rows in DEFAULTS.values()) == 26
 
 
 @pytest.mark.parametrize("text", [
@@ -464,24 +477,80 @@ def test_cli_check_assumptions_extreme_nonlinearity(tmp_path, block):
     assert out.exists()
 
 
-@pytest.mark.parametrize("kind", ["exp_minus_one", "power_exp", "piecewise"])
-def test_scan_to_the_largest_admitted_s_max_is_quiet(tmp_path, kind):
-    # 8 pi s_max^2 overflows from s_max ~ 2.7e153; below it every check runs
-    # without an overflow
-    path = write_config(tmp_path, f"[nonlinearity]\nkind = {kind}\nq = 2\n"
-                        "[scan]\ns_max = 2e153\n")
+# (kind, p, q) -> (f1, f2, f3, f4, AR, exit code) of check-assumptions on
+# the closed forms; every piecewise spec below passes at every s0
+PASS = (True, True, True, True, True, 0)
+VERDICTS = {
+    # f / s^(q-1) = 2a s^(2-q) e^{a s^2} has a finite limit at q = 2 only
+    ("exp_minus_one", 1.0, 2.0): PASS,
+    ("exp_minus_one", 1.0, 3.0): (False, True, True, True, True, 3),
+    # p < q: f / s^(q-1) ~ p s^(p-q) diverges; p <= 1: inf F f'/f^2 is
+    # (p - 1)/p <= 0 at s -> 0, so no delta > 0 serves (f2) or AR
+    ("power_exp", 0.5, 2.0): (False, False, True, True, False, 3),
+    ("power_exp", 0.5, 3.0): (False, False, True, True, False, 3),
+    ("power_exp", 1.0, 2.0): (False, False, True, True, False, 3),
+    ("power_exp", 1.0, 3.0): (False, False, True, True, False, 3),
+    ("power_exp", 2.0, 2.0): PASS,
+    ("power_exp", 2.0, 3.0): (False, True, True, True, True, 3),
+    # p > q: f / s^(q-1) -> 0, a finite limit
+    ("power_exp", 3.0, 2.0): PASS,
+    ("power_exp", 3.0, 3.0): PASS,
+}
+VERDICT_SPECS = [(kind, p, q, 1.0) for kind, p, q in VERDICTS] + [
+    ("piecewise", p, q, s0) for p in (0.5, 1.0, 2.0, 3.0) for q in (2.0, 3.0)
+    for s0 in (0.5, 1.0, 2.0, 20.0)]
+
+
+@pytest.mark.parametrize("kind, p, q, s0", VERDICT_SPECS,
+                         ids=[f"{k}-p{p:g}-q{q:g}-s0{s0:g}"
+                              for k, p, q, s0 in VERDICT_SPECS])
+def test_check_assumptions_verdict_table(tmp_path, kind, p, q, s0):
+    # piecewise specs read (f4) from a window below s0 and (f3) below s0 = 20
+    # when the checks sampled (0, 10]; the tail decides them now
+    path = write_config(tmp_path, f"[nonlinearity]\nkind = {kind}\n"
+                        f"p = {p}\nq = {q}\ns0 = {s0}\n")
+    out = tmp_path / "out.json"
+    code = cli.main(["check-assumptions", "--config", path, "--output", str(out)])
+    res = json.loads(out.read_text())["results"]
+    flags = tuple(res[key] for key in ("f1_ok", "f2_ok", "f3_ok", "f4_ok",
+                                       "ambrosetti_rabinowitz_improved"))
+    assert flags + (code,) == VERDICTS.get((kind, p, q), PASS)
+
+
+@pytest.mark.parametrize("block, code", [
+    # q = 2 is the one finite limit of f / s^(q-1) = 2a s^(2-q) e^{a s^2}
+    ("q = 2.000000000000001", 3),
+    # p = q near the float limit: 3p, 8kp and 2p + 4 overflow, and so
+    # does the threshold script_V, which no liminf exceeds
+    ("kind = power_exp\nq = 1.7e308", 3),
+    # inf F f'/f^2 = (p - 1)/p and sup 1 + 1/(8p) overflow
+    ("kind = power_exp\nq = 2\np = 1e-310", 3),
+    # s0 * s0 overflows, and s0**2 would raise: the splice is past every float
+    ("kind = piecewise\nq = 2\ns0 = 1e300", 0),
+    # 2a s0^2 underflows to 0
+    ("kind = piecewise\nq = 2\ns0 = 1e-300", 0),
+    # p + 2a s0^2 overflows
+    ("kind = piecewise\nq = 2\np = 1.7e308\ns0 = 1e153", 0),
+], ids=["exp_minus_one-q", "power_exp-p-1.7e308", "power_exp-p-1e-310",
+        "piecewise-s0-1e300", "piecewise-s0-1e-300", "piecewise-p-1.7e308"])
+def test_check_assumptions_at_extreme_parameters_is_quiet(tmp_path, block,
+                                                          code):
+    path = write_config(tmp_path, f"[nonlinearity]\n{block}\n")
     out = tmp_path / "out.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(["check-assumptions", "--config", path,
-                         "--output", str(out)]) == 0
+                         "--output", str(out)]) == code
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert json.loads(out.read_text())["results"]["sample_range"][1] == 2e153
+    results = json.loads(out.read_text())["results"]
+    assert results["f3_ok"]
+    assert results["f4_ok"] == (results["script_V"] is not None)
 
 
 # a non-default value in each section a command reads, on small problems
 SMALL_SETTINGS = {
-    "check-assumptions": {"scan": {"s_max": 12.5, "points": 500}},
+    "check-assumptions": {"nonlinearity": {"q": 2, "kind": "piecewise",
+                                           "s0": 0.75}},
     "verify-embedding": {"grid": {"resolution": 256},
                          "embedding": {"alpha": 3.0, "bound_points": 10,
                                        "moser_ns": [4, 8], "rho": 0.4}},

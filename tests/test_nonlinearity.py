@@ -74,8 +74,8 @@ def test_piecewise_log_form_survives_an_underflowing_splice_constant():
     spec = nl.NonlinearitySpec("piecewise", p=2.0, q=3.0, s0=10.0)
     s = 12.0
     log_c = math.log(10.0) - 4 * math.pi * 100.0
-    assert nl.log_F(spec, s) == pytest.approx(log_c + 2 * math.log(s)
-                                              + 4 * math.pi * s**2, rel=1e-14)
+    assert nl._evaluate(spec, s, 0, log=True) == pytest.approx(
+        log_c + 2 * math.log(s) + 4 * math.pi * s**2, rel=1e-14)
 
 
 def test_growth_bracket_overflows_to_inf_not_an_exception():
@@ -120,49 +120,25 @@ def test_power_exp_ratio_matches_quotient_of_polynomials(p):
 
 
 def test_power_exp_f2_estimates_finite_past_the_square_overflow():
-    # p = q = 2^512: P_1^2 overflows, yet the (f2) and (f3) estimates stay
-    # finite and agree with those at p = q = 1e150, where nothing overflows
+    # p = q = 2^512: P_1^2 overflows, yet the (f2) estimates stay finite
+    # and agree with those at p = q = 1e150, where nothing overflows
     huge, large = (nl.check_assumptions(nl.NonlinearitySpec("power_exp", p=p, q=p))
                    for p in (1.3407807929942597e+154, 1e150))
     for report in (huge, large):
         assert report.f2_ok and report.f3_ok
-        for value in (report.delta_estimate, report.C_estimate,
-                      report.f3_limit_estimate):
+        for value in (report.delta_estimate, report.C_estimate):
             assert math.isfinite(value)
     assert huge.delta_estimate == pytest.approx(large.delta_estimate, rel=1e-12)
     assert huge.C_estimate == pytest.approx(large.C_estimate, rel=1e-12)
-    assert huge.f3_limit_estimate == pytest.approx(large.f3_limit_estimate,
-                                                   rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [1e8, 1e16, 1e150])
-def test_power_exp_q_limit_and_ar_margin_cancel_in_closed_form(q):
+def test_power_exp_q_limit_and_ar_margin_are_exact(q):
     # on F = s^q e^{a s^2}, f/s^(q-1) = P_1(s) e^{a s^2} -> q at 0 and
-    # F/(s f) = 1/P_1(s): the powers of s cancel exactly, where
-    # log f - (q - 1) log s keeps no digit once q |log s| passes 1/eps
+    # F/(s f) = 1/P_1(s) <= 1/q: no power of s is formed
     report = nl.check_assumptions(nl.NonlinearitySpec("power_exp", p=q, q=q))
-    s = nl.ScanPlan().points()
-    s = s[0]                                  # s_min, the first point of the head
-    a = nl.A_CRIT
-    assert report.q_limit_estimate == pytest.approx(
-        (q + 2 * a * s**2) * math.exp(a * s**2), rel=1e-12)
-    assert report.q_limit_estimate == pytest.approx(q, rel=1e-6)
+    assert report.q_limit == q
     assert report.ar_improved_ok
-
-
-@pytest.mark.parametrize("s_max", [10.0, 1e5, 1e9, 1e20])
-def test_exp_minus_one_ar_margin_is_free_of_cancellation(s_max):
-    # F / (s f) = (1 - e^{-x}) / (2x) <= 1/2 with x = 4 pi s^2, so the
-    # improvement holds at every s_max.  A difference of logs of size x, such
-    # as log F - (log s + log f), loses it to rounding from s_max ~ 1e9 on
-    scan = nl.ScanPlan(s_max=s_max)
-    assert nl.check_assumptions(F1, scan).ar_improved_ok
-    s = scan.points()
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        x = [decimal.Decimal(nl.A_CRIT) * decimal.Decimal(v) ** 2 for v in s.tolist()]
-        exact = [float((1 - (-v).exp()).ln() - (2 * v).ln()) for v in x]
-    assert np.max(np.abs(nl.log_F_over_sf(F1, s) - exact)) <= 1e-12
 
 
 def test_ratio_within_f2_band():
@@ -176,24 +152,29 @@ def test_ratio_within_f2_band():
 def test_check_assumptions_F1():
     report = nl.check_assumptions(F1)
     assert report.f1_ok and report.f2_ok and report.f3_ok and report.f4_ok
-    assert abs(report.delta_estimate - 0.5) < 0.02
-    assert abs(report.f3_limit_estimate - 1.0) < 1e-3
+    # inf F f'/f^2 = 1/2 is the limit at 0, and F/(s f) <= 1/2 with it
+    assert report.delta_estimate == 0.99 * 0.5
+    assert report.q_limit == 2 * nl.A_CRIT
     assert report.ar_improved_ok
 
 
 def test_check_assumptions_F2_growth():
+    # s^3 f F e^{-8 pi s^2} = s^6 (2 + 8 pi s^2) grows like s^8
     report = nl.check_assumptions(F2)
     assert report.f4_ok
-    assert report.f4_liminf_estimate > 1e3 * report.script_V
+    assert report.f4_tail_power == 8.0
 
 
-def test_s_epsilon_is_nan_when_the_scan_never_reaches_the_regime():
-    # with s0 = 20 the scan to s_max = 10 stays on the power piece s^2, where
-    # sqrt(F f' / f^2) = sqrt(1/2) < 1 - eps: no onset
+def test_s_epsilon_is_the_splice_when_only_the_power_piece_falls_short():
+    # with s0 = 20 the power piece s^2 fills (0, 20], where
+    # sqrt(F f' / f^2) = sqrt(1/2) < 1 - eps; the exponential piece from the
+    # splice on stays above (1 - eps)^2
     spec = nl.NonlinearitySpec("piecewise", q=2.0, s0=20.0)
     report = nl.check_assumptions(spec)
-    assert math.sqrt(nl.ratio_Ffprime_f2(spec, 10.0)) < 1.0 - report.epsilon
-    assert math.isnan(report.s_epsilon)
+    assert math.sqrt(nl.ratio_Ffprime_f2(spec, 19.9)) < 1.0 - report.epsilon
+    s = np.geomspace(20.0 + 1e-9, 1e3, 1000)
+    assert np.all(np.sqrt(nl.ratio_Ffprime_f2(spec, s)) >= 1.0 - report.epsilon)
+    assert report.s_epsilon == 20.0
 
 
 def test_saturation_mask():
@@ -325,9 +306,122 @@ def test_estimate_sfF_probe():
     # s f(s) F(s) >= (beta/2) s^-2 e^{8 pi s^2} for s past the onset
     beta = 1.0
     s = np.geomspace(0.5, 9.0, 200)
-    lhs_log = np.log(s) + nl.log_f(F1, s) + nl.log_F(F1, s)
+    lhs_log = (np.log(s) + nl._evaluate(F1, s, 1, log=True)
+               + nl._evaluate(F1, s, 0, log=True))
     rhs_log = math.log(beta / 2) - 2 * np.log(s) + 8 * np.pi * s**2
     holds = lhs_log >= rhs_log
     assert holds[-1]
     onset = np.nonzero(holds)[0][0]
     assert np.all(holds[onset:])
+
+
+# a 40-digit oracle for check_assumptions ------------------------------------
+
+D = decimal.Decimal
+
+
+def _dec_ratio(p, a, s):
+    """F f' / f^2 = P_2 / P_1^2 on a piece c s^p e^{a s^2}, from the first
+    two derivatives of s^p e^{a s^2}, in the current decimal context."""
+    p1 = p + 2 * a * s * s
+    p2 = p * (p - 1) + 2 * a * (2 * p + 1) * s * s + 4 * a * a * s ** 4
+    return p2 / (p1 * p1)
+
+
+def _dec_bisect(g, lo, hi, steps=200):
+    """The root of g on [lo, hi], where g(lo) < 0 < g(hi)."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def _dec_oracle(spec):
+    """(inf and sup of F f'/f^2, its onset of (1 - eps)^2, sup F/(s f),
+    f/s^(q-1) at s = 1e-200) of a power_exp or piecewise spec.  Each piece
+    c s^p e^{a s^2} on [lo, hi) is read at its ends and at its one critical
+    point x = 2a s^2 = 3p, and a 60-point scan of it stays inside the
+    bounds; the onset is bisected."""
+    a, p, q, s0 = D(nl.A_CRIT), D(spec.p), D(spec.q), D(spec.s0)
+    if spec.kind == "piecewise":       # F = s^q below the splice
+        pieces, f_small = [(q, D(0), D(0), s0), (p, a, s0, None)], q
+    else:
+        pieces = [(p, a, D(0), None)]
+        tiny = D("1e-200")
+        f_small = tiny ** (p - q) * (p + 2 * a * tiny * tiny) * (a * tiny * tiny).exp()
+    floor = (1 - D(nl.ONSET_EPSILON)) ** 2
+    values, onset, ar_sup = [], D(0), D(0)
+    for pp, aa, lo, hi in pieces:
+        ends = [lo, hi if hi is not None else D("1e30")]
+        peak = (3 * pp / (2 * aa)).sqrt() if aa else None
+        points = ends + ([peak] if peak is not None and peak > lo
+                         and (hi is None or peak < hi) else [])
+        piece = [_dec_ratio(pp, aa, s) for s in points]
+        values += piece
+        top = hi if hi is not None else D(10)
+        scan = [lo + (top - lo) * D(i) / 60 for i in range(61)]
+        assert all(min(piece) - D("1e-30") <= _dec_ratio(pp, aa, s)
+                   <= max(piece) + D("1e-30") for s in scan)
+        if _dec_ratio(pp, aa, lo) < floor:
+            onset = hi if not aa else _dec_bisect(
+                lambda s: _dec_ratio(pp, aa, s) - floor, lo, peak)
+        ar_sup = max(ar_sup, 1 / (pp + 2 * aa * lo * lo))
+    return min(values), max(values), onset, ar_sup, f_small
+
+
+ORACLE_SPECS = [nl.NonlinearitySpec("power_exp", p=p, q=q)
+                for p in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0) for q in (2.0, 2.5, 4.0)] \
+    + [nl.NonlinearitySpec("piecewise", p=p, q=q, s0=s0)
+       for p in (0.5, 1.0, 2.0, 6.0) for q in (2.0, 3.0, 6.0)
+       for s0 in (0.05, 0.2, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: (
+    f"{spec.kind}-p{spec.p:g}-q{spec.q:g}-s0{spec.s0:g}"))
+def test_check_assumptions_matches_a_40_digit_oracle(spec):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        inf, sup, onset, ar_sup, f_small = _dec_oracle(spec)
+    report = nl.check_assumptions(spec)
+    assert report.delta_estimate == pytest.approx(0.99 * float(inf), rel=1e-14,
+                                                  abs=1e-15)
+    assert report.C_estimate == pytest.approx(1.01 * float(sup), rel=1e-14)
+    assert report.s_epsilon == pytest.approx(float(onset), rel=1e-14)
+    assert report.ar_improved_ok == (inf > 0 and ar_sup <= 1 - D("0.99") * inf)
+    if f_small > D("1e90"):
+        assert report.q_limit == math.inf and not report.f1_ok
+    elif f_small < D("1e-90"):
+        assert report.q_limit == 0.0 and report.f1_ok
+    else:
+        assert report.q_limit == pytest.approx(float(f_small), rel=1e-14)
+    assert report.f2_ok == (inf > 0)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_exp_minus_one_extrema_match_a_40_digit_oracle(q):
+    # r(y) = (1 - e^{-y})(1 + 1/2y), y = a s^2, has no closed-form maximum or
+    # onset; ray_max finds both to 1e-9 of a 40-digit bisection
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a = D(nl.A_CRIT)
+
+        def r(y):
+            return (1 - (-y).exp()) * (1 + 1 / (2 * y))
+
+        def slope(y):
+            return (1 - (-y).exp()) / (2 * y * y) - (-y).exp() * (1 + 1 / (2 * y))
+        y_peak = _dec_bisect(slope, D(1), D(10))
+        peak = r(y_peak)
+        floor = (1 - D(nl.ONSET_EPSILON)) ** 2
+        onset = (_dec_bisect(lambda y: r(y) - floor, D("1e-6"), y_peak) / a).sqrt()
+        tiny = D("1e-200")
+        f_small = 2 * a * tiny ** (2 - D(q)) * (a * tiny * tiny).exp()
+    report = nl.check_assumptions(nl.NonlinearitySpec("exp_minus_one", q=q))
+    assert abs(report.C_estimate / 1.01 - float(peak)) <= 1e-9
+    assert abs(report.s_epsilon - float(onset)) <= 1e-9
+    assert float((y_peak / a).sqrt()) == pytest.approx(0.50569, abs=1e-5)
+    assert float(peak) == pytest.approx(1.1091207, abs=1e-7)
+    # inf F f'/f^2 and sup F/(s f) are both the limit 1/2 at 0
+    assert report.delta_estimate == 0.99 * 0.5 and report.ar_improved_ok
+    assert report.q_limit == (float(f_small) if q == 2 else math.inf)
+    assert f_small > D("1e90") or q == 2
