@@ -63,21 +63,34 @@ def random_smooth(grid: grids.Grid, rng: np.random.Generator,
     """
     if max_center is None:
         max_center = 0.5 * grid.domain_radius
+    # one draw per field, in the order of one Generator.uniform call per
+    # bump and coordinate, each mapped as uniform maps it, low + (high - low) u:
+    # the field and the stream position match such a loop bit for bit
+    amp_low = 0.2 if positive else -1.0
+    if grid.kind == "radial":       # amplitude, width, centre radius
+        low, high = [amp_low, 0.2, 0.0], [1.0, 1.0, max_center]
+    else:                           # amplitude, width, centre x and y
+        low = [amp_low, 0.2, -max_center, -max_center]
+        high = [1.0, 1.0, max_center, max_center]
+    low, high = np.array(low), np.array(high)
+    draws = low + (high - low) * rng.random((RANDOM_BUMPS, len(low)))
+    amp = draws[:, 0]
+    sigma = draws[:, 1:2] * max(grid.spacing * 4, 0.2)
+    if grid.kind == "radial":
+        bumps = np.exp(-((grid.radii() - draws[:, 2:]) / sigma) ** 2)
+        vals = np.zeros(grid.shape)
+        for i in range(RANDOM_BUMPS):
+            vals += amp[i] * bumps[i]
+        return grids.GridField(grid, vals)
+    # the Gaussian is separable: an outer product of two axis factors costs
+    # 2n exponentials instead of n^2, and one exp call per axis forms every
+    # bump's factor
+    x = grid.nodes
+    fx = np.exp(-((x - draws[:, 2:3]) / sigma) ** 2)
+    fy = np.exp(-((x - draws[:, 3:4]) / sigma) ** 2)
     vals = np.zeros(grid.shape)
-    for _ in range(RANDOM_BUMPS):
-        amp = rng.uniform(0.2, 1.0) if positive else rng.uniform(-1.0, 1.0)
-        sigma = rng.uniform(0.2, 1.0) * max(grid.spacing * 4, 0.2)
-        if grid.kind == "radial":
-            c = rng.uniform(0, max_center)
-            r = grid.radii()
-            vals += amp * np.exp(-((r - c) / sigma) ** 2)
-        else:
-            # the Gaussian is separable: an outer product of two axis factors
-            # costs 2n exponentials instead of n^2
-            cx, cy = rng.uniform(-max_center, max_center, size=2)
-            x = grid.nodes
-            vals += amp * np.outer(np.exp(-((x - cx) / sigma) ** 2),
-                                   np.exp(-((x - cy) / sigma) ** 2))
+    for i in range(RANDOM_BUMPS):
+        vals += amp[i] * np.outer(fx[i], fy[i])
     return grids.GridField(grid, vals)
 
 

@@ -167,10 +167,13 @@ def _radial_weights(nodes: np.ndarray) -> np.ndarray:
     Node triples (i, i+1, i+2), i even, get the Simpson-style parabolic
     rule, or two linear segments when a parabola weight is negative (a
     triple skewed by anchor snapping).  With n even the trailing segment
-    reuses the last parabola, or the linear rule when that would give the
-    node n-3 a weight below -1e-3 of the largest.  The gap [0, r_0] treats
-    the field as constant (radial profiles are flat at the origin), which
-    keeps every weight positive at the cost of an O(r_0^3) defect.
+    reuses the last parabola, or the linear rule when that would give any
+    of the nodes n-3, n-2, n-1 it touches a weight below -1e-3 of the
+    largest (on a near-coincident last pair the parabola's moments are
+    rounding noise, with weights of opposite sign on n-2 and n-1).  The gap
+    [0, r_0] treats the field as constant (radial profiles are flat at the
+    origin), which keeps every weight positive at the cost of an O(r_0^3)
+    defect.
 
     All triples are evaluated at once.  The ring moments
     m_k = int_a^b r^k 2 pi r dr take their powers of r from ``math.pow``
@@ -208,7 +211,7 @@ def _radial_weights(nodes: np.ndarray) -> np.ndarray:
     w[first + 2] += np.where(skewed, right[first + 1], tri[2])
     if n % 2 == 0:
         tail = pw[:, -1]
-        if tail[0] < -1e-3 * abs(tail).max():
+        if tail.min() < -1e-3 * abs(tail).max():
             w[n - 2:] += (left[n - 2], right[n - 2])
         else:
             w[n - 3:] += tail

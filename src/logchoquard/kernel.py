@@ -13,7 +13,9 @@ The near/far forms are cartesian, by two deliberately independent routes:
   the lattice offset of a node pair only, so each kernel is evaluated once
   on the n x n offsets and summed as a block-Toeplitz matrix with Toeplitz
   blocks, by matmuls and without any FFT (``_pair_sum``), for a whole batch
-  of pairs on one grid per pass.
+  of P pairs on one grid per pass.  The lagged correlation of the pairs is
+  formed once per row offset and shared by B1 and B2: n^4 P multiply-adds
+  for both kernels.
 * ``bilinear_fast``  -- Parseval pairings of zero-padded spectra (below).
 
 Radial grids have B0 alone: by Newton's theorem the ring coupling of
@@ -218,30 +220,33 @@ def _pair_sum(grid: grids.Grid, a: np.ndarray, b: np.ndarray, kernels):
     K depends on the lattice offset (|i1 - j1|, |i2 - j2|) of a node pair
     only, so each K is evaluated once, on the n x n offsets, at positive
     distances; the zero offset holds the self-cell average.  The sum is then
-    block-Toeplitz with Toeplitz blocks: for each row offset s, one matmul
-    applies the block T_s[i2, j2] = table[s, |i2 - j2|] to every row j1 and
-    column p of b, paired with the rows i1 = j1 + s and j1 - s of a.  No
-    FFT is involved."""
+    block-Toeplitz with Toeplitz blocks, and the expensive part is shared
+    by every kernel: for each row offset s, one batched matmul over the P
+    columns forms the lagged correlation
+    G_s[p, i2, j2] = sum_j1 a[j1 + s, i2, p] b[j1, j2, p], plus its mirror
+    with a and b shifted the other way when s > 0, and one small
+    (P, n^2) @ (n^2, kernels) product contracts it with every kernel's block
+    T_s[i2, j2] = table[s, |i2 - j2|].  That is n^4 P multiply-adds however
+    many kernels there are, and one block gathered at a time.  No FFT is
+    involved."""
     n, cols = grid.resolution, a.shape[1]
     offset = grid.nodes - grid.nodes[0]
     d = np.hypot(offset[:, None], offset[None, :])
     d[0, 0] = 1.0
-    band = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    # node (i1, i2) is row i1 * n + i2: reorder both stacks to (i2, i1, p)
-    a_t = a.reshape(n, n, cols).transpose(1, 0, 2)
-    b_t = b.reshape(n, n, cols).transpose(1, 0, 2).reshape(n, n * cols)
-    sums = []
-    for kern, diag in kernels:
-        table = kern(d)
-        table[0, 0] = diag
-        total = np.zeros(cols)
-        for s in range(n):
-            tb = (table[s][band] @ b_t).reshape(n, n, cols)    # (i2, j1, p)
-            total += np.einsum("ijp,ijp->p", a_t[:, s:], tb[:, :n - s])
-            if s:
-                total += np.einsum("ijp,ijp->p", a_t[:, :n - s], tb[:, s:])
-        sums.append(total)
-    return sums
+    # tables[s, |i2 - j2|, kernel]
+    tables = np.stack([kern(d) for kern, _ in kernels], axis=-1)
+    tables[0, 0] = [diag for _, diag in kernels]
+    band = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).ravel()
+    # node (i1, i2) is row i1 * n + i2: one (i1, i2) matrix per column p
+    a_p = a.T.reshape(cols, n, n)
+    b_p = b.T.reshape(cols, n, n)
+    total = np.zeros((cols, len(kernels)))
+    for s in range(n):
+        corr = a_p[:, s:].transpose(0, 2, 1) @ b_p[:, :n - s]
+        if s:
+            corr += a_p[:, :n - s].transpose(0, 2, 1) @ b_p[:, s:]
+        total += corr.reshape(cols, n * n) @ tables[s].take(band, axis=0)
+    return list(total.T)
 
 
 def _weighted_stack(grid: grids.Grid, fields) -> np.ndarray:

@@ -11,9 +11,9 @@ The kinds (a = 4 pi throughout):
 f(s) = 0 for s <= 0 (only positive solutions are sought), F(0) = 0.
 Exponents a s^2 > 700 are clamped; query ``saturation_mask`` for the flag.
 Saturated evaluations run in log space through the closed forms.  The
-assumption checker decides (f1)-(f4) from closed forms on each piece; the
-two extrema of exp_minus_one that have none, and the threshold constant in
-log rho, are found by ``energy.ray_max``, the package's one 1D search.
+assumption checker decides (f1)-(f4) from closed forms on each piece, and
+from two fixed numbers for exp_minus_one; the threshold constant in log rho
+is found by ``energy.ray_max``, the package's one 1D search.
 """
 
 from __future__ import annotations
@@ -30,6 +30,12 @@ from .spaces import EXP_GUARD, PeriodicCoefficient
 
 A_CRIT = 4.0 * np.pi
 ONSET_EPSILON = 0.1         # s_epsilon: onset of sqrt(F f' / f^2) >= 1 - eps
+# exp_minus_one's F f' / f^2 = (1 - e^{-y})(1 + 1/2y), y = a s^2, depends on
+# no spec value and has no closed-form extrema: it rises from 1/2 at 0 to its
+# maximum at s = 0.50569 and falls to 1, and it reaches (1 - ONSET_EPSILON)^2
+# at the onset below.  Both are a 40-digit bisection rounded to a float.
+EXP_MINUS_ONE_RATIO_MAX = 1.1091206861354945
+EXP_MINUS_ONE_ONSET = 0.21032331725903342
 
 KINDS = ("exp_minus_one", "power_exp", "piecewise")
 
@@ -197,23 +203,6 @@ class AssumptionReport:
         return self.f1_ok and self.f2_ok and self.f3_ok and self.f4_ok
 
 
-def _exp_minus_one_extrema(spec: NonlinearitySpec, floor: float):
-    """(max of F f' / f^2, the onset s_eps of ratio >= floor) for
-    exp_minus_one, which has no closed form for either: the ratio
-    (1 - e^{-y})(1 + 1/2y), y = a s^2, rises from 1/2 at 0 to its maximum
-    1.1091... near s = 0.5057 and falls to 1.  ``energy.ray_max`` finds the
-    maximum, then the root of ratio - floor below it as the maximum of
-    -(ratio - floor)^2."""
-    from .energy import ray_max
-
-    def ratio(s):
-        return ratio_Ffprime_f2(spec, s)
-    s_peak, peak = ray_max(ratio, 0.5, 1e-3, 2.0, 1e-10)
-    s_eps = ray_max(lambda s: -(ratio(s) - floor) ** 2, 0.5 * s_peak, 1e-3,
-                    s_peak, 1e-12)[0]
-    return peak, s_eps
-
-
 def check_assumptions(spec: NonlinearitySpec,
                       potential: Optional[PeriodicCoefficient] = None) -> AssumptionReport:
     """Decide the growth assumptions from closed forms on each piece
@@ -242,7 +231,7 @@ def check_assumptions(spec: NonlinearitySpec,
     k = 1.0 - (1.0 - eps) ** 2
     if spec.kind == "exp_minus_one":
         lo, ar_sup, tail_power = 0.5, 0.5, 4.0
-        hi, s_eps = _exp_minus_one_extrema(spec, 1.0 - k)
+        hi, s_eps = EXP_MINUS_ONE_RATIO_MAX, EXP_MINUS_ONE_ONSET
         q_limit = 2 * a if spec.q == 2 else math.inf      # f / s = 2a e^{a s^2}
     else:
         # the exponential piece starts at x0: at 0 for power_exp, at the

@@ -17,7 +17,7 @@ import numpy as np
 from . import grids
 from .errors import ValidationError
 
-ARTIFACT_VERSION = "0.14.0"
+ARTIFACT_VERSION = "0.15.0"
 
 
 def format_float(x: float) -> str:

@@ -410,6 +410,19 @@ def test_radial_commands_independent_of_blas_threads(tmp_path, command):
     assert field1 is None and field2 is None
 
 
+def test_kernel_bench_independent_of_blas_threads(tmp_path):
+    # the direct route's correlations and contractions are BLAS matmuls;
+    # only the two wall-clock columns may differ
+    timings = (b'"direct_seconds"', b'"fast_seconds"')
+    (report1, _), (report2, _) = _solve_at_blas_threads(
+        tmp_path, "[nonlinearity]\nq = 2\n", "1", "kernel-bench")
+    untimed = [[line for line in report if not any(t in line for t in timings)]
+               for report in (report1, report2)]
+    assert len(untimed[0]) == len(report1) - 2 * len(DEFAULTS["kernel_bench"]["sizes"])
+    assert untimed[0] == untimed[1]
+    assert b'    "all_ok": true' in report1
+
+
 POWER_EXP_RADIAL_CONFIG = """
 [nonlinearity]
 kind = power_exp

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,21 @@ def test_pair_sum_evaluates_each_kernel_on_offsets_not_pairs(n):
     kernels = _oracle_kernels(g)
     kernel._pair_sum(g, a, b, [(counted(k), diag) for k, diag in kernels])
     assert seen == [(k, n * n) for k, _ in kernels]
+
+
+def test_pair_sum_peak_allocation_is_a_few_stacks():
+    # one correlation, its mirror and one gathered block per row offset:
+    # the (n, n^2, kernels) table of every block would alone be 6.4 stacks
+    g, a, b, _ = _pairs_with_reference(64)
+    kernels = _oracle_kernels(g)[:2]
+    tracemalloc.start()
+    try:
+        kernel._pair_sum(g, a, b, kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (64 * 64, 20)
+    assert peak <= 6 * a.nbytes
 
 
 def test_riesz_pair_sum_matches_dense_unblocked_sum():

@@ -400,7 +400,8 @@ def test_check_assumptions_matches_a_40_digit_oracle(spec):
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_exp_minus_one_extrema_match_a_40_digit_oracle(q):
     # r(y) = (1 - e^{-y})(1 + 1/2y), y = a s^2, has no closed-form maximum or
-    # onset; ray_max finds both to 1e-9 of a 40-digit bisection
+    # onset; the module's two constants are a 40-digit bisection of each,
+    # within one ulp
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         a = D(nl.A_CRIT)
@@ -416,9 +417,12 @@ def test_exp_minus_one_extrema_match_a_40_digit_oracle(q):
         onset = (_dec_bisect(lambda y: r(y) - floor, D("1e-6"), y_peak) / a).sqrt()
         tiny = D("1e-200")
         f_small = 2 * a * tiny ** (2 - D(q)) * (a * tiny * tiny).exp()
+    for constant, exact in ((nl.EXP_MINUS_ONE_RATIO_MAX, peak),
+                            (nl.EXP_MINUS_ONE_ONSET, onset)):
+        assert abs(D(constant) - exact) <= D(math.ulp(constant))
     report = nl.check_assumptions(nl.NonlinearitySpec("exp_minus_one", q=q))
-    assert abs(report.C_estimate / 1.01 - float(peak)) <= 1e-9
-    assert abs(report.s_epsilon - float(onset)) <= 1e-9
+    assert report.C_estimate == 1.01 * nl.EXP_MINUS_ONE_RATIO_MAX
+    assert report.s_epsilon == nl.EXP_MINUS_ONE_ONSET
     assert float((y_peak / a).sqrt()) == pytest.approx(0.50569, abs=1e-5)
     assert float(peak) == pytest.approx(1.1091207, abs=1e-7)
     # inf F f'/f^2 and sup F/(s f) are both the limit 1/2 at 0

@@ -62,6 +62,11 @@ ALLOWED = {
     "reports.load_field": "reads .field files back; test_field_roundtrip "
                           "compares them with the saved field, and perfbench "
                           "reads them",
+    "nonlinearity.ratio_Ffprime_f2": "F f'/f^2 of every kind, exported; "
+                                     "check_assumptions reads fixed numbers "
+                                     "for exp_minus_one, and "
+                                     "test_ratio_within_f2_band samples the "
+                                     "ratio inside their band",
     "config._least": "builds the range checks at import, before any command; "
                      "test_cli_non_finite_and_nonpositive_settings_rejected "
                      "checks them",
